@@ -10,6 +10,7 @@
 //! applied on construction, so building the same function twice yields the
 //! same literal.
 
+use crate::hash::FastBuild;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -141,7 +142,7 @@ pub struct Aig {
     outputs: Vec<Lit>,
     input_names: Vec<String>,
     output_names: Vec<String>,
-    strash: HashMap<(Lit, Lit), Var>,
+    strash: HashMap<(Lit, Lit), Var, FastBuild>,
     num_ands: usize,
 }
 
@@ -160,7 +161,7 @@ impl Aig {
             outputs: Vec::new(),
             input_names: Vec::new(),
             output_names: Vec::new(),
-            strash: HashMap::new(),
+            strash: HashMap::default(),
             num_ands: 0,
         }
     }

@@ -1,18 +1,32 @@
 //! K-feasible cut enumeration.
 //!
 //! A *cut* of node `n` is a set of nodes (leaves) such that every path from
-//! the inputs to `n` passes through a leaf. Cuts of at most `k` leaves are
+//! the inputs to `n` passes through a leaf. Cuts of at most [`K`] leaves are
 //! enumerated bottom-up by merging the fanin cut sets, with dominance
 //! filtering and a per-node cap — the classical priority-cuts algorithm used
 //! by ABC's rewriting and technology mapping.
+//!
+//! Every cut carries its function: a 16-bit truth table over its leaves,
+//! derived during the merge from the fanin cuts' tables, so consumers never
+//! re-simulate a cone. [`cut_function`] recomputes a cone's table from the
+//! graph and stays as the differential reference.
 
 use crate::aig::{Aig, NodeKind, Var};
 use crate::truth::Tt;
 
-/// A single cut: a sorted set of leaf variables.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// Maximum number of leaves of an enumerated cut.
+pub const K: usize = 4;
+
+/// The projection table of leaf 0 in a 4-variable truth table.
+const VAR0: u16 = 0xAAAA;
+
+/// A single cut: a sorted set of at most [`K`] leaf variables, together with
+/// the function of its root over them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Cut {
-    leaves: Vec<Var>,
+    leaves: [Var; K],
+    size: u8,
+    truth: u16,
     signature: u64,
 }
 
@@ -20,80 +34,121 @@ impl Cut {
     /// The trivial cut of a node: the node itself.
     pub fn trivial(var: Var) -> Self {
         Cut {
-            leaves: vec![var],
+            leaves: [var, 0, 0, 0],
+            size: 1,
+            truth: VAR0,
             signature: 1 << (var % 64),
         }
     }
 
-    fn from_sorted(leaves: Vec<Var>) -> Self {
-        let signature = leaves.iter().fold(0u64, |s, &v| s | 1 << (v % 64));
-        Cut { leaves, signature }
-    }
-
     /// The sorted leaf variables.
     pub fn leaves(&self) -> &[Var] {
-        &self.leaves
+        &self.leaves[..self.size as usize]
     }
 
     /// Number of leaves.
     pub fn size(&self) -> usize {
-        self.leaves.len()
+        self.size as usize
     }
 
-    /// Merges two cuts; returns `None` if the union exceeds `k` leaves.
-    pub fn merge(&self, other: &Cut, k: usize) -> Option<Cut> {
+    /// The root's function as a 4-variable truth table: leaf `i` is
+    /// variable `i`, and the table does not depend on variables
+    /// `size()..4`.
+    pub fn truth(&self) -> u16 {
+        self.truth
+    }
+
+    /// The root's function over exactly [`Cut::size`] variables.
+    pub fn function(&self) -> Tt {
+        Tt::from_u64(self.size(), self.truth as u64)
+    }
+
+    /// Merges the leaf sets of two cuts; returns `None` if the union exceeds
+    /// [`K`] leaves. The merged cut's truth table is not yet known: the
+    /// caller sets it with [`Cut::with_and_truth`].
+    fn merge(&self, other: &Cut) -> Option<Cut> {
         // Quick reject: distinct signature bits are a lower bound on the
         // union size (hash collisions only make the bound smaller).
-        if (self.signature | other.signature).count_ones() as usize > k {
+        let signature = self.signature | other.signature;
+        if signature.count_ones() as usize > K {
             return None;
         }
-        let mut leaves = Vec::with_capacity(k + 1);
+        let (a, b) = (self.leaves(), other.leaves());
+        let mut leaves = [0; K];
+        let mut size = 0;
         let (mut i, mut j) = (0, 0);
-        while i < self.leaves.len() || j < other.leaves.len() {
-            let next = match (self.leaves.get(i), other.leaves.get(j)) {
-                (Some(&a), Some(&b)) => {
-                    if a == b {
-                        i += 1;
-                        j += 1;
-                        a
-                    } else if a < b {
-                        i += 1;
-                        a
-                    } else {
-                        j += 1;
-                        b
-                    }
-                }
-                (Some(&a), None) => {
+        while i < a.len() || j < b.len() {
+            let next = if j == b.len() || (i < a.len() && a[i] < b[j]) {
+                i += 1;
+                a[i - 1]
+            } else {
+                if i < a.len() && a[i] == b[j] {
                     i += 1;
-                    a
                 }
-                (None, Some(&b)) => {
-                    j += 1;
-                    b
-                }
-                (None, None) => unreachable!(),
+                j += 1;
+                b[j - 1]
             };
-            if leaves.len() == k {
+            if size == K {
                 return None;
             }
-            leaves.push(next);
+            leaves[size] = next;
+            size += 1;
         }
-        Some(Cut::from_sorted(leaves))
+        Some(Cut {
+            leaves,
+            size: size as u8,
+            truth: VAR0,
+            signature,
+        })
     }
 
     /// Returns true if `self`'s leaves are a subset of `other`'s (then
     /// `other` is dominated and can be discarded).
     pub fn dominates(&self, other: &Cut) -> bool {
-        if self.leaves.len() > other.leaves.len() {
+        if self.size > other.size {
             return false;
         }
         if self.signature & !other.signature != 0 {
             return false;
         }
-        self.leaves
+        self.leaves()
             .iter()
-            .all(|l| other.leaves.binary_search(l).is_ok())
+            .all(|l| other.leaves().binary_search(l).is_ok())
+    }
+
+    /// This cut's table re-expressed over the leaves of `wider`, a superset
+    /// of this cut's leaves.
+    fn truth_over(&self, wider: &Cut) -> u16 {
+        if self.leaves() == wider.leaves() {
+            return self.truth;
+        }
+        // Position of each of this cut's leaves among the wider leaves.
+        let mut pos = [0usize; K];
+        let mut p = 0;
+        for (i, &l) in self.leaves().iter().enumerate() {
+            while wider.leaves[p] != l {
+                p += 1;
+            }
+            pos[i] = p;
+        }
+        let mut out = 0u16;
+        for row in 0..16 {
+            let mut src = 0;
+            for (i, &p) in pos[..self.size()].iter().enumerate() {
+                src |= (row >> p & 1) << i;
+            }
+            out |= (self.truth >> src & 1) << row;
+        }
+        out
+    }
+
+    /// Sets the truth table of `self`, a merge of fanin cuts `x` and `y`,
+    /// as the AND of their (optionally complemented) functions.
+    fn with_and_truth(mut self, x: (&Cut, bool), y: (&Cut, bool)) -> Cut {
+        let tx = x.0.truth_over(&self) ^ if x.1 { u16::MAX } else { 0 };
+        let ty = y.0.truth_over(&self) ^ if y.1 { u16::MAX } else { 0 };
+        self.truth = tx & ty;
+        self
     }
 }
 
@@ -101,46 +156,37 @@ impl Cut {
 #[derive(Debug)]
 pub struct CutSet {
     cuts: Vec<Vec<Cut>>,
-    k: usize,
 }
 
 /// Configuration for cut enumeration.
 #[derive(Clone, Copy, Debug)]
 pub struct CutConfig {
-    /// Maximum leaves per cut.
-    pub k: usize,
     /// Maximum cuts kept per node (the trivial cut does not count).
     pub max_cuts: usize,
 }
 
 impl Default for CutConfig {
     fn default() -> Self {
-        CutConfig { k: 4, max_cuts: 8 }
+        CutConfig { max_cuts: 8 }
     }
 }
 
 impl CutSet {
-    /// Enumerates cuts for every node of `aig`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.k` is 0 or greater than 16 (the truth-table limit).
+    /// Enumerates cuts (with their truth tables) for every node of `aig`.
     pub fn compute(aig: &Aig, config: CutConfig) -> Self {
-        assert!(config.k >= 1 && config.k <= 16);
         let mut cuts: Vec<Vec<Cut>> = Vec::with_capacity(aig.num_nodes());
         for v in aig.iter_vars() {
             let node_cuts = match aig.node(v) {
                 NodeKind::Const0 | NodeKind::Input(_) => vec![Cut::trivial(v)],
                 NodeKind::And(a, b) => {
+                    let (ca, cb) = (a.is_complement(), b.is_complement());
                     let mut new_cuts: Vec<Cut> = Vec::new();
-                    let ca = &cuts[a.var() as usize];
-                    let cb = &cuts[b.var() as usize];
-                    for x in ca {
-                        for y in cb {
-                            if let Some(m) = x.merge(y, config.k) {
+                    for x in &cuts[a.var() as usize] {
+                        for y in &cuts[b.var() as usize] {
+                            if let Some(m) = x.merge(y) {
                                 if !new_cuts.iter().any(|c| c.dominates(&m)) {
                                     new_cuts.retain(|c| !m.dominates(c));
-                                    new_cuts.push(m);
+                                    new_cuts.push(m.with_and_truth((x, ca), (y, cb)));
                                 }
                             }
                         }
@@ -151,12 +197,10 @@ impl CutSet {
                     // The structural fanin cut must always survive: the
                     // technology mapper and rewriting rely on every node
                     // having at least one matchable cut.
-                    let mut fanin_leaves = vec![a.var(), b.var()];
-                    fanin_leaves.sort_unstable();
-                    fanin_leaves.dedup();
-                    let fanin_cut = Cut::from_sorted(fanin_leaves);
-                    if !new_cuts.iter().any(|c| c == &fanin_cut) {
-                        new_cuts.push(fanin_cut);
+                    let (ta, tb) = (Cut::trivial(a.var()), Cut::trivial(b.var()));
+                    let fanin_cut = ta.merge(&tb).expect("two leaves always fit");
+                    if !new_cuts.iter().any(|c| c.leaves() == fanin_cut.leaves()) {
+                        new_cuts.push(fanin_cut.with_and_truth((&ta, ca), (&tb, cb)));
                     }
                     new_cuts.push(Cut::trivial(v));
                     new_cuts
@@ -164,29 +208,30 @@ impl CutSet {
             };
             cuts.push(node_cuts);
         }
-        CutSet { cuts, k: config.k }
+        CutSet { cuts }
     }
 
     /// The cuts of node `var` (the last entry is the trivial cut).
     pub fn cuts_of(&self, var: Var) -> &[Cut] {
         &self.cuts[var as usize]
     }
-
-    /// The k used for enumeration.
-    pub fn k(&self) -> usize {
-        self.k
-    }
 }
 
-/// Computes the truth table of `root` as a function of the cut leaves.
+/// Computes the truth table of `root` as a function of the cut `leaves`
+/// by simulating its cone.
 ///
-/// Leaf `i` of the cut becomes variable `i` of the table. All interior nodes
-/// must be AND nodes.
-pub fn cut_function(aig: &Aig, root: Var, cut: &Cut) -> Tt {
-    let nvars = cut.size();
+/// Leaf `i` becomes variable `i` of the table. All interior nodes must be
+/// AND nodes. This is the reference the cut and window kernels are checked
+/// against.
+///
+/// # Panics
+///
+/// Panics if `leaves` is not a cut of `root` or has more than 16 entries.
+pub fn cut_function(aig: &Aig, root: Var, leaves: &[Var]) -> Tt {
+    let nvars = leaves.len();
     let mut memo: std::collections::HashMap<Var, Tt> = std::collections::HashMap::new();
     memo.insert(0, Tt::zero(nvars));
-    for (i, &leaf) in cut.leaves().iter().enumerate() {
+    for (i, &leaf) in leaves.iter().enumerate() {
         memo.insert(leaf, Tt::var(i, nvars));
     }
     fn go(aig: &Aig, v: Var, memo: &mut std::collections::HashMap<Var, Tt>) -> Tt {
@@ -218,21 +263,30 @@ mod tests {
     use super::*;
     use crate::aig::Aig;
 
+    fn cut_of(leaves: &[Var]) -> Cut {
+        leaves[1..].iter().fold(Cut::trivial(leaves[0]), |c, &l| {
+            c.merge(&Cut::trivial(l)).expect("fits")
+        })
+    }
+
     #[test]
     fn merge_respects_limit() {
         let a = Cut::trivial(1);
         let b = Cut::trivial(2);
-        let ab = a.merge(&b, 4).expect("fits");
+        let ab = a.merge(&b).expect("fits");
         assert_eq!(ab.leaves(), &[1, 2]);
-        let c = Cut::from_sorted(vec![3, 4, 5]);
-        assert!(ab.merge(&c, 4).is_none());
-        assert!(ab.merge(&c, 5).is_some());
+        let c = cut_of(&[3, 4, 5]);
+        assert!(ab.merge(&c).is_none());
+        assert_eq!(
+            ab.merge(&cut_of(&[2, 3])).expect("fits").leaves(),
+            &[1, 2, 3]
+        );
     }
 
     #[test]
     fn dominance() {
-        let small = Cut::from_sorted(vec![1, 2]);
-        let big = Cut::from_sorted(vec![1, 2, 3]);
+        let small = cut_of(&[1, 2]);
+        let big = cut_of(&[1, 2, 3]);
         assert!(small.dominates(&big));
         assert!(!big.dominates(&small));
         assert!(small.dominates(&small.clone()));
@@ -278,9 +332,10 @@ mod tests {
             .cuts_of(m.var())
             .iter()
             .find(|c| c.leaves() == want.as_slice())
-            .expect("input cut exists")
-            .clone();
-        let tt = cut_function(&aig, m.var(), &cut);
+            .expect("input cut exists");
+        let tt = cut_function(&aig, m.var(), cut.leaves());
+        // The carried table agrees with the reference.
+        assert_eq!(cut.function(), tt);
         // Cut leaves are sorted by var; inputs were created in order s,t,e so
         // leaf order is (s,t,e) -> vars (0,1,2) of the table. cut_function
         // computes the function of the *node*, so complement through the
@@ -301,9 +356,10 @@ mod tests {
         let b = aig.add_input();
         let f = aig.and(a, b);
         let cuts = CutSet::compute(&aig, CutConfig::default());
-        let triv = cuts.cuts_of(f.var()).last().expect("has trivial").clone();
+        let triv = cuts.cuts_of(f.var()).last().expect("has trivial");
         assert_eq!(triv.leaves(), &[f.var()]);
-        let tt = cut_function(&aig, f.var(), &triv);
+        let tt = cut_function(&aig, f.var(), triv.leaves());
         assert_eq!(tt, Tt::var(0, 1));
+        assert_eq!(triv.function(), tt);
     }
 }

@@ -3,11 +3,16 @@
 //!
 //! Given a truth table, [`isop`] computes an irredundant cube cover, and
 //! [`build_sop`] / [`build_from_tt`] turn covers back into AIG structure.
-//! This is the re-synthesis engine behind the `rewrite` and `refactor`
-//! passes.
+//! [`Resynth`] is the same engine with a memo, so a pass derives each
+//! distinct function's candidate structures once; its documentation gives
+//! the memo and probe order. This is the re-synthesis engine behind the
+//! `rewrite` and `refactor` passes. Tables have at most 8 variables and
+//! are computed on the stack ([`Tt8`]).
 
 use crate::aig::{Aig, Lit};
-use crate::truth::Tt;
+use crate::hash::FastBuild;
+use crate::truth::{Tt, Tt8};
+use std::collections::HashMap;
 
 /// A product term over the variables of a truth table.
 ///
@@ -53,36 +58,40 @@ impl Cube {
 ///
 /// Returns the list of cubes; ORing [`Cube::to_tt`] over them reproduces `f`
 /// exactly (checked in tests and by `debug_assert!`).
+///
+/// # Panics
+///
+/// Panics if `f` has more than 8 variables.
 pub fn isop(f: &Tt) -> Vec<Cube> {
-    let (cubes, cover) = isop_rec(f, f, f.nvars());
-    debug_assert_eq!(&cover, f, "ISOP cover must equal the function");
+    isop8(Tt8::from_tt(f), f.nvars())
+}
+
+fn isop8(f: Tt8, nvars: usize) -> Vec<Cube> {
+    let mut cubes = Vec::new();
+    let cover = isop_rec(f, f, nvars, &mut cubes);
+    debug_assert_eq!(cover, f, "ISOP cover must equal the function");
     cubes
 }
 
-/// Minato–Morreale recursion: computes a cover F with `lower ⊆ F ⊆ upper`.
-fn isop_rec(lower: &Tt, upper: &Tt, top: usize) -> (Vec<Cube>, Tt) {
-    let nvars = lower.nvars();
+/// Minato–Morreale recursion: appends to `cubes` a cover F with
+/// `lower ⊆ F ⊆ upper` and returns F.
+fn isop_rec(lower: Tt8, upper: Tt8, top: usize, cubes: &mut Vec<Cube>) -> Tt8 {
     if lower.is_zero() {
-        return (Vec::new(), Tt::zero(nvars));
+        return Tt8::ZERO;
     }
     if upper.is_one() {
-        return (vec![Cube::UNIVERSE], Tt::one(nvars));
+        cubes.push(Cube::UNIVERSE);
+        return Tt8::ONE;
     }
-    // Find the topmost variable either bound depends on.
-    let mut var = None;
-    for v in (0..top).rev() {
-        if lower.depends_on(v) || upper.depends_on(v) {
-            var = Some(v);
-            break;
-        }
-    }
-    let var = match var {
-        Some(v) => v,
-        None => {
-            // Neither depends on remaining variables; lower is nonzero and
-            // constant over them, so the universe cube is the cover.
-            return (vec![Cube::UNIVERSE], Tt::one(nvars));
-        }
+    // Find the topmost variable either bound depends on. If there is none,
+    // lower is nonzero and constant over the remaining variables, so the
+    // universe cube is the cover.
+    let Some(var) = (0..top)
+        .rev()
+        .find(|&v| lower.depends_on(v) || upper.depends_on(v))
+    else {
+        cubes.push(Cube::UNIVERSE);
+        return Tt8::ONE;
     };
 
     let l0 = lower.cofactor0(var);
@@ -91,25 +100,23 @@ fn isop_rec(lower: &Tt, upper: &Tt, top: usize) -> (Vec<Cube>, Tt) {
     let u1 = upper.cofactor1(var);
 
     // Minterms that can only be covered in the var=0 branch.
-    let (mut c0, f0) = isop_rec(&l0.and(&u1.not()), &u0, var);
-    // Minterms that can only be covered in the var=1 branch.
-    let (mut c1, f1) = isop_rec(&l1.and(&u0.not()), &u1, var);
-    // Remaining minterms, coverable without the variable.
-    let lnew = l0.and(&f0.not()).or(&l1.and(&f1.not()));
-    let (c2, f2) = isop_rec(&lnew, &u0.and(&u1), var);
-
-    for c in &mut c0 {
+    let start = cubes.len();
+    let f0 = isop_rec(l0.and(u1.not()), u0, var, cubes);
+    for c in &mut cubes[start..] {
         c.neg |= 1 << var;
     }
-    for c in &mut c1 {
+    // Minterms that can only be covered in the var=1 branch.
+    let start = cubes.len();
+    let f1 = isop_rec(l1.and(u0.not()), u1, var, cubes);
+    for c in &mut cubes[start..] {
         c.pos |= 1 << var;
     }
-    let tv = Tt::var(var, nvars);
-    let cover = f2.or(&tv.not().and(&f0)).or(&tv.and(&f1));
-    let mut cubes = c0;
-    cubes.extend(c1);
-    cubes.extend(c2);
-    (cubes, cover)
+    // Remaining minterms, coverable without the variable.
+    let lnew = l0.and(f0.not()).or(l1.and(f1.not()));
+    let f2 = isop_rec(lnew, u0.and(u1), var, cubes);
+
+    let tv = Tt8::var(var);
+    f2.or(tv.not().and(f0)).or(tv.and(f1))
 }
 
 /// Builds an AIG structure computing the SOP `cubes` over the given leaf
@@ -138,99 +145,227 @@ pub fn build_sop(dest: &mut Aig, cubes: &[Cube], leaves: &[Lit]) -> Lit {
 /// Shannon decomposition, measured in AND nodes actually added to `dest`.
 ///
 /// Speculative candidates are constructed and rolled back via
-/// [`Aig::checkpoint`]/[`Aig::rollback`], so only the winner remains.
+/// [`Aig::checkpoint`]/[`Aig::rollback`], so only the winner remains. This
+/// is a one-shot [`Resynth`]; passes that resynthesise many functions keep
+/// one context so each function's candidates are derived once.
 ///
 /// # Panics
 ///
-/// Panics if `leaves.len() != tt.nvars()`.
+/// Panics if `leaves.len() != tt.nvars()` or `tt` has more than 8
+/// variables.
 pub fn build_from_tt(dest: &mut Aig, tt: &Tt, leaves: &[Lit]) -> Lit {
     assert_eq!(leaves.len(), tt.nvars(), "leaf count must match variables");
-    if tt.is_zero() {
-        return Lit::FALSE;
+    Resynth::default().build(dest, Tt8::from_tt(tt), leaves)
+}
+
+/// Covers wider than this are never built as SOPs (parity-like functions
+/// would explode); a committed Shannon decomposition is used instead.
+const MAX_CUBES: usize = 96;
+
+/// Shannon decomposition is probed for functions of at most this many
+/// variables, which bounds the probing recursion.
+const MAX_SPLIT_VARS: usize = 5;
+
+/// Index of a [`Plan`] in a [`Resynth`] memo.
+type PlanId = u32;
+
+/// The candidate structures of one function, derived once per
+/// [`Resynth`] and replayed against the live graph on every build.
+enum Plan {
+    /// A constant: no node is built.
+    Const(Lit),
+    /// Leaf `var`, complemented or not: no node is built.
+    Leaf { var: usize, complement: bool },
+    /// The covers are too wide to build: committed Shannon decomposition.
+    Split(Shannon),
+    /// Probe the ISOP of the function, the complemented ISOP of its
+    /// complement and (for small functions) a Shannon decomposition; keep
+    /// the one adding the fewest nodes, ties in that order.
+    Choose {
+        pos: Vec<Cube>,
+        neg: Vec<Cube>,
+        split: Option<Shannon>,
+    },
+}
+
+/// `mux(x_var, f|x=1, f|x=0)` on the most binate variable, with the
+/// cofactors' plans.
+#[derive(Clone, Copy)]
+struct Shannon {
+    var: usize,
+    c0: PlanId,
+    c1: PlanId,
+}
+
+/// A resynthesis context: the memo that turns a truth table into its
+/// candidate structures ([`build_from_tt`]'s algorithm, computed once per
+/// distinct function and variable count).
+///
+/// # Memo and probe order
+///
+/// A function's *plan* (its two ISOP covers, its Shannon pivot and the
+/// plans of both cofactors) depends only on the truth table, so it is
+/// derived once and kept. Which candidate wins depends on the live graph
+/// (the structural hash shares nodes that already exist), so every build
+/// still costs the candidates against `dest`, in this order:
+///
+/// 1. the ISOP of `f` is built and its added nodes counted, then rolled
+///    back — unless it added none, in which case it wins outright;
+/// 2. the complemented ISOP of `!f` likewise; it is kept as built if it
+///    is cheaper than the first and free, or no Shannon candidate follows;
+/// 3. the Shannon decomposition `mux(x, f|x=1, f|x=0)` is built with the
+///    cofactors resynthesised recursively (cofactor 0 first). It only
+///    matters if it is strictly cheaper than both covers, so its build is
+///    abandoned (rolled back) as soon as it reaches that cost; if it
+///    completes, it is kept as built rather than rebuilt;
+/// 4. otherwise the cheaper cover is rebuilt, the ISOP of `f` on ties.
+///
+/// A build can also carry a node budget: a result that would add more
+/// nodes than the caller can accept is abandoned the same way. Because the
+/// construction order never changes and rollback restores the exact
+/// graph, every result is node-for-node the one a fresh, unbounded build
+/// from the same state produces.
+#[derive(Default)]
+pub struct Resynth {
+    index: HashMap<(usize, Tt8), PlanId, FastBuild>,
+    plans: Vec<Plan>,
+}
+
+impl Resynth {
+    /// Builds `tt` (a function of the first `leaves.len()` variables) over
+    /// `leaves` into `dest`; see [`build_from_tt`].
+    pub fn build(&mut self, dest: &mut Aig, tt: Tt8, leaves: &[Lit]) -> Lit {
+        self.build_within(dest, tt, leaves, usize::MAX)
+            .expect("an unbounded build always completes")
     }
-    if tt.is_one() {
-        return Lit::TRUE;
+
+    /// Like [`Resynth::build`], but only if the result adds at most
+    /// `budget` nodes to `dest`; otherwise `dest` is left unchanged and
+    /// `None` is returned. When it returns a literal, that literal and
+    /// every node added are exactly what [`Resynth::build`] would give.
+    pub fn build_within(
+        &mut self,
+        dest: &mut Aig,
+        tt: Tt8,
+        leaves: &[Lit],
+        budget: usize,
+    ) -> Option<Lit> {
+        let id = self.plan(tt, leaves.len());
+        self.replay(dest, id, leaves, budget)
     }
-    // Single-variable function?
-    for (v, &leaf) in leaves.iter().enumerate() {
-        if &Tt::var(v, tt.nvars()) == tt {
-            return leaf;
+
+    fn plan(&mut self, tt: Tt8, nvars: usize) -> PlanId {
+        if let Some(&id) = self.index.get(&(nvars, tt)) {
+            return id;
         }
-        if &Tt::var(v, tt.nvars()).not() == tt {
-            return !leaf;
+        let plan = if tt.is_zero() || tt.is_one() {
+            Plan::Const(Lit::FALSE.xor_complement(tt.is_one()))
+        } else if let Some(var) = (0..nvars).find(|&v| tt == Tt8::var(v) || tt == Tt8::var(v).not())
+        {
+            Plan::Leaf {
+                var,
+                complement: tt != Tt8::var(var),
+            }
+        } else {
+            let pos = isop8(tt, nvars);
+            let neg = isop8(tt.not(), nvars);
+            let wide = pos.len().min(neg.len()) > MAX_CUBES;
+            let pivot = if wide || nvars <= MAX_SPLIT_VARS {
+                most_binate_var(tt, nvars)
+            } else {
+                None
+            };
+            let split = pivot.map(|var| Shannon {
+                var,
+                c0: self.plan(tt.cofactor0(var), nvars),
+                c1: self.plan(tt.cofactor1(var), nvars),
+            });
+            if wide {
+                Plan::Split(split.expect("non-degenerate function has support"))
+            } else {
+                Plan::Choose { pos, neg, split }
+            }
+        };
+        let id = self.plans.len() as PlanId;
+        self.plans.push(plan);
+        self.index.insert((nvars, tt), id);
+        id
+    }
+
+    fn replay(&self, dest: &mut Aig, id: PlanId, leaves: &[Lit], budget: usize) -> Option<Lit> {
+        match &self.plans[id as usize] {
+            Plan::Const(lit) => Some(*lit),
+            Plan::Leaf { var, complement } => Some(leaves[*var].xor_complement(*complement)),
+            Plan::Split(split) => self.split(dest, *split, leaves, budget),
+            Plan::Choose { pos, neg, split } => {
+                let cp = dest.checkpoint();
+                let lit = build_sop(dest, pos, leaves);
+                let cost_pos = dest.checkpoint() - cp;
+                if cost_pos == 0 {
+                    return Some(lit);
+                }
+                dest.rollback(cp);
+                let lit = !build_sop(dest, neg, leaves);
+                let cost_neg = dest.checkpoint() - cp;
+                // The complement cover is kept as built if it beats the
+                // first one and no Shannon candidate can beat it.
+                let neg_wins = cost_neg < cost_pos && (cost_neg == 0 || split.is_none());
+                if neg_wins && cost_neg <= budget {
+                    return Some(lit);
+                }
+                dest.rollback(cp);
+                let best = cost_pos.min(cost_neg);
+                if let Some(split) = *split {
+                    if let Some(lit) = self.split(dest, split, leaves, (best - 1).min(budget)) {
+                        return Some(lit);
+                    }
+                }
+                if best > budget {
+                    None
+                } else if cost_pos <= cost_neg {
+                    Some(build_sop(dest, pos, leaves))
+                } else {
+                    Some(!build_sop(dest, neg, leaves))
+                }
+            }
         }
     }
 
-    let cubes_pos = isop(tt);
-    let cubes_neg = isop(&tt.not());
-
-    // For covers that are too wide, SOP construction would explode (e.g.
-    // parity); fall back to a committed Shannon decomposition instead.
-    const MAX_CUBES: usize = 96;
-    if cubes_pos.len().min(cubes_neg.len()) > MAX_CUBES {
-        let v = most_binate_var(tt).expect("non-degenerate function has support");
-        let l0 = build_from_tt(dest, &tt.cofactor0(v), leaves);
-        let l1 = build_from_tt(dest, &tt.cofactor1(v), leaves);
-        return dest.mux(leaves[v], l1, l0);
-    }
-
-    // Candidate 1: ISOP of tt.
-    let cp = dest.checkpoint();
-    build_sop(dest, &cubes_pos, leaves);
-    let cost_pos = dest.checkpoint() - cp;
-    dest.rollback(cp);
-
-    // Candidate 2: complemented ISOP.
-    build_sop(dest, &cubes_neg, leaves);
-    let cost_neg = dest.checkpoint() - cp;
-    dest.rollback(cp);
-
-    // Candidate 3 (small functions only, to bound the probing recursion):
-    // Shannon decomposition on the most binate variable.
-    let shannon_var = if tt.nvars() <= 5 {
-        most_binate_var(tt)
-    } else {
-        None
-    };
-    let cost_shannon = shannon_var.map(|v| {
-        let l0 = build_from_tt(dest, &tt.cofactor0(v), leaves);
-        let l1 = build_from_tt(dest, &tt.cofactor1(v), leaves);
-        let _m = dest.mux(leaves[v], l1, l0);
-        let cost = dest.checkpoint() - cp;
-        dest.rollback(cp);
-        cost
-    });
-
-    // Commit the cheapest candidate.
-    let best = [Some(cost_pos), Some(cost_neg), cost_shannon]
-        .iter()
-        .flatten()
-        .min()
-        .copied()
-        .expect("at least one candidate");
-
-    if best == cost_pos {
-        build_sop(dest, &cubes_pos, leaves)
-    } else if best == cost_neg {
-        !build_sop(dest, &cubes_neg, leaves)
-    } else {
-        let v = shannon_var.expect("shannon candidate was chosen");
-        let l0 = build_from_tt(dest, &tt.cofactor0(v), leaves);
-        let l1 = build_from_tt(dest, &tt.cofactor1(v), leaves);
-        dest.mux(leaves[v], l1, l0)
+    /// Builds `mux(leaves[var], c1, c0)` (cofactor 0 first) if it adds at
+    /// most `budget` nodes; otherwise restores `dest` and returns `None`.
+    fn split(
+        &self,
+        dest: &mut Aig,
+        Shannon { var, c0, c1 }: Shannon,
+        leaves: &[Lit],
+        budget: usize,
+    ) -> Option<Lit> {
+        let cp = dest.checkpoint();
+        let l0 = self.replay(dest, c0, leaves, budget)?;
+        let used = dest.checkpoint() - cp;
+        let Some(l1) = self.replay(dest, c1, leaves, budget - used) else {
+            dest.rollback(cp);
+            return None;
+        };
+        let lit = dest.mux(leaves[var], l1, l0);
+        if dest.checkpoint() - cp > budget {
+            dest.rollback(cp);
+            return None;
+        }
+        Some(lit)
     }
 }
 
 /// Picks the variable on which the function is "most binate" (both cofactors
 /// differ most from each other), a good Shannon pivot.
-fn most_binate_var(tt: &Tt) -> Option<usize> {
+fn most_binate_var(tt: Tt8, nvars: usize) -> Option<usize> {
     let mut best = None;
     let mut best_score = 0u32;
-    for v in 0..tt.nvars() {
+    for v in 0..nvars {
         if !tt.depends_on(v) {
             continue;
         }
-        let diff = tt.cofactor0(v).xor(&tt.cofactor1(v)).count_ones();
+        let diff = tt.cofactor0(v).xor(tt.cofactor1(v)).count_ones();
         if best.is_none() || diff > best_score {
             best = Some(v);
             best_score = diff;

@@ -45,6 +45,7 @@ pub mod aiger;
 pub mod compile;
 pub mod cut;
 pub mod fraig;
+pub mod hash;
 pub mod isop;
 pub mod mffc;
 pub mod npn;
@@ -56,4 +57,4 @@ pub use crate::aig::{Aig, Lit, NodeKind, Var};
 pub use crate::compile::{CompileError, CompileStats, CompiledAig};
 pub use crate::fraig::{fraig, fraig_with, FraigConfig, FraigStats};
 pub use crate::passes::{Pass, Script};
-pub use crate::truth::Tt;
+pub use crate::truth::{Tt, Tt8};

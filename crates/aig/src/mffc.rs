@@ -6,29 +6,32 @@
 //! resubstitution passes.
 
 use crate::aig::{Aig, Var};
-use std::collections::HashSet;
 
 /// Computes the size (in AND nodes, including `root`) of the MFFC of `root`
-/// with respect to `leaves`.
+/// with respect to `leaves` (a cut of at most a few nodes, so membership is
+/// a scan of the slice).
 ///
 /// `refs` must be the current fanout counts (see [`Aig::fanout_counts`]);
 /// it is mutated during the computation but restored before returning.
-pub fn mffc_size(aig: &Aig, root: Var, leaves: &HashSet<Var>, refs: &mut [u32]) -> usize {
-    let count = deref(aig, root, leaves, refs);
+pub fn mffc_size(aig: &Aig, root: Var, leaves: &[Var], refs: &mut [u32]) -> usize {
+    let mut count = 0;
+    deref(aig, root, leaves, refs, &mut |_| count += 1);
     reref(aig, root, leaves, refs);
     count
 }
 
 /// Collects the MFFC node set itself (including `root`).
-pub fn mffc_nodes(aig: &Aig, root: Var, leaves: &HashSet<Var>, refs: &mut [u32]) -> Vec<Var> {
+pub fn mffc_nodes(aig: &Aig, root: Var, leaves: &[Var], refs: &mut [u32]) -> Vec<Var> {
     let mut nodes = Vec::new();
-    deref_collect(aig, root, leaves, refs, &mut nodes);
+    deref(aig, root, leaves, refs, &mut |v| nodes.push(v));
     reref(aig, root, leaves, refs);
     nodes
 }
 
-fn deref(aig: &Aig, v: Var, leaves: &HashSet<Var>, refs: &mut [u32]) -> usize {
-    let mut count = 1;
+/// Dereferences the cone of `v` down to `leaves`, visiting every node whose
+/// reference count drops to zero (and `v` itself).
+fn deref(aig: &Aig, v: Var, leaves: &[Var], refs: &mut [u32], visit: &mut impl FnMut(Var)) {
+    visit(v);
     let (a, b) = aig.and_fanins(v).expect("MFFC root must be an AND node");
     for fanin in [a.var(), b.var()] {
         if leaves.contains(&fanin) || !aig.is_and(fanin) {
@@ -37,27 +40,12 @@ fn deref(aig: &Aig, v: Var, leaves: &HashSet<Var>, refs: &mut [u32]) -> usize {
         debug_assert!(refs[fanin as usize] > 0);
         refs[fanin as usize] -= 1;
         if refs[fanin as usize] == 0 {
-            count += deref(aig, fanin, leaves, refs);
-        }
-    }
-    count
-}
-
-fn deref_collect(aig: &Aig, v: Var, leaves: &HashSet<Var>, refs: &mut [u32], nodes: &mut Vec<Var>) {
-    nodes.push(v);
-    let (a, b) = aig.and_fanins(v).expect("MFFC root must be an AND node");
-    for fanin in [a.var(), b.var()] {
-        if leaves.contains(&fanin) || !aig.is_and(fanin) {
-            continue;
-        }
-        refs[fanin as usize] -= 1;
-        if refs[fanin as usize] == 0 {
-            deref_collect(aig, fanin, leaves, refs, nodes);
+            deref(aig, fanin, leaves, refs, visit);
         }
     }
 }
 
-fn reref(aig: &Aig, v: Var, leaves: &HashSet<Var>, refs: &mut [u32]) {
+fn reref(aig: &Aig, v: Var, leaves: &[Var], refs: &mut [u32]) {
     let (a, b) = aig.and_fanins(v).expect("MFFC root must be an AND node");
     for fanin in [a.var(), b.var()] {
         if leaves.contains(&fanin) || !aig.is_and(fanin) {
@@ -85,7 +73,7 @@ mod tests {
         let abc = aig.and(ab, c);
         aig.add_output(abc);
         let mut refs = aig.fanout_counts();
-        let leaves: HashSet<Var> = [a.var(), b.var(), c.var()].into_iter().collect();
+        let leaves = [a.var(), b.var(), c.var()];
         let size = mffc_size(&aig, abc.var(), &leaves, &mut refs);
         assert_eq!(size, 2);
         // refs restored
@@ -103,7 +91,7 @@ mod tests {
         aig.add_output(abc);
         aig.add_output(ab); // ab now has external fanout
         let mut refs = aig.fanout_counts();
-        let leaves: HashSet<Var> = [a.var(), b.var(), c.var()].into_iter().collect();
+        let leaves = [a.var(), b.var(), c.var()];
         let size = mffc_size(&aig, abc.var(), &leaves, &mut refs);
         assert_eq!(size, 1, "ab is shared, only abc is freed");
         assert_eq!(refs, aig.fanout_counts());
@@ -120,7 +108,7 @@ mod tests {
         aig.add_output(abc);
         let mut refs = aig.fanout_counts();
         // Treat ab as a cut leaf: only abc itself is in the MFFC.
-        let leaves: HashSet<Var> = [ab.var(), c.var()].into_iter().collect();
+        let leaves = [ab.var(), c.var()];
         let size = mffc_size(&aig, abc.var(), &leaves, &mut refs);
         assert_eq!(size, 1);
     }
@@ -134,7 +122,7 @@ mod tests {
         let z = aig.and(x, y);
         aig.add_output(z);
         let mut refs = aig.fanout_counts();
-        let leaves: HashSet<Var> = ins.iter().map(|l| l.var()).collect();
+        let leaves: Vec<Var> = ins.iter().map(|l| l.var()).collect();
         let nodes = mffc_nodes(&aig, z.var(), &leaves, &mut refs);
         assert_eq!(nodes.len(), 3);
         assert_eq!(refs, aig.fanout_counts());

@@ -1,9 +1,15 @@
 //! NPN canonisation of small truth tables.
 //!
 //! Two functions are NPN-equivalent if one can be obtained from the other by
-//! Negating inputs, Permuting inputs, and/or Negating the output. Canonising
-//! cut functions lets the rewriting pass and the technology mapper treat all
-//! 65 536 four-variable functions as 222 classes.
+//! Negating inputs, Permuting inputs, and/or Negating the output; the
+//! 65 536 four-variable functions fall into 222 classes.
+//!
+//! No synthesis kernel canonises on its hot path. The rewriting passes
+//! resynthesise each cut function directly (see [`crate::isop::Resynth`]),
+//! and the technology mapper looks cut functions up in an index of every
+//! binding of every library cell, which holds exactly the bindings an NPN
+//! class search would find. [`canonize`] is the exhaustive reference that
+//! index is tested against.
 
 use crate::truth::Tt;
 

@@ -20,6 +20,29 @@
 //! Every pass is a pure function `&Aig -> Aig` that preserves the
 //! input/output interface and the Boolean function of every output
 //! (validated by random simulation and SAT-based CEC in the test suites).
+//!
+//! # Kernels, memos and determinism
+//!
+//! The cut-based passes never recompute what a call has already derived:
+//!
+//! - cuts ([`crate::cut`]) carry their 4-variable truth table through the
+//!   merge, so `rewrite` never simulates a cone;
+//! - `refactor` and `resub` load each reconvergence window once into
+//!   8-variable tables ([`Window`]), in topological order, and read the
+//!   root's and every divisor's function from there;
+//! - `rewrite` and `refactor` own one [`crate::isop::Resynth`] per call,
+//!   which derives each distinct function's candidate structures (ISOP
+//!   covers, Shannon pivot, cofactor plans) once and replays them against
+//!   the live graph in a fixed probe order (documented there), under a node
+//!   budget that abandons candidates the pass could not accept anyway;
+//! - an accepted candidate is kept as built, never rolled back and rebuilt.
+//!
+//! All memos live for one pass call; there is no global or thread-local
+//! state. Because the probe order is fixed and rollback restores the exact
+//! graph, each pass produces byte-for-byte the graph the plain
+//! probe-everything algorithm would (pinned by the `synthesis_golden`
+//! suite), so recipe choices and trie contents do not depend on these
+//! optimisations.
 
 mod balance;
 mod refactor;
@@ -31,7 +54,7 @@ pub use balance::balance;
 pub use refactor::refactor;
 pub use resub::resub;
 pub use rewrite::rewrite;
-pub use window::reconvergence_cut;
+pub use window::{reconvergence_cut, Window};
 
 use crate::aig::Aig;
 use std::fmt;

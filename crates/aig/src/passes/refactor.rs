@@ -7,11 +7,9 @@
 //! accepted when it adds fewer nodes than the node's MFFC frees.
 
 use crate::aig::{Aig, Lit};
-use crate::cut::{cut_function, Cut};
-use crate::isop::build_from_tt;
+use crate::isop::Resynth;
 use crate::mffc::mffc_size;
-use crate::passes::window::reconvergence_cut;
-use std::collections::HashSet;
+use crate::passes::window::{reconvergence_cut, Window};
 
 /// Maximum cut width for refactoring (truth tables of 2^8 bits).
 const MAX_LEAVES: usize = 8;
@@ -19,6 +17,8 @@ const MAX_LEAVES: usize = 8;
 /// Refactors the AIG; `zero_cost` enables `-z` semantics.
 pub fn refactor(aig: &Aig, zero_cost: bool) -> Aig {
     let mut refs = aig.fanout_counts();
+    let mut window = Window::new(aig.num_nodes());
+    let mut resynth = Resynth::default();
     let mut new = Aig::new();
     let mut map: Vec<Lit> = vec![Lit::FALSE; aig.num_nodes()];
     for i in 0..aig.num_inputs() {
@@ -36,26 +36,27 @@ pub fn refactor(aig: &Aig, zero_cost: bool) -> Aig {
         if leaves.len() < 3 {
             continue; // too small to beat plain copying
         }
-        let leaf_set: HashSet<_> = leaves.iter().copied().collect();
-        let credit = mffc_size(aig, v, &leaf_set, &mut refs) as isize;
+        let credit = mffc_size(aig, v, &leaves, &mut refs) as isize;
         if credit <= 1 && !zero_cost {
             continue;
         }
-        // Reuse the Cut/cut_function machinery: leaves are already sorted.
-        let cut = make_cut(&leaves);
-        let tt = cut_function(aig, v, &cut);
+        window.load(aig, v, &leaves);
         let leaves_new: Vec<Lit> = leaves.iter().map(|&l| map[l as usize]).collect();
 
+        // Accepted at a positive gain, or a zero one under -z: that caps
+        // the nodes the candidate may add.
+        let max_added = if zero_cost { credit } else { credit - 1 };
         let cp = new.checkpoint();
-        let cand = build_from_tt(&mut new, &tt, &leaves_new);
-        let added = (new.checkpoint() - cp) as isize;
-        new.rollback(cp);
-
-        let gain = credit - added;
+        let Some(cand) =
+            resynth.build_within(&mut new, window.table(v), &leaves_new, max_added as usize)
+        else {
+            continue;
+        };
+        let gain = credit - (new.checkpoint() - cp) as isize;
         if gain > 0 || (zero_cost && gain == 0 && cand != default) {
-            let rebuilt = build_from_tt(&mut new, &tt, &leaves_new);
-            debug_assert_eq!(rebuilt, cand);
-            map[v as usize] = rebuilt;
+            map[v as usize] = cand;
+        } else {
+            new.rollback(cp);
         }
     }
 
@@ -64,16 +65,6 @@ pub fn refactor(aig: &Aig, zero_cost: bool) -> Aig {
         new.add_named_output(lit, aig.output_name(i).to_string());
     }
     new.compact()
-}
-
-fn make_cut(sorted_leaves: &[crate::aig::Var]) -> Cut {
-    let mut cut = Cut::trivial(sorted_leaves[0]);
-    for &l in &sorted_leaves[1..] {
-        cut = cut
-            .merge(&Cut::trivial(l), sorted_leaves.len())
-            .expect("distinct sorted leaves always merge");
-    }
-    cut
 }
 
 #[cfg(test)]

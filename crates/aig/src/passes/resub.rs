@@ -16,11 +16,9 @@
 //! needed.
 
 use crate::aig::{Aig, Lit, Var};
-use crate::cut::{cut_function, Cut};
 use crate::mffc::{mffc_nodes, mffc_size};
-use crate::passes::window::{reconvergence_cut, window_volume};
-use crate::truth::Tt;
-use std::collections::HashSet;
+use crate::passes::window::{reconvergence_cut, Window};
+use crate::truth::Tt8;
 
 /// Maximum window width.
 const MAX_LEAVES: usize = 8;
@@ -30,6 +28,8 @@ const MAX_DIVISORS: usize = 48;
 /// Resubstitutes nodes of the AIG; `zero_cost` enables `-z` semantics.
 pub fn resub(aig: &Aig, zero_cost: bool) -> Aig {
     let mut refs = aig.fanout_counts();
+    let mut window = Window::new(aig.num_nodes());
+    let mut divisors: Vec<(Var, Tt8)> = Vec::with_capacity(MAX_DIVISORS);
     let mut new = Aig::new();
     let mut map: Vec<Lit> = vec![Lit::FALSE; aig.num_nodes()];
     for i in 0..aig.num_inputs() {
@@ -47,30 +47,26 @@ pub fn resub(aig: &Aig, zero_cost: bool) -> Aig {
         if leaves.len() < 2 {
             continue;
         }
-        let leaf_set: HashSet<Var> = leaves.iter().copied().collect();
-        let credit = mffc_size(aig, v, &leaf_set, &mut refs) as isize;
+        let credit = mffc_size(aig, v, &leaves, &mut refs) as isize;
         if credit <= 0 {
             continue;
         }
 
-        let volume = window_volume(aig, v, &leaves);
-        let in_mffc: HashSet<Var> = mffc_nodes(aig, v, &leaf_set, &mut refs)
-            .into_iter()
-            .collect();
-        let cut = make_cut(&leaves);
-        let target_tt = cut_function(aig, v, &cut);
+        // One simulation of the window gives the target's table and every
+        // divisor's, all as functions of the same leaves.
+        window.load(aig, v, &leaves);
+        let in_mffc = mffc_nodes(aig, v, &leaves, &mut refs);
+        let target_tt = window.table(v);
 
-        // Divisors: window nodes (and the leaves themselves) outside the
-        // MFFC of v.
-        let mut divisors: Vec<(Var, Tt)> = Vec::new();
-        for &l in &leaves {
-            divisors.push((l, leaf_tt(&leaves, l)));
-        }
-        for &w in &volume {
+        // Divisors: the leaves themselves, then window nodes outside the
+        // MFFC of v, in topological order.
+        divisors.clear();
+        divisors.extend(leaves.iter().map(|&l| (l, window.table(l))));
+        for &w in window.volume() {
             if w == v || in_mffc.contains(&w) {
                 continue;
             }
-            divisors.push((w, cut_function(aig, w, &cut)));
+            divisors.push((w, window.table(w)));
             if divisors.len() >= MAX_DIVISORS {
                 break;
             }
@@ -78,9 +74,9 @@ pub fn resub(aig: &Aig, zero_cost: bool) -> Aig {
 
         // resub-0: a free replacement.
         let mut chosen: Option<(isize, Lit)> = None;
-        for (d, tt) in &divisors {
-            let dl = map[*d as usize];
-            if tt == &target_tt {
+        for &(d, tt) in &divisors {
+            let dl = map[d as usize];
+            if tt == target_tt {
                 chosen = Some((credit, dl));
                 break;
             }
@@ -92,13 +88,27 @@ pub fn resub(aig: &Aig, zero_cost: bool) -> Aig {
 
         // resub-1: one new gate from two divisors.
         if chosen.is_none() && (credit >= 2 || zero_cost) {
+            // An AND of two divisors (in some phases) can only equal the
+            // target, or its complement, if each divisor contains it in
+            // some phase: pairs failing that and the XOR test are skipped
+            // without trying the gate.
+            let contains = |t: Tt8, f: Tt8| f.and(t.not()).is_zero() || f.and(t).is_zero();
+            let hosts: Vec<(bool, bool)> = divisors
+                .iter()
+                .map(|&(_, t)| (contains(t, target_tt), contains(t, target_tt.not())))
+                .collect();
             'outer: for i in 0..divisors.len() {
                 for j in (i + 1)..divisors.len() {
-                    let (d1, t1) = &divisors[i];
-                    let (d2, t2) = &divisors[j];
-                    if let Some(build) = match_gate(t1, t2, &target_tt) {
-                        let l1 = map[*d1 as usize];
-                        let l2 = map[*d2 as usize];
+                    let (d1, t1) = divisors[i];
+                    let (d2, t2) = divisors[j];
+                    let x = t1.xor(t2).xor(target_tt);
+                    let may_and = (hosts[i].0 && hosts[j].0) || (hosts[i].1 && hosts[j].1);
+                    if !may_and && !x.is_zero() && !x.is_one() {
+                        continue;
+                    }
+                    if let Some(build) = match_gate(t1, t2, target_tt) {
+                        let l1 = map[d1 as usize];
+                        let l2 = map[d2 as usize];
                         let cp = new.checkpoint();
                         let lit = build.construct(&mut new, l1, l2);
                         let added = (new.checkpoint() - cp) as isize;
@@ -123,24 +133,6 @@ pub fn resub(aig: &Aig, zero_cost: bool) -> Aig {
         new.add_named_output(lit, aig.output_name(i).to_string());
     }
     new.compact()
-}
-
-fn make_cut(sorted_leaves: &[Var]) -> Cut {
-    let mut cut = Cut::trivial(sorted_leaves[0]);
-    for &l in &sorted_leaves[1..] {
-        cut = cut
-            .merge(&Cut::trivial(l), sorted_leaves.len())
-            .expect("distinct sorted leaves always merge");
-    }
-    cut
-}
-
-fn leaf_tt(sorted_leaves: &[Var], leaf: Var) -> Tt {
-    let idx = sorted_leaves
-        .iter()
-        .position(|&l| l == leaf)
-        .expect("leaf is in the cut");
-    Tt::var(idx, sorted_leaves.len())
 }
 
 /// A two-divisor gate that realises the target function.
@@ -168,29 +160,27 @@ impl GateMatch {
 /// Finds a single-gate combination of `t1` and `t2` equal to `target`, if
 /// any. AND with all phase combinations covers OR/NOR/NAND/ANDNOT via
 /// De Morgan; XOR covers XNOR via the output phase.
-fn match_gate(t1: &Tt, t2: &Tt, target: &Tt) -> Option<GateMatch> {
+fn match_gate(t1: Tt8, t2: Tt8, target: Tt8) -> Option<GateMatch> {
     for c1 in [false, true] {
         for c2 in [false, true] {
-            let a = if c1 { t1.not() } else { t1.clone() };
-            let b = if c2 { t2.not() } else { t2.clone() };
-            let g = a.and(&b);
-            if &g == target {
+            let g = t1.xor_complement(c1).and(t2.xor_complement(c2));
+            if g == target {
                 return Some(GateMatch::And {
                     c1,
                     c2,
                     cout: false,
                 });
             }
-            if g.not() == *target {
+            if g.not() == target {
                 return Some(GateMatch::And { c1, c2, cout: true });
             }
         }
     }
     let x = t1.xor(t2);
-    if &x == target {
+    if x == target {
         return Some(GateMatch::Xor { cout: false });
     }
-    if x.not() == *target {
+    if x.not() == target {
         return Some(GateMatch::Xor { cout: true });
     }
     None
@@ -248,17 +238,16 @@ mod tests {
 
     #[test]
     fn match_gate_covers_basic_functions() {
-        let t1 = Tt::var(0, 2);
-        let t2 = Tt::var(1, 2);
-        let and = t1.and(&t2);
-        let or = t1.or(&t2);
-        let xor = t1.xor(&t2);
-        assert!(match_gate(&t1, &t2, &and).is_some());
-        assert!(match_gate(&t1, &t2, &or).is_some());
-        assert!(match_gate(&t1, &t2, &xor).is_some());
-        assert!(match_gate(&t1, &t2, &and.not()).is_some());
+        let t1 = Tt8::var(0);
+        let t2 = Tt8::var(1);
+        let and = t1.and(t2);
+        let or = t1.or(t2);
+        let xor = t1.xor(t2);
+        assert!(match_gate(t1, t2, and).is_some());
+        assert!(match_gate(t1, t2, or).is_some());
+        assert!(match_gate(t1, t2, xor).is_some());
+        assert!(match_gate(t1, t2, and.not()).is_some());
         // A function not expressible by one gate of t1,t2.
-        let only_t1 = t1.clone();
-        assert!(match_gate(&t1, &t2, &only_t1).is_none());
+        assert!(match_gate(t1, t2, t1).is_none());
     }
 }

@@ -1,26 +1,29 @@
 //! Cut-based rewriting (ABC `rewrite` / `rewrite -z`).
 //!
-//! For every AND node, enumerate 4-feasible cuts, compute each cut's
-//! function, and re-synthesise it over the cut leaves through the structural
-//! hash of the graph being built. A candidate is accepted if the number of
-//! nodes it adds is smaller than the MFFC it frees (gain > 0), or — for the
-//! `-z` variant — equal (gain = 0, structural perturbation at zero cost).
+//! For every AND node, enumerate 4-feasible cuts (each carrying its
+//! function) and re-synthesise each cut function over the cut leaves
+//! through the structural hash of the graph being built. A candidate is
+//! accepted if the number of nodes it adds is smaller than the MFFC it
+//! frees (gain > 0), or — for the `-z` variant — equal (gain = 0,
+//! structural perturbation at zero cost).
 
 use crate::aig::{Aig, Lit};
-use crate::cut::{cut_function, CutConfig, CutSet};
-use crate::isop::build_from_tt;
+use crate::cut::{CutConfig, CutSet};
+use crate::isop::Resynth;
 use crate::mffc::mffc_size;
-use std::collections::HashSet;
+use crate::truth::Tt8;
 
 /// Rewrites the AIG; `zero_cost` enables `-z` semantics.
 pub fn rewrite(aig: &Aig, zero_cost: bool) -> Aig {
-    let cuts = CutSet::compute(aig, CutConfig { k: 4, max_cuts: 8 });
+    let cuts = CutSet::compute(aig, CutConfig { max_cuts: 8 });
     let mut refs = aig.fanout_counts();
+    let mut resynth = Resynth::default();
     let mut new = Aig::new();
     let mut map: Vec<Lit> = vec![Lit::FALSE; aig.num_nodes()];
     for i in 0..aig.num_inputs() {
         map[aig.inputs()[i] as usize] = new.add_named_input(aig.input_name(i).to_string());
     }
+    let mut leaves_new: Vec<Lit> = Vec::with_capacity(4);
 
     for v in aig.iter_ands() {
         let (a, b) = aig.and_fanins(v).expect("iterating ANDs");
@@ -33,38 +36,33 @@ pub fn rewrite(aig: &Aig, zero_cost: bool) -> Aig {
             if cut.size() < 2 || cut.leaves() == [v] {
                 continue;
             }
-            let leaf_set: HashSet<_> = cut.leaves().iter().copied().collect();
-            let gain_credit = mffc_size(aig, v, &leaf_set, &mut refs) as isize;
-            if gain_credit <= 1 && !zero_cost {
-                // Best case the candidate costs 1 node (it is a function of
-                // >= 2 leaves), so no strictly positive gain is possible
-                // unless the candidate is fully shared; still worth probing
-                // only when sharing could pay: probe anyway is cheap enough,
-                // but skip the hopeless single-node cones.
-                if gain_credit <= 0 {
-                    continue;
-                }
+            let gain_credit = mffc_size(aig, v, cut.leaves(), &mut refs) as isize;
+            // A candidate is kept only if it beats the best so far, and
+            // otherwise only at a positive gain (or a zero one under -z):
+            // that caps the nodes it may add. Nothing can be added below
+            // zero, so a cut without room is not even built.
+            let max_added = match best {
+                Some((bg, _)) => gain_credit - bg - 1,
+                None if zero_cost => gain_credit,
+                None => gain_credit - 1,
+            };
+            if max_added < 0 {
+                continue;
             }
-            let tt = cut_function(aig, v, cut);
-            let leaves_new: Vec<Lit> = cut.leaves().iter().map(|&l| map[l as usize]).collect();
+            leaves_new.clear();
+            leaves_new.extend(cut.leaves().iter().map(|&l| map[l as usize]));
             let cp = new.checkpoint();
-            let cand = build_from_tt(&mut new, &tt, &leaves_new);
-            let added = (new.checkpoint() - cp) as isize;
-            new.rollback(cp);
-            let gain = gain_credit - added;
-            let acceptable = gain > 0 || (zero_cost && gain == 0 && cand != default);
-            if acceptable {
-                let better = match best {
-                    None => true,
-                    Some((bg, _)) => gain > bg,
-                };
-                if better {
-                    // Rebuild committed; the candidate literal is stable
-                    // because rollback restored the exact construction state.
-                    let rebuilt = build_from_tt(&mut new, &tt, &leaves_new);
-                    debug_assert_eq!(rebuilt, cand);
-                    best = Some((gain, rebuilt));
-                }
+            let tt = Tt8::from_u16(cut.truth());
+            let Some(cand) = resynth.build_within(&mut new, tt, &leaves_new, max_added as usize)
+            else {
+                continue;
+            };
+            let gain = gain_credit - (new.checkpoint() - cp) as isize;
+            if gain > 0 || (zero_cost && gain == 0 && cand != default) {
+                // Kept as built: it is the best candidate so far.
+                best = Some((gain, cand));
+            } else {
+                new.rollback(cp);
             }
         }
 

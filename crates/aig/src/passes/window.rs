@@ -1,6 +1,8 @@
-//! Reconvergence-driven cut growth, shared by `refactor` and `resub`.
+//! Reconvergence-driven cut growth and the window kernel, shared by
+//! `refactor` and `resub`.
 
 use crate::aig::{Aig, Var};
+use crate::truth::Tt8;
 
 /// Grows a reconvergence-driven cut of `root` with at most `max_leaves`
 /// leaves.
@@ -60,31 +62,80 @@ pub fn reconvergence_cut(aig: &Aig, root: Var, max_leaves: usize) -> Vec<Var> {
     leaves
 }
 
-/// Collects the interior "volume" of a window: every node on a path from
-/// the cut leaves to `root`, including `root`, excluding the leaves.
-///
-/// Returned in topological order.
-pub fn window_volume(aig: &Aig, root: Var, leaves: &[Var]) -> Vec<Var> {
-    let leaf_set: std::collections::HashSet<Var> = leaves.iter().copied().collect();
-    let mut volume = Vec::new();
-    let mut seen = std::collections::HashSet::new();
-    fn go(
-        aig: &Aig,
-        v: Var,
-        leaf_set: &std::collections::HashSet<Var>,
-        seen: &mut std::collections::HashSet<Var>,
-        volume: &mut Vec<Var>,
-    ) {
-        if leaf_set.contains(&v) || !seen.insert(v) || !aig.is_and(v) {
+/// The window kernel shared by `refactor` and `resub`: collects the
+/// interior "volume" of a cut and simulates it into 8-variable truth
+/// tables, reusing its buffers from one window to the next.
+pub struct Window {
+    /// `mark[v] == epoch` iff `v` is in the current volume.
+    mark: Vec<u32>,
+    epoch: u32,
+    volume: Vec<Var>,
+    /// Per-node tables, valid for the current leaves and volume.
+    tables: Vec<Tt8>,
+}
+
+impl Window {
+    /// An empty window over a graph of `num_nodes` nodes.
+    pub fn new(num_nodes: usize) -> Self {
+        Window {
+            mark: vec![0; num_nodes],
+            epoch: 0,
+            volume: Vec::new(),
+            tables: vec![Tt8::ZERO; num_nodes],
+        }
+    }
+
+    /// Loads the window of `root` over `leaves` (a cut of `root`, at most 8
+    /// nodes): the volume is every node on a path from the leaves to `root`,
+    /// including `root` and excluding the leaves, and each of those nodes
+    /// gets its table as a function of the leaves (leaf `i` is variable
+    /// `i`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `leaves` has more than 8 entries.
+    pub fn load(&mut self, aig: &Aig, root: Var, leaves: &[Var]) {
+        self.epoch += 1;
+        self.volume.clear();
+        self.collect(aig, root, leaves);
+        self.tables[0] = Tt8::ZERO;
+        for (i, &leaf) in leaves.iter().enumerate() {
+            self.tables[leaf as usize] = Tt8::var(i);
+        }
+        for &v in &self.volume {
+            let (a, b) = aig.and_fanins(v).expect("volume nodes are ANDs");
+            let ta = self.tables[a.var() as usize].xor_complement(a.is_complement());
+            let tb = self.tables[b.var() as usize].xor_complement(b.is_complement());
+            self.tables[v as usize] = ta.and(tb);
+        }
+    }
+
+    /// Depth-first collection in topological order (fanin 0 before
+    /// fanin 1 before the node).
+    fn collect(&mut self, aig: &Aig, v: Var, leaves: &[Var]) {
+        if leaves.contains(&v) || self.mark[v as usize] == self.epoch {
             return;
         }
-        let (a, b) = aig.and_fanins(v).expect("is AND");
-        go(aig, a.var(), leaf_set, seen, volume);
-        go(aig, b.var(), leaf_set, seen, volume);
-        volume.push(v);
+        let Some((a, b)) = aig.and_fanins(v) else {
+            debug_assert_eq!(v, 0, "leaves must cut every input of the cone");
+            return;
+        };
+        self.mark[v as usize] = self.epoch;
+        self.collect(aig, a.var(), leaves);
+        self.collect(aig, b.var(), leaves);
+        self.volume.push(v);
     }
-    go(aig, root, &leaf_set, &mut seen, &mut volume);
-    volume
+
+    /// The volume of the loaded window, in topological order (the root is
+    /// last).
+    pub fn volume(&self) -> &[Var] {
+        &self.volume
+    }
+
+    /// The table of a leaf or volume node of the loaded window.
+    pub fn table(&self, v: Var) -> Tt8 {
+        self.tables[v as usize]
+    }
 }
 
 #[cfg(test)]
@@ -142,7 +193,12 @@ mod tests {
         let z = aig.and(x, y);
         aig.add_output(z);
         let leaves: Vec<Var> = ins.iter().map(|l| l.var()).collect();
-        let vol = window_volume(&aig, z.var(), &leaves);
-        assert_eq!(vol, vec![x.var(), y.var(), z.var()]);
+        let mut window = Window::new(aig.num_nodes());
+        window.load(&aig, z.var(), &leaves);
+        assert_eq!(window.volume(), &[x.var(), y.var(), z.var()]);
+        // Reloading a sub-window reuses the buffers.
+        window.load(&aig, x.var(), &leaves[..2]);
+        assert_eq!(window.volume(), &[x.var()]);
+        assert_eq!(window.table(x.var()), Tt8::var(0).and(Tt8::var(1)));
     }
 }

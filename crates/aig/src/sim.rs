@@ -305,54 +305,6 @@ pub fn ternary_eval(aig: &Aig, inputs: &[Ternary]) -> Vec<Ternary> {
         .collect()
 }
 
-/// Computes the truth table patterns of every node of a *cone* over given
-/// leaf patterns, without touching the rest of the graph.
-///
-/// `leaf_patterns` maps leaf vars to their pattern words; all cone nodes
-/// between the leaves and `root` must be AND nodes.
-///
-/// # Panics
-///
-/// Panics if the cone reaches an input or constant that is not in
-/// `leaf_patterns` (the constant node 0 is implicitly all-zero).
-pub fn simulate_cone(
-    aig: &Aig,
-    root: Var,
-    leaf_patterns: &std::collections::HashMap<Var, Vec<u64>>,
-    num_words: usize,
-) -> Vec<u64> {
-    use std::collections::HashMap;
-    let mut memo: HashMap<Var, Vec<u64>> = leaf_patterns.clone();
-    memo.insert(0, vec![0u64; num_words]);
-    fn go(
-        aig: &Aig,
-        v: Var,
-        memo: &mut std::collections::HashMap<Var, Vec<u64>>,
-        num_words: usize,
-    ) -> Vec<u64> {
-        if let Some(p) = memo.get(&v) {
-            return p.clone();
-        }
-        match aig.node(v) {
-            NodeKind::And(a, b) => {
-                let pa = go(aig, a.var(), memo, num_words);
-                let pb = go(aig, b.var(), memo, num_words);
-                let out: Vec<u64> = (0..num_words)
-                    .map(|w| {
-                        let wa = if a.is_complement() { !pa[w] } else { pa[w] };
-                        let wb = if b.is_complement() { !pb[w] } else { pb[w] };
-                        wa & wb
-                    })
-                    .collect();
-                memo.insert(v, out.clone());
-                out
-            }
-            _ => panic!("cone reached unmapped non-AND node {v}"),
-        }
-    }
-    go(aig, root, &mut memo, num_words)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -498,19 +450,5 @@ mod tests {
             ternary_eval(&aig, &[Ternary::One, Ternary::X]),
             vec![Ternary::X]
         );
-    }
-
-    #[test]
-    fn cone_simulation() {
-        let mut aig = Aig::new();
-        let a = aig.add_input();
-        let b = aig.add_input();
-        let f = aig.and(a, b);
-        aig.add_output(f);
-        let mut leaves = std::collections::HashMap::new();
-        leaves.insert(a.var(), vec![0b1100u64]);
-        leaves.insert(b.var(), vec![0b1010u64]);
-        let out = simulate_cone(&aig, f.var(), &leaves, 1);
-        assert_eq!(out[0], 0b1000);
     }
 }

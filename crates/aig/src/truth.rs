@@ -386,6 +386,156 @@ impl fmt::Debug for Tt {
     }
 }
 
+/// A truth table over at most 8 variables in fixed, stack-allocated
+/// 256-bit storage: the fast path of the cut and window kernels.
+///
+/// A function of `n < 8` variables is stored *replicated*: the table
+/// ranges over all 8 variables and simply does not depend on variables
+/// `n..8`. Every operation preserves that, so equality, complement,
+/// cofactors and support of two functions over the same `n` variables
+/// agree with the corresponding [`Tt`] operations, and `count_ones` is the
+/// `n`-variable count scaled by `2^(8 - n)`.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub struct Tt8(pub [u64; 4]);
+
+impl Tt8 {
+    /// Constant false.
+    pub const ZERO: Tt8 = Tt8([0; 4]);
+    /// Constant true.
+    pub const ONE: Tt8 = Tt8([u64::MAX; 4]);
+
+    /// The projection function of variable `var`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `var >= 8`.
+    pub fn var(var: usize) -> Tt8 {
+        match var {
+            0..=5 => Tt8([MASKS[var]; 4]),
+            6 => Tt8([0, u64::MAX, 0, u64::MAX]),
+            7 => Tt8([0, 0, u64::MAX, u64::MAX]),
+            _ => panic!("variable {var} out of range for an 8-variable table"),
+        }
+    }
+
+    /// Replicates a 4-variable table (bit `i` = value on assignment `i`).
+    pub fn from_u16(bits: u16) -> Tt8 {
+        let w = bits as u64 * 0x0001_0001_0001_0001;
+        Tt8([w; 4])
+    }
+
+    /// Converts a table of at most 8 variables.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tt` has more than 8 variables.
+    pub fn from_tt(tt: &Tt) -> Tt8 {
+        let words = tt.words();
+        match tt.nvars() {
+            0..=6 => {
+                let mut w = words[0];
+                for k in tt.nvars()..6 {
+                    w |= w << (1 << k);
+                }
+                Tt8([w; 4])
+            }
+            7 => Tt8([words[0], words[1], words[0], words[1]]),
+            8 => Tt8([words[0], words[1], words[2], words[3]]),
+            n => panic!("{n}-variable table does not fit in 8 variables"),
+        }
+    }
+
+    /// The table as a [`Tt`] over its first `nvars` variables.
+    pub fn to_tt(self, nvars: usize) -> Tt {
+        assert!(nvars <= 8, "at most 8 variables");
+        Tt::from_words(nvars, self.0[..words_for(nvars)].to_vec())
+    }
+
+    /// Bitwise complement.
+    #[allow(clippy::should_implement_trait)]
+    pub fn not(self) -> Tt8 {
+        self.map(|w| !w)
+    }
+
+    /// Complements the table iff `c` is true.
+    pub fn xor_complement(self, c: bool) -> Tt8 {
+        if c {
+            self.not()
+        } else {
+            self
+        }
+    }
+
+    /// Bitwise AND.
+    pub fn and(self, other: Tt8) -> Tt8 {
+        self.zip(other, |a, b| a & b)
+    }
+
+    /// Bitwise OR.
+    pub fn or(self, other: Tt8) -> Tt8 {
+        self.zip(other, |a, b| a | b)
+    }
+
+    /// Bitwise XOR.
+    pub fn xor(self, other: Tt8) -> Tt8 {
+        self.zip(other, |a, b| a ^ b)
+    }
+
+    fn map(self, f: impl Fn(u64) -> u64) -> Tt8 {
+        Tt8(self.0.map(f))
+    }
+
+    fn zip(self, other: Tt8, f: impl Fn(u64, u64) -> u64) -> Tt8 {
+        Tt8(std::array::from_fn(|i| f(self.0[i], other.0[i])))
+    }
+
+    /// Negative cofactor: `var` fixed to 0 (and then redundant).
+    pub fn cofactor0(self, var: usize) -> Tt8 {
+        let w = self.0;
+        match var {
+            0..=5 => self.map(|x| {
+                let lo = x & !MASKS[var];
+                lo | lo << (1 << var)
+            }),
+            6 => Tt8([w[0], w[0], w[2], w[2]]),
+            _ => Tt8([w[0], w[1], w[0], w[1]]),
+        }
+    }
+
+    /// Positive cofactor: `var` fixed to 1 (and then redundant).
+    pub fn cofactor1(self, var: usize) -> Tt8 {
+        let w = self.0;
+        match var {
+            0..=5 => self.map(|x| {
+                let hi = x & MASKS[var];
+                hi | hi >> (1 << var)
+            }),
+            6 => Tt8([w[1], w[1], w[3], w[3]]),
+            _ => Tt8([w[2], w[3], w[2], w[3]]),
+        }
+    }
+
+    /// Returns true if the function depends on `var`.
+    pub fn depends_on(self, var: usize) -> bool {
+        self.cofactor0(var) != self.cofactor1(var)
+    }
+
+    /// Number of true rows over all 8 variables.
+    pub fn count_ones(self) -> u32 {
+        self.0.iter().map(|w| w.count_ones()).sum()
+    }
+
+    /// Returns true if the table is constant false.
+    pub fn is_zero(self) -> bool {
+        self == Tt8::ZERO
+    }
+
+    /// Returns true if the table is constant true.
+    pub fn is_one(self) -> bool {
+        self == Tt8::ONE
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -3,9 +3,9 @@
 use almost_aig::cut::{cut_function, CutConfig, CutSet};
 use almost_aig::isop::{build_from_tt, isop, Cube};
 use almost_aig::npn::canonize;
-use almost_aig::passes::{balance, reconvergence_cut};
+use almost_aig::passes::{balance, reconvergence_cut, Window};
 use almost_aig::sim::{probably_equivalent, SimVectors};
-use almost_aig::{Aig, Lit, Pass, Tt};
+use almost_aig::{Aig, Lit, Pass, Tt, Tt8};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -106,7 +106,7 @@ proptest! {
         let sim = SimVectors::random(&aig, 2, seed);
         for v in aig.iter_ands().take(10) {
             for cut in cuts.cuts_of(v).iter().filter(|c| c.size() >= 2).take(3) {
-                let tt = cut_function(&aig, v, cut);
+                let tt = cut_function(&aig, v, cut.leaves());
                 // Check the truth table against simulation: for each
                 // pattern, node value must equal tt(leaf values).
                 let node_pat = sim.node_pattern(v);
@@ -127,23 +127,73 @@ proptest! {
     }
 
     #[test]
+    fn every_cut_carries_its_cut_function(seed in 0u64..100_000) {
+        // The table derived during the merge is the differential twin of
+        // cone simulation, on every cut of every node.
+        let aig = random_aig(6, 60, seed);
+        let cuts = CutSet::compute(&aig, CutConfig::default());
+        for v in aig.iter_ands() {
+            for cut in cuts.cuts_of(v) {
+                prop_assert_eq!(cut.function(), cut_function(&aig, v, cut.leaves()));
+            }
+        }
+    }
+
+    #[test]
     fn reconvergence_cut_is_a_real_cut(seed in 0u64..100_000) {
         // Every path from inputs to the root must pass through a leaf:
         // equivalently, the cut function over the leaves fully determines
         // the node, which cut_function verifies structurally (it panics on
-        // uncovered nodes).
+        // uncovered nodes) and the window kernel must reproduce from its
+        // volume alone.
         let aig = random_aig(6, 40, seed);
         let Some(v) = aig.iter_ands().last() else {
             return Ok(());
         };
         let leaves = reconvergence_cut(&aig, v, 8);
         prop_assert!(leaves.len() <= 8);
-        let mut cut = almost_aig::cut::Cut::trivial(leaves[0]);
-        for &l in &leaves[1..] {
-            cut = cut.merge(&almost_aig::cut::Cut::trivial(l), leaves.len()).expect("merges");
-        }
-        let tt = cut_function(&aig, v, &cut); // would panic if not a cut
+        let tt = cut_function(&aig, v, &leaves); // would panic if not a cut
         prop_assert!(tt.nvars() == leaves.len());
+        let mut window = Window::new(aig.num_nodes());
+        window.load(&aig, v, &leaves);
+        prop_assert_eq!(window.volume().last(), Some(&v));
+        prop_assert_eq!(window.table(v).to_tt(leaves.len()), tt);
+    }
+
+    #[test]
+    fn window_tables_agree_with_cut_function(seed in 0u64..100_000) {
+        // Every node of every reconvergence window (one kernel reused
+        // across windows, as the passes do) gets the reference table.
+        let aig = random_aig(8, 70, seed);
+        let mut window = Window::new(aig.num_nodes());
+        for v in aig.iter_ands() {
+            let leaves = reconvergence_cut(&aig, v, 8);
+            window.load(&aig, v, &leaves);
+            for &w in window.volume() {
+                prop_assert_eq!(
+                    window.table(w).to_tt(leaves.len()),
+                    cut_function(&aig, w, &leaves)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn tt8_agrees_with_tt(bits in any::<u64>(), nvars in 0usize..9, var in 0usize..8) {
+        let words = if nvars <= 6 { 1 } else { 1 << (nvars - 6) };
+        let f = Tt::from_words(nvars, (0..words).map(|i| bits.rotate_left(17 * i as u32)).collect());
+        let g = Tt8::from_tt(&f);
+        prop_assert_eq!(g.to_tt(nvars), f.clone());
+        prop_assert_eq!(g.not().to_tt(nvars), f.not());
+        prop_assert_eq!(g.count_ones(), f.count_ones() << (8 - nvars));
+        if var < nvars {
+            prop_assert_eq!(g.cofactor0(var).to_tt(nvars), f.cofactor0(var));
+            prop_assert_eq!(g.cofactor1(var).to_tt(nvars), f.cofactor1(var));
+            prop_assert_eq!(g.depends_on(var), f.depends_on(var));
+            prop_assert_eq!(Tt8::var(var).to_tt(nvars), Tt::var(var, nvars));
+        } else {
+            prop_assert!(!g.depends_on(var), "replicated table depends on {}", var);
+        }
     }
 
     #[test]

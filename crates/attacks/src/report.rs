@@ -193,16 +193,9 @@ impl OracleAttackOutcome {
     }
 }
 
-/// Conflict budget for the scoreboard CEC in oracle-guided scoring; past
-/// it, scoring falls back to the random-simulation verdict (the attack
-/// result itself is unaffected). Arithmetic circuits (the c6288
-/// multiplier) make full CEC exponentially hard and a scoreboard entry
-/// must never hang a harness.
-const CEC_SCORING_CONFLICTS: u64 = 50_000;
-
 /// Scores a finished oracle-guided run against the ground truth in
-/// `target`: bit agreement for the scoreboard, simulation + budgeted SAT
-/// CEC for the functional verdict. Shared by every [`OracleGuidedAttack`]
+/// `target`: bit agreement for the scoreboard, simulation + unbudgeted
+/// fraig-first CEC for the functional verdict. Shared by every [`OracleGuidedAttack`]
 /// so all rows of a report are judged identically.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn score_oracle_run(
@@ -217,7 +210,7 @@ pub(crate) fn score_oracle_run(
     sim_seed: u64,
 ) -> OracleAttackOutcome {
     use almost_aig::sim::probably_equivalent;
-    use almost_sat::{check_equivalence_limited, Equivalence};
+    use almost_sat::{check_equivalence, Equivalence};
 
     let truth = target.locked.key.bits();
     let agreement = truth.iter().zip(&recovered).filter(|(t, r)| t == r).count();
@@ -229,14 +222,13 @@ pub(crate) fn score_oracle_run(
     let key_start = target.locked.key_input_start;
     let unlocked = almost_locking::apply_key(&target.deployed, key_start, &recovered);
     let reference = almost_locking::apply_key(&target.deployed, key_start, truth);
-    // 4096-pattern simulation refutes grossly wrong keys immediately; a
-    // conflict-bounded CEC upgrades agreement to a proof where feasible
-    // (and is what catches point-function keys wrong on one pattern).
+    // 4096-pattern simulation refutes grossly wrong keys immediately; CEC
+    // upgrades agreement to a proof (and is what catches point-function
+    // keys wrong on one pattern). It has no budget, so "correct" is never
+    // a budget running out: both sides are the same deployed netlist under
+    // two keys, which fraig settles by merging the shared structure.
     let functionally_correct = probably_equivalent(&unlocked, &reference, 64, sim_seed)
-        && match check_equivalence_limited(&unlocked, &reference, CEC_SCORING_CONFLICTS) {
-            Some(verdict) => verdict == Equivalence::Equivalent,
-            None => true,
-        };
+        && check_equivalence(&unlocked, &reference) == Equivalence::Equivalent;
 
     OracleAttackOutcome {
         attack,
@@ -446,6 +438,38 @@ mod tests {
                 learnts_deleted: 2,
             },
         }
+    }
+
+    #[test]
+    fn a_key_wrong_on_a_single_pattern_scores_incorrect() {
+        // SARLock over every input of c432: a key with one flipped bit
+        // corrupts exactly one of the 2^36 input patterns, which random
+        // simulation will not hit. Only the proof can refute it.
+        let design = almost_circuits::IscasBenchmark::C432.build();
+        let scheme = almost_locking::SarLock::new(design.num_inputs());
+        let (target, _) = crate::testutil::locked_target(&design, &scheme, Script::new(), 7);
+        let truth = target.locked.key.bits().to_vec();
+        let score = |recovered: Vec<bool>| {
+            let no_time = std::time::Duration::ZERO;
+            let solver = SolverStats::default();
+            score_oracle_run(
+                "SAT".into(),
+                &target,
+                recovered,
+                true,
+                vec![],
+                0,
+                no_time,
+                solver,
+                3,
+            )
+        };
+        let mut wrong = truth.clone();
+        wrong[5] = !wrong[5];
+        let refuted = score(wrong);
+        assert!(!refuted.functionally_correct);
+        assert!(refuted.accuracy > 0.95, "all but one bit agree");
+        assert!(score(truth).functionally_correct);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! matter less than the *relative* costs — the paper's Table III reports
 //! percentage overheads against a baseline mapped with the same library.
 
-use almost_aig::npn::canonize;
+use almost_aig::hash::FastBuild;
 use almost_aig::Tt;
 use std::collections::HashMap;
 
@@ -84,11 +84,10 @@ impl Cell {
     }
 }
 
-/// A pre-bound match of a library cell onto a cut function: applying
-/// `transform` to the *cut* function yields the library canon; combined
-/// with the cell's own canonising transform it pins down the input
-/// binding (see [`CellLibrary::matches_for`]).
-#[derive(Clone, Debug)]
+/// A concrete binding of a library cell onto a cut function: which leaf
+/// drives each pin, which leaves are complemented and whether the output
+/// is (see [`CellLibrary::matches_for`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CellMatch {
     /// Index of the cell in the library.
     pub cell: usize,
@@ -100,12 +99,14 @@ pub struct CellMatch {
     pub output_flip: bool,
 }
 
-/// An immutable cell library with an NPN-class match index.
+/// An immutable cell library with a match index: every binding of every
+/// cell, keyed by the function it realises.
 #[derive(Clone, Debug)]
 pub struct CellLibrary {
     cells: Vec<Cell>,
-    /// NPN canon (words, nvars) → cells in that class.
-    class_index: HashMap<(usize, Vec<u64>), Vec<usize>>,
+    /// (inputs, truth table) → the bindings realising that function, in
+    /// library cell order, then pin permutation order, then pin-flip order.
+    bindings: HashMap<(usize, u16), Vec<CellMatch>, FastBuild>,
     inv_cell: usize,
     buf_cell: usize,
     tie0_cell: usize,
@@ -132,21 +133,36 @@ impl CellLibrary {
         let buf_cell = find("BUF");
         let tie0_cell = find("TIE0");
         let tie1_cell = find("TIE1");
-        let mut class_index: HashMap<(usize, Vec<u64>), Vec<usize>> = HashMap::new();
+        // Each cell is matched once, here: its function under every pin
+        // permutation and pin-flip mask (at most 4! · 2^4 = 384 bindings of
+        // a 4-input cell), with the output either way. A cut function's
+        // matches are then one lookup, and they are exactly the bindings a
+        // brute-force search within the function's NPN class finds.
+        let mut bindings: HashMap<(usize, u16), Vec<CellMatch>, FastBuild> = HashMap::default();
         for (i, cell) in cells.iter().enumerate() {
-            assert!(cell.num_inputs() <= 4, "cells are limited to 4 inputs");
-            if cell.num_inputs() == 0 {
+            let n = cell.num_inputs();
+            assert!(n <= 4, "cells are limited to 4 inputs");
+            if n == 0 {
                 continue;
             }
-            let (canon, _) = canonize(&cell.function);
-            class_index
-                .entry((cell.num_inputs(), canon.words().to_vec()))
-                .or_default()
-                .push(i);
+            let rows = (1u32 << (1 << n)) - 1;
+            for perm in permutations(n) {
+                for flips in 0..(1u32 << n) {
+                    let bound = bind(&cell.function, &perm, flips);
+                    for (bits, output_flip) in [(bound, false), (!bound & rows as u16, true)] {
+                        bindings.entry((n, bits)).or_default().push(CellMatch {
+                            cell: i,
+                            pin_to_leaf: perm.clone(),
+                            leaf_flips: flips_as_leaf_mask(&perm, flips),
+                            output_flip,
+                        });
+                    }
+                }
+            }
         }
         CellLibrary {
             cells,
-            class_index,
+            bindings,
             inv_cell,
             buf_cell,
             tie0_cell,
@@ -304,66 +320,35 @@ impl CellLibrary {
     /// inverted per `output_flip`) equals `function` when cell pin `p` is
     /// driven by leaf `pin_to_leaf[p]`, complemented iff bit
     /// `pin_to_leaf[p]` of `leaf_flips` is set.
-    pub fn matches_for(&self, function: &Tt) -> Vec<CellMatch> {
-        let n = function.nvars();
-        if n == 0 || n > 4 {
-            return Vec::new();
+    pub fn matches_for(&self, function: &Tt) -> &[CellMatch] {
+        match function.nvars() {
+            n @ 1..=4 => self.matches_for_bits(n, function.as_u64() as u16),
+            _ => &[],
         }
-        let (canon, _) = canonize(function);
-        let Some(candidates) = self.class_index.get(&(n, canon.words().to_vec())) else {
-            return Vec::new();
-        };
-        let mut matches = Vec::new();
-        for &ci in candidates {
-            let cell_f = &self.cells[ci].function;
-            // Brute-force bind: pins permuted, leaves flipped, output
-            // phase.
-            for perm in permutations(n) {
-                for flips in 0..(1u32 << n) {
-                    // Build the function computed by the bound cell:
-                    // pin p reads leaf perm[p], complemented per flips.
-                    let bound = bind(cell_f, &perm, flips);
-                    if &bound == function {
-                        matches.push(CellMatch {
-                            cell: ci,
-                            pin_to_leaf: perm.clone(),
-                            leaf_flips: flips_as_leaf_mask(&perm, flips),
-                            output_flip: false,
-                        });
-                    } else if bound.not() == *function {
-                        matches.push(CellMatch {
-                            cell: ci,
-                            pin_to_leaf: perm.clone(),
-                            leaf_flips: flips_as_leaf_mask(&perm, flips),
-                            output_flip: true,
-                        });
-                    }
-                }
-            }
-        }
-        matches
+    }
+
+    /// [`CellLibrary::matches_for`] on an `n`-input truth table given as
+    /// its bits (bit `i` = value on assignment `i`).
+    pub(crate) fn matches_for_bits(&self, n: usize, bits: u16) -> &[CellMatch] {
+        self.bindings.get(&(n, bits)).map_or(&[], Vec::as_slice)
     }
 }
 
-/// Computes the function of a cell whose pin `p` is driven by variable
-/// `perm[p]`, complemented iff bit `p` of `pin_flips` is set.
-fn bind(cell_f: &Tt, perm: &[usize], pin_flips: u32) -> Tt {
-    let n = cell_f.nvars();
-    let mut out = Tt::zero(n);
-    for idx in 0..out.num_bits() {
+/// The function of a cell whose pin `p` is driven by variable `perm[p]`,
+/// complemented iff bit `p` of `pin_flips` is set, as truth-table bits.
+fn bind(cell_f: &Tt, perm: &[usize], pin_flips: u32) -> u16 {
+    let mut out = 0u16;
+    for idx in 0..cell_f.num_bits() {
         // Determine each pin's value from the leaf assignment `idx`.
         let mut pin_idx = 0usize;
         for (p, &leaf) in perm.iter().enumerate() {
-            let mut val = (idx >> leaf) & 1 != 0;
-            if pin_flips >> p & 1 != 0 {
-                val = !val;
-            }
-            if val {
+            let val = (idx >> leaf) & 1 != 0;
+            if val != (pin_flips >> p & 1 != 0) {
                 pin_idx |= 1 << p;
             }
         }
         if cell_f.get_bit(pin_idx) {
-            out.set_bit(idx, true);
+            out |= 1 << idx;
         }
     }
     out
@@ -439,7 +424,7 @@ mod tests {
         let f = l2.and(&l0.or(&l1)).not();
         let matches = lib.matches_for(&f);
         assert!(!matches.is_empty(), "OAI21 shape must match");
-        for m in &matches {
+        for m in matches {
             let cell_f = lib.cell(m.cell).function();
             // Recompute the bound function and compare.
             let n = f.nvars();
@@ -472,9 +457,58 @@ mod tests {
         let f = Tt::var(0, 2).xor(&Tt::var(1, 2));
         let matches = lib.matches_for(&f);
         assert!(!matches.is_empty());
-        for m in &matches {
+        for m in matches {
             let name = lib.cell(m.cell).name();
             assert!(name == "XOR2" || name == "XNOR2", "unexpected cell {name}");
+        }
+    }
+
+    /// The NPN-class brute force the match index replaces: canonise the
+    /// function, then try every binding of every cell in its class.
+    fn npn_reference(lib: &CellLibrary, f: &Tt) -> Vec<CellMatch> {
+        use almost_aig::npn::canonize;
+        let canon = canonize(f).0;
+        let mut matches = Vec::new();
+        for (ci, cell) in lib.cells().iter().enumerate() {
+            if cell.num_inputs() != f.nvars() || canonize(cell.function()).0 != canon {
+                continue;
+            }
+            for perm in permutations(f.nvars()) {
+                for flips in 0..(1u32 << f.nvars()) {
+                    let bound = Tt::from_u64(f.nvars(), bind(cell.function(), &perm, flips) as u64);
+                    if bound == *f || bound.not() == *f {
+                        matches.push(CellMatch {
+                            cell: ci,
+                            pin_to_leaf: perm.clone(),
+                            leaf_flips: flips_as_leaf_mask(&perm, flips),
+                            output_flip: bound != *f,
+                        });
+                    }
+                }
+            }
+        }
+        matches
+    }
+
+    #[test]
+    fn match_index_equals_npn_brute_force() {
+        let lib = CellLibrary::nangate45();
+        let mut functions: Vec<Tt> = Vec::new();
+        for n in 1..=3 {
+            functions.extend((0..1u64 << (1 << n)).map(|bits| Tt::from_u64(n, bits)));
+        }
+        functions.extend(
+            (0..1u64 << 16)
+                .step_by(257)
+                .map(|bits| Tt::from_u64(4, bits)),
+        );
+        functions.extend(lib.cells().iter().map(|c| c.function().clone()));
+        for f in functions.iter().filter(|f| f.nvars() > 0) {
+            assert_eq!(
+                lib.matches_for(f),
+                npn_reference(&lib, f).as_slice(),
+                "{f:?}"
+            );
         }
     }
 

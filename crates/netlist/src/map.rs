@@ -1,8 +1,10 @@
-//! Cut-based technology mapping (area-flow DP with NPN cell matching).
+//! Cut-based technology mapping (area-flow DP with indexed cell matching).
 //!
 //! The mapper covers an AIG with library cells: 4-feasible cuts are
-//! enumerated per node, each cut function is NPN-matched against the
-//! library, and a dynamic program selects the cover minimising *area flow*
+//! enumerated per node (each carrying its truth table), each cut function
+//! is compressed to its support and looked up in the library's match
+//! index (every binding of every cell, enumerated once when the library is
+//! built), and a dynamic program selects the cover minimising *area flow*
 //! (area amortised over estimated fanout), with arrival time as tiebreak.
 //! Additional iterations re-run the DP with fanout counts measured on the
 //! previous cover — the classical "area recovery" loop, which is what the
@@ -10,8 +12,8 @@
 
 use crate::cell::{CellLibrary, CellMatch};
 use crate::netlist::{MappedNetlist, NetId};
-use almost_aig::cut::{cut_function, CutConfig, CutSet};
-use almost_aig::{Aig, Tt, Var};
+use almost_aig::cut::{CutConfig, CutSet};
+use almost_aig::{Aig, Var};
 use std::collections::HashMap;
 
 /// Mapper configuration.
@@ -77,7 +79,6 @@ pub fn map_aig(aig: &Aig, library: &CellLibrary, config: &MapConfig) -> MappedNe
     let cuts = CutSet::compute(
         aig,
         CutConfig {
-            k: 4,
             max_cuts: config.max_cuts,
         },
     );
@@ -96,22 +97,22 @@ pub fn map_aig(aig: &Aig, library: &CellLibrary, config: &MapConfig) -> MappedNe
                 if cut.leaves() == [v] {
                     continue;
                 }
-                let tt = cut_function(aig, v, cut);
-                let support = tt.support();
+                let (support, ctt) = compress(cut.truth(), cut.size());
                 if support.is_empty() {
                     continue; // constant nodes cannot exist in a hashed AIG
                 }
                 let leaves: Vec<Var> = support.iter().map(|&s| cut.leaves()[s]).collect();
-                let ctt = compress(&tt, &support);
                 if support.len() == 1 {
-                    let flip = ctt.get_bit(0); // f(0)=1 means complement
+                    let flip = ctt & 1 != 0; // f(0)=1 means complement
                     let leaf = leaves[0];
                     let cost = flow[leaf as usize] + if flip { inv_area } else { 0.0 };
                     let arr = arrival[leaf as usize] + if flip { inv_delay } else { 0.0 };
-                    consider(&mut best, cost, arr, Choice::Wire { leaf, flip });
+                    if improves(&best, cost, arr) {
+                        best = Some((cost, arr, Choice::Wire { leaf, flip }));
+                    }
                     continue;
                 }
-                for m in library.matches_for(&ctt) {
+                for m in library.matches_for_bits(support.len(), ctt) {
                     let cell = library.cell(m.cell);
                     let mut cost = cell.area();
                     let mut arr: f64 = 0.0;
@@ -126,15 +127,13 @@ pub fn map_aig(aig: &Aig, library: &CellLibrary, config: &MapConfig) -> MappedNe
                         cost += inv_area * 0.5;
                     }
                     arr += cell.delay();
-                    consider(
-                        &mut best,
-                        cost,
-                        arr,
-                        Choice::Bind {
+                    if improves(&best, cost, arr) {
+                        let choice = Choice::Bind {
                             leaves: leaves.clone(),
-                            cell_match: m,
-                        },
-                    );
+                            cell_match: m.clone(),
+                        };
+                        best = Some((cost, arr, choice));
+                    }
                 }
             }
             let (cost, arr, choice) = best.expect("complete library always matches some cut");
@@ -150,32 +149,32 @@ pub fn map_aig(aig: &Aig, library: &CellLibrary, config: &MapConfig) -> MappedNe
     emit(aig, library, &choices)
 }
 
-fn consider(best: &mut Option<(f64, f64, Choice)>, cost: f64, arr: f64, choice: Choice) {
-    let better = match best {
+/// True if `(cost, arr)` beats the best choice so far: cheaper area flow,
+/// or equal flow and earlier arrival (both up to 1e-12).
+fn improves(best: &Option<(f64, f64, Choice)>, cost: f64, arr: f64) -> bool {
+    match best {
         None => true,
         Some((bc, ba, _)) => cost < *bc - 1e-12 || (cost < *bc + 1e-12 && arr < *ba - 1e-12),
-    };
-    if better {
-        *best = Some((cost, arr, choice));
     }
 }
 
-/// Restricts `tt` to its support variables (given as sorted indices).
-fn compress(tt: &Tt, support: &[usize]) -> Tt {
-    let n = support.len();
-    let mut out = Tt::zero(n);
-    for idx in 0..out.num_bits() {
-        let mut full = 0usize;
-        for (i, &s) in support.iter().enumerate() {
-            if idx >> i & 1 != 0 {
-                full |= 1 << s;
-            }
-        }
-        if tt.get_bit(full) {
-            out.set_bit(idx, true);
-        }
+/// Restricts a cut's 4-variable table over `size` leaves to the variables
+/// it depends on: returns that support (sorted leaf positions) and the
+/// table over it (bit `i` = value on support assignment `i`).
+fn compress(truth: u16, size: usize) -> (Vec<usize>, u16) {
+    const HALF: [u16; 4] = [0x5555, 0x3333, 0x0F0F, 0x00FF];
+    let support: Vec<usize> = (0..size)
+        .filter(|&v| (truth >> (1 << v)) & HALF[v] != truth & HALF[v])
+        .collect();
+    let mut out = 0u16;
+    for idx in 0..1usize << support.len() {
+        let full = support
+            .iter()
+            .enumerate()
+            .fold(0, |f, (i, &s)| f | (idx >> i & 1) << s);
+        out |= (truth >> full & 1) << idx;
     }
-    out
+    (support, out)
 }
 
 /// Counts how often each node's signal is consumed by the cover implied by
