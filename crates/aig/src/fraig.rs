@@ -8,18 +8,20 @@
 //! first:
 //!
 //! 1. **Ternary simulation** — a cofactor scan over the source netlist
-//!    ([`sim::ternary_node_values`]): each input in turn is pinned to `0`
+//!    ([`ternary_constant_scan`]): each input in turn is pinned to `0`
 //!    and to `1` with every other input `X`; a node definite to the same
 //!    value in both cofactors is a *constant* that one-level strash
-//!    simplification cannot see (e.g. `(a&b) & !a`). Flagged nodes are
-//!    proved against the constant directly, skipping the class machinery.
+//!    simplification cannot see (e.g. `(a&b) & !a`). All splits run at
+//!    once, one bit lane per pinned input. Flagged nodes are proved
+//!    against the constant directly, skipping the class machinery.
 //! 2. **Random simulation signatures** — every node carries a
 //!    64-bit-per-word signature over shared random input patterns. Nodes
 //!    whose signatures differ (under both phases) are *certainly* different;
 //!    only signature-equal nodes become merge candidates. Signatures are
 //!    hashed complement-canonically (complement the row if its first bit is
 //!    set), so one hash lookup finds both same-phase and opposite-phase
-//!    candidates.
+//!    candidates. The hash is FNV folded word by word and kept per node as
+//!    a running key, so appending a word updates every key in `O(1)`.
 //! 3. **Incremental SAT** — a candidate pair is handed to a single
 //!    incremental [`Solver`] that sweeps the whole netlist: the two cones
 //!    are Tseitin-encoded lazily (shared across all queries), a fresh
@@ -31,7 +33,11 @@
 //!    yields a counterexample, which is **fed back into the simulation
 //!    vectors**: a new word whose bit 0 is the exact counterexample and
 //!    whose remaining 63 bits are random perturbations of it, splitting
-//!    every not-actually-equal class the cex distinguishes.
+//!    every not-actually-equal class the cex distinguishes. Feedback is
+//!    never capped: every refutation splits its pair, so no pair is ever
+//!    refuted twice and a class of lookalikes (near-constant logic that
+//!    random patterns never set) costs one SAT call per split rather than
+//!    one per pair.
 //!
 //! Queries that exhaust the per-query conflict budget
 //! ([`FraigConfig::hard_conflicts`]) are optionally *escalated*: the two
@@ -58,7 +64,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use crate::aig::{Aig, Lit, NodeKind, Var};
-use crate::sim::{self, Ternary};
+use crate::sim::Ternary;
 
 /// Tuning knobs for a fraig sweep.
 #[derive(Clone, Debug)]
@@ -76,10 +82,6 @@ pub struct FraigConfig {
     /// controls its width). Off = skip the merge instead, keeping the
     /// sweep bounded and thread-free.
     pub escalate: bool,
-    /// Cap on counterexample feedback words appended over the whole sweep;
-    /// once reached, refuted candidates are split only by the signatures
-    /// already present.
-    pub max_cex_words: usize,
 }
 
 impl Default for FraigConfig {
@@ -92,7 +94,6 @@ impl Default for FraigConfig {
             seed: 0x0F8A_161D,
             hard_conflicts: 4096,
             escalate: true,
-            max_cex_words: 64,
         }
     }
 }
@@ -108,7 +109,6 @@ impl FraigConfig {
             sim_words: 4,
             hard_conflicts: 512,
             escalate: false,
-            max_cex_words: 16,
             ..FraigConfig::default()
         }
     }
@@ -139,7 +139,8 @@ pub struct FraigStats {
     pub escalations: u64,
     /// Total SAT queries posed (sweep solver + escalations).
     pub sat_calls: u64,
-    /// Counterexample feedback words appended to the simulation vectors.
+    /// Counterexample feedback words appended to the simulation vectors
+    /// (one per refutation).
     pub sim_words_added: u64,
     /// AND count of the input netlist.
     pub ands_before: u64,
@@ -194,7 +195,7 @@ enum Outcome {
 enum Scan {
     /// Proved equal to this representative literal.
     Merged(Lit),
-    /// Counterexample words were appended; signatures (and the class key)
+    /// A counterexample word was appended; signatures (and the class key)
     /// changed — redo the lookup.
     Rescan,
     /// No provably-equal member: the node becomes a representative.
@@ -207,8 +208,10 @@ struct Sweeper<'a> {
     out: Aig,
     /// Simulation signature per `out` var, `num_words` words each.
     sigs: Vec<Vec<u64>>,
+    /// Running complement-canonical FNV hash of each signature row: the
+    /// class key, updated word by word as counterexamples are appended.
+    keys: Vec<u64>,
     num_words: usize,
-    base_words: usize,
     rng: StdRng,
     /// Representative literal per `out` var — identity unless the node was
     /// proved equal to an earlier one.
@@ -252,13 +255,14 @@ impl<'a> Sweeper<'a> {
             repr.push(lit);
         }
 
+        let keys = sigs.iter().map(|row| canonical_key(row)).collect();
         let mut sweeper = Sweeper {
             config,
             src,
             out,
             sigs,
+            keys,
             num_words,
-            base_words: num_words,
             rng,
             repr,
             sat_of,
@@ -268,8 +272,7 @@ impl<'a> Sweeper<'a> {
             members: vec![0],
             stats: FraigStats::default(),
         };
-        let key = sweeper.canonical_key(0);
-        sweeper.classes.insert(key, vec![0]);
+        sweeper.classes.insert(sweeper.keys[0], vec![0]);
         sweeper
     }
 
@@ -320,12 +323,14 @@ impl<'a> Sweeper<'a> {
         self.out.compact()
     }
 
-    /// Computes and stores the signature row of a freshly created AND.
+    /// Computes and stores the signature row and class key of a freshly
+    /// created AND.
     fn push_node(&mut self, cv: Var) {
         let (a, b) = self.out.and_fanins(cv).expect("fresh fraig node is an AND");
-        let row = (0..self.num_words)
+        let row: Vec<u64> = (0..self.num_words)
             .map(|w| sig_word(&self.sigs, a, w) & sig_word(&self.sigs, b, w))
             .collect();
+        self.keys.push(canonical_key(&row));
         self.sigs.push(row);
         self.sat_of.push(None);
         self.repr.push(Lit::positive(cv));
@@ -357,7 +362,7 @@ impl<'a> Sweeper<'a> {
     /// proven-equivalent class, or registers it as a new representative.
     fn classify(&mut self, cv: Var) -> Lit {
         loop {
-            let key = self.canonical_key(cv);
+            let key = self.keys[cv as usize];
             match self.scan_class(cv, key) {
                 Scan::Merged(rep) => return rep,
                 Scan::Rescan => continue,
@@ -392,28 +397,17 @@ impl<'a> Sweeper<'a> {
                 }
                 Outcome::Refuted(cex) => {
                     self.stats.refuted += 1;
-                    if self.append_cex(&cex) {
-                        // The new word distinguishes cv from m, so the
-                        // rescan cannot retry this pair.
-                        return Scan::Rescan;
-                    }
-                    // Cex cap reached: signatures unchanged, keep scanning.
+                    self.append_cex(&cex);
+                    // Bit 0 of the new word is the cex itself, which
+                    // distinguishes cv from m: the rescan cannot retry
+                    // this pair.
+                    debug_assert!(!self.sig_rows_equal(cv, m, flip));
+                    return Scan::Rescan;
                 }
                 Outcome::Skipped => self.stats.skipped += 1,
             }
         }
         Scan::NewRep
-    }
-
-    /// Complement-canonical FNV hash of a node's signature row.
-    fn canonical_key(&self, v: Var) -> u64 {
-        let row = &self.sigs[v as usize];
-        let flip = row[0] & 1 != 0;
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &w in row {
-            h = (h ^ if flip { !w } else { w }).wrapping_mul(0x100_0000_01b3);
-        }
-        h
     }
 
     fn sig_rows_equal(&self, a: Var, b: Var, flip: bool) -> bool {
@@ -494,11 +488,12 @@ impl<'a> Sweeper<'a> {
 
     /// Appends one simulation word derived from a counterexample: bit 0 is
     /// the exact cex, bits 1..63 random perturbations of it (≈ 1/8 flip
-    /// density). Returns false (no-op) once the cex-word cap is reached.
-    fn append_cex(&mut self, cex: &[bool]) -> bool {
-        if self.num_words - self.base_words >= self.config.max_cex_words {
-            return false;
-        }
+    /// density). Called on every refutation, without a cap: the vectors
+    /// grow by one word per refuted SAT call. Each node's class key is
+    /// folded forward by the new word (the same value a full re-hash of
+    /// the extended row gives), and the class table is rebuilt from the
+    /// keys in the original insertion order.
+    fn append_cex(&mut self, cex: &[bool]) {
         let w = self.num_words;
         self.num_words += 1;
         self.stats.sim_words_added += 1;
@@ -515,52 +510,104 @@ impl<'a> Sweeper<'a> {
                 }
                 NodeKind::And(a, b) => sig_word(&self.sigs, a, w) & sig_word(&self.sigs, b, w),
             };
-            self.sigs[v as usize].push(word);
+            let row = &mut self.sigs[v as usize];
+            self.keys[v as usize] = fnv_fold(self.keys[v as usize], word, row[0] & 1 != 0);
+            row.push(word);
         }
-        // Signatures (and canonical keys) changed: rebuild the class table
-        // in the original insertion order.
         self.classes.clear();
-        for i in 0..self.members.len() {
-            let m = self.members[i];
-            let key = self.canonical_key(m);
-            self.classes.entry(key).or_default().push(m);
+        for &m in &self.members {
+            self.classes
+                .entry(self.keys[m as usize])
+                .or_default()
+                .push(m);
         }
-        true
     }
 }
 
-/// Inputs case-split on by the ternary constant scan, at most. The scan
-/// is `O(splits · nodes)`; past this many inputs the class machinery
-/// (which catches every constant anyway, just via random sim + SAT) takes
-/// over alone.
-const TERNARY_SPLITS: usize = 64;
+/// Inputs case-split on by the ternary constant scan, at most: one bit
+/// lane of a `u64` each. The scan is `O(nodes)` word operations; past this
+/// many inputs the class machinery (which catches every constant anyway,
+/// just via random sim + SAT) takes over alone.
+pub const TERNARY_SPLITS: usize = 64;
 
 /// Finds structural constants by one-input case splitting: a node that is
 /// definite to the same value under both cofactors of some input holds
 /// that value everywhere. Sound but incomplete — exactly the cheap tier
 /// of constant detection; [`Ternary::X`] marks the undecided rest.
-fn ternary_constant_scan(aig: &Aig) -> Vec<Ternary> {
-    let num_inputs = aig.num_inputs();
+///
+/// Equivalent to running [`crate::sim::ternary_node_values`] once per cofactor
+/// (input `i` pinned to `0`, then `1`, every other input `X`) for each of
+/// the first [`TERNARY_SPLITS`] inputs, but done in one bit-parallel pass:
+/// lane `i` of every word is the split on input `i`, and each ternary
+/// value is a pair of masks (*can be 0*, *can be 1*) — `X` sets both.
+pub fn ternary_constant_scan(aig: &Aig) -> Vec<Ternary> {
+    let splits = aig.num_inputs().min(TERNARY_SPLITS);
+    let lanes = if splits == 64 {
+        !0
+    } else {
+        (1u64 << splits) - 1
+    };
+    // Per node: the (can0, can1) masks of the lo and hi cofactors.
+    let mut lo = vec![(0u64, 0u64); aig.num_nodes()];
+    let mut hi = vec![(0u64, 0u64); aig.num_nodes()];
     let mut result = vec![Ternary::X; aig.num_nodes()];
-    let mut inputs = vec![Ternary::X; num_inputs];
-    for i in 0..num_inputs.min(TERNARY_SPLITS) {
-        inputs[i] = Ternary::Zero;
-        let lo = sim::ternary_node_values(aig, &inputs);
-        inputs[i] = Ternary::One;
-        let hi = sim::ternary_node_values(aig, &inputs);
-        inputs[i] = Ternary::X;
-        for v in aig.iter_vars() {
-            let v = v as usize;
-            if result[v] == Ternary::X
-                && aig.is_and(v as Var)
-                && lo[v] != Ternary::X
-                && lo[v] == hi[v]
-            {
-                result[v] = lo[v];
+    let fanin = |masks: &[(u64, u64)], lit: Lit| {
+        let (can0, can1) = masks[lit.var() as usize];
+        if lit.is_complement() {
+            (can1, can0)
+        } else {
+            (can0, can1)
+        }
+    };
+    for v in aig.iter_vars() {
+        let i = v as usize;
+        match aig.node(v) {
+            NodeKind::Const0 => {
+                lo[i] = (!0, 0);
+                hi[i] = (!0, 0);
+            }
+            NodeKind::Input(k) => {
+                // Lane k pins this input (0 in lo, 1 in hi); every other
+                // lane leaves it X.
+                let pinned = if (k as usize) < splits { 1u64 << k } else { 0 };
+                lo[i] = (!0, !pinned);
+                hi[i] = (!pinned, !0);
+            }
+            NodeKind::And(a, b) => {
+                for masks in [&mut lo, &mut hi] {
+                    let (a0, a1) = fanin(masks, a);
+                    let (b0, b1) = fanin(masks, b);
+                    masks[i] = (a0 | b0, a1 & b1);
+                }
+                // A lane definite to one value in both cofactors proves
+                // the node constant (all such lanes agree).
+                let zero = lo[i].0 & !lo[i].1 & hi[i].0 & !hi[i].1 & lanes;
+                let one = lo[i].1 & !lo[i].0 & hi[i].1 & !hi[i].0 & lanes;
+                if zero != 0 {
+                    result[i] = Ternary::Zero;
+                } else if one != 0 {
+                    result[i] = Ternary::One;
+                }
             }
         }
     }
     result
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x100_0000_01b3;
+
+/// Folds one signature word into a complement-canonical FNV key (`flip`:
+/// the row's first bit is set, so the row hashes complemented).
+#[inline]
+fn fnv_fold(key: u64, word: u64, flip: bool) -> u64 {
+    (key ^ if flip { !word } else { word }).wrapping_mul(FNV_PRIME)
+}
+
+/// Complement-canonical FNV hash of a whole signature row.
+fn canonical_key(row: &[u64]) -> u64 {
+    let flip = row[0] & 1 != 0;
+    row.iter().fold(FNV_OFFSET, |h, &w| fnv_fold(h, w, flip))
 }
 
 /// Word `w` of a literal's signature (complemented on the fly).
@@ -726,6 +773,19 @@ mod tests {
                 "fraig not idempotent at seed {seed}: {stats:?}"
             );
             assert_eq!(stats.merges, 0, "second sweep must find nothing");
+        }
+    }
+
+    #[test]
+    fn running_keys_equal_a_full_rehash() {
+        let aig = random_aig(10, 120, 5);
+        let config = FraigConfig::recipe();
+        let mut sweeper = Sweeper::new(&aig, &config);
+        sweeper.run();
+        assert!(sweeper.stats.sim_words_added > 0, "{:?}", sweeper.stats);
+        for (v, row) in sweeper.sigs.iter().enumerate() {
+            assert_eq!(row.len(), sweeper.num_words);
+            assert_eq!(sweeper.keys[v], canonical_key(row), "node {v}");
         }
     }
 

@@ -10,7 +10,7 @@
 //! | [`Pass::Refactor`], [`Pass::RefactorZ`] | reconvergence-driven large-cut (≤10 leaves) collapsing and re-synthesis |
 //! | [`Pass::Resub`], [`Pass::ResubZ`] | windowed resubstitution: replace a node by an existing divisor (or a one/three-node combination of two divisors) with *exact* window-truth-table verification |
 //! | [`Pass::Balance`] | level-minimising AND-tree balancing |
-//! | [`Pass::Fraig`] | SAT sweeping ([`crate::fraig`]): sim-signature candidate classes, incremental-SAT equivalence proofs, counterexample-refined merging (bounded [`crate::fraig::FraigConfig::recipe`] budgets) |
+//! | [`Pass::Fraig`] | SAT sweeping ([`crate::fraig`]): sim-signature candidate classes under running hash keys, incremental-SAT equivalence proofs, every counterexample fed back as a signature word (uncapped, so no pair is refuted twice), bounded [`crate::fraig::FraigConfig::recipe`] conflict budgets |
 //!
 //! The `-z` variants accept zero-gain moves, perturbing structure without
 //! growing the graph — exactly ABC's `rewrite -z` / `refactor -z` /

@@ -15,8 +15,14 @@
 //! The inputs come from two sources: random strashed AIGs, and the
 //! netlists produced by all five logic-locking schemes — the workload
 //! the paper's oracle-guided attacks sweep in their inner loop.
+//!
+//! The bit-parallel ternary constant scan is also held to the scalar
+//! cofactor walks it replaces, on random AIGs and locked ISCAS circuits.
 
-use almost_aig::{fraig_with, Aig, CompiledAig, FraigConfig, Lit};
+use almost_aig::fraig::{ternary_constant_scan, TERNARY_SPLITS};
+use almost_aig::sim::{ternary_node_values, Ternary};
+use almost_aig::{fraig_with, Aig, CompiledAig, FraigConfig, Lit, Var};
+use almost_circuits::IscasBenchmark;
 use almost_locking::{apply_key, AntiSat, LockingScheme, MuxLock, Rll, SarLock, Stacked};
 use almost_sat::{check_equivalence, Equivalence};
 use proptest::prelude::*;
@@ -82,6 +88,8 @@ proptest! {
         let aig = random_aig(num_inputs, num_ands, seed);
         let (swept, stats) = fraig_with(&aig, &FraigConfig::default());
         prop_assert!(stats.ands_after <= stats.ands_before);
+        // Every refutation splits its pair with a counterexample word.
+        prop_assert_eq!(stats.sim_words_added, stats.refuted);
         assert_equivalent(&aig, &swept, seed);
     }
 
@@ -90,8 +98,10 @@ proptest! {
         // A swept network has no two nodes left to merge: a second sweep
         // must be a (size-preserving) no-op.
         let aig = random_aig(6, 40, seed);
-        let (once, _) = fraig_with(&aig, &FraigConfig::default());
+        let (once, first) = fraig_with(&aig, &FraigConfig::default());
         let (twice, stats) = fraig_with(&once, &FraigConfig::default());
+        prop_assert_eq!(first.sim_words_added, first.refuted);
+        prop_assert_eq!(stats.sim_words_added, stats.refuted);
         prop_assert_eq!(stats.merges, 0);
         prop_assert_eq!(stats.constants, 0);
         prop_assert_eq!(once.num_ands(), twice.num_ands());
@@ -104,7 +114,99 @@ proptest! {
         let aig = random_aig(6, 50, seed);
         let (swept, stats) = fraig_with(&aig, &FraigConfig::recipe());
         prop_assert_eq!(stats.escalations, 0);
+        prop_assert_eq!(stats.sim_words_added, stats.refuted);
         assert_equivalent(&aig, &swept, seed);
+    }
+
+    #[test]
+    fn ternary_scan_matches_scalar_cofactor_walks(
+        seed in 0u64..1_000,
+        num_inputs in 1usize..80,
+        num_ands in 10usize..120,
+    ) {
+        // Up to 80 inputs: past `TERNARY_SPLITS` the lanes run out and the
+        // inputs beyond stay `X` in every split.
+        let aig = random_aig(num_inputs, num_ands, seed);
+        prop_assert_eq!(ternary_constant_scan(&aig), scalar_ternary_scan(&aig));
+    }
+}
+
+/// The reference cofactor scan: two scalar ternary walks per split input.
+fn scalar_ternary_scan(aig: &Aig) -> Vec<Ternary> {
+    let mut result = vec![Ternary::X; aig.num_nodes()];
+    let mut inputs = vec![Ternary::X; aig.num_inputs()];
+    for i in 0..aig.num_inputs().min(TERNARY_SPLITS) {
+        inputs[i] = Ternary::Zero;
+        let lo = ternary_node_values(aig, &inputs);
+        inputs[i] = Ternary::One;
+        let hi = ternary_node_values(aig, &inputs);
+        inputs[i] = Ternary::X;
+        for v in aig.iter_vars() {
+            let v = v as usize;
+            if result[v] == Ternary::X
+                && aig.is_and(v as Var)
+                && lo[v] != Ternary::X
+                && lo[v] == hi[v]
+            {
+                result[v] = lo[v];
+            }
+        }
+    }
+    result
+}
+
+#[test]
+fn ternary_scan_splits_only_the_first_lanes_inputs() {
+    // `(x & y) & !x` is a hidden constant, found by splitting on `x`
+    // only: inside the lane cap it folds, past it it stays `X`.
+    let mut aig = Aig::new();
+    let inputs: Vec<Lit> = (0..TERNARY_SPLITS + 6).map(|_| aig.add_input()).collect();
+    let y = inputs[1];
+    let mut hidden = Vec::new();
+    for x in [3, TERNARY_SPLITS - 1, TERNARY_SPLITS, TERNARY_SPLITS + 5] {
+        let xy = aig.and(inputs[x], y);
+        let g = aig.and(xy, !inputs[x]);
+        aig.add_output(g);
+        hidden.push(g.var() as usize);
+    }
+    let scan = ternary_constant_scan(&aig);
+    assert_eq!(scan, scalar_ternary_scan(&aig));
+    let found: Vec<Ternary> = hidden.iter().map(|&v| scan[v]).collect();
+    assert_eq!(
+        found,
+        [Ternary::Zero, Ternary::Zero, Ternary::X, Ternary::X],
+        "inputs 3 and {} are split, {} and {} are not",
+        TERNARY_SPLITS - 1,
+        TERNARY_SPLITS,
+        TERNARY_SPLITS + 5
+    );
+}
+
+#[test]
+fn ternary_scan_matches_scalar_on_locked_iscas() {
+    // Locked netlists are where hidden constants live: key gates next to
+    // their own inputs, and point functions over the key. c7552 has more
+    // inputs than lanes.
+    for (bench, key_bits) in [
+        (IscasBenchmark::C432, 16),
+        (IscasBenchmark::C1355, 32),
+        (IscasBenchmark::C7552, 128),
+    ] {
+        let mut rng = StdRng::seed_from_u64(bench.name().len() as u64);
+        let schemes: Vec<Box<dyn LockingScheme>> = vec![
+            Box::new(Rll::new(key_bits)),
+            Box::new(Stacked::new(Rll::new(8), SarLock::new(8))),
+        ];
+        for scheme in schemes {
+            let locked = scheme.lock(&bench.build(), &mut rng).expect("lockable");
+            let fast = ternary_constant_scan(&locked.aig);
+            assert_eq!(
+                fast,
+                scalar_ternary_scan(&locked.aig),
+                "{bench} {}: bit-parallel scan disagrees with the scalar walks",
+                scheme.name()
+            );
+        }
     }
 }
 

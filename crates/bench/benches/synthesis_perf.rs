@@ -5,7 +5,11 @@
 //!
 //! Besides plain c1355, the passes and the mapper run on c5315 locked with
 //! 128 RLL key gates (about 2.4k ANDs), the size the recipe search and
-//! deployment actually synthesise.
+//! deployment actually synthesise. The passes also run on c7552 RLL-128
+//! after `wWfFsSb`, the restructured input the `g` (fraig) letter sees in
+//! a deployed recipe: restructuring leaves classes of near-constant
+//! lookalikes that only counterexample feedback splits, which the raw
+//! locked netlists never show.
 
 use almost_aig::{Aig, Pass, Script};
 use almost_circuits::IscasBenchmark;
@@ -16,24 +20,30 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
 
-/// c5315 with 128 RLL key gates at a fixed seed.
-fn c5315_rll128() -> Aig {
-    let mut rng = StdRng::seed_from_u64(5315);
+/// `bench` with 128 RLL key gates, locked at a fixed seed.
+fn rll128(bench: IscasBenchmark, seed: u64) -> Aig {
+    let mut rng = StdRng::seed_from_u64(seed);
     Rll::new(128)
-        .lock(&IscasBenchmark::C5315.build(), &mut rng)
-        .expect("c5315 takes 128 key gates")
+        .lock(&bench.build(), &mut rng)
+        .expect("takes 128 key gates")
         .aig
 }
 
 fn inputs() -> [(&'static str, Aig); 2] {
     [
         ("c1355", IscasBenchmark::C1355.build()),
-        ("c5315_rll128", c5315_rll128()),
+        ("c5315_rll128", rll128(IscasBenchmark::C5315, 5315)),
     ]
 }
 
 fn bench_passes(c: &mut Criterion) {
-    for (name, aig) in inputs() {
+    let restructured = Script::from_mnemonics("wWfFsSb")
+        .expect("valid recipe")
+        .apply(&rll128(IscasBenchmark::C7552, 7552));
+    let inputs = inputs()
+        .into_iter()
+        .chain([("c7552_rll128_wWfFsSb", restructured)]);
+    for (name, aig) in inputs {
         let mut group = c.benchmark_group(format!("passes_{name}"));
         group.sample_size(10);
         for pass in Pass::ALL {

@@ -16,10 +16,14 @@
 //!   correct key re-applied) completes unbudgeted — the exact CEC call
 //!   the attack report's verdict column needs.
 //!
+//! Plus one effort ceiling, a deterministic count rather than a time: the
+//! recipe-config sweep of a restructured locked c7552 refutes its
+//! lookalike candidates by simulation, not pair by pair in SAT.
+//!
 //! Timings are wall-clock once per path (the margin is large enough that
 //! best-of-N would be theatre). Debug builds skip.
 
-use almost_repro::aig::{Aig, Lit, NodeKind};
+use almost_repro::aig::{fraig_with, Aig, FraigConfig, Lit, NodeKind, Script};
 use almost_repro::circuits::IscasBenchmark;
 use almost_repro::locking::{apply_key, LockingScheme, Rll};
 use almost_repro::sat::{check_equivalence, check_equivalence_limited, Equivalence};
@@ -32,6 +36,13 @@ use std::time::Instant;
 /// enough that spending it takes real time, far too small to crack a
 /// multiplier miter.
 const LEGACY_BUDGET: u64 = 20_000;
+
+/// SAT-call ceiling for the recipe-config sweep in
+/// [`recipe_fraig_splits_lookalike_classes_by_simulation`]. With every
+/// counterexample fed back the sweep makes 69 calls; a sweep that stops
+/// feeding them back after 16 words re-refutes each lookalike class pair
+/// by pair (1225 calls here, 881–4159 over lock seeds 0–2).
+const RECIPE_SWEEP_SAT_CALLS: u64 = 300;
 
 /// Rebuilds `aig` with every `stride`-th AND wrapped in the absorption
 /// identity `u -> (u & s) | (u & !s)` (select `s` = first input).
@@ -150,4 +161,33 @@ fn locked_benchmarks_certify_unbudgeted_against_their_originals() {
             );
         }
     }
+}
+
+#[test]
+fn recipe_fraig_splits_lookalike_classes_by_simulation() {
+    if !release_mode("recipe_fraig_splits_lookalike_classes_by_simulation") {
+        return;
+    }
+    // The `g` letter's input in a deployed recipe: RLL-128 c7552 after
+    // every other pass. Restructuring leaves large classes of
+    // near-constant logic whose signatures random patterns never tell
+    // apart; only counterexample words split them.
+    let mut rng = StdRng::seed_from_u64(7552);
+    let locked = Rll::new(128)
+        .lock(&IscasBenchmark::C7552.build(), &mut rng)
+        .expect("c7552 takes 128 key gates");
+    let restructured = Script::from_mnemonics("wWfFsSb")
+        .expect("valid recipe")
+        .apply(&locked.aig);
+    let (_, stats) = fraig_with(&restructured, &FraigConfig::recipe());
+    println!("c7552 RLL-128 after wWfFsSb, recipe fraig: {stats:?}");
+    assert_eq!(
+        stats.sim_words_added, stats.refuted,
+        "every refutation must feed its counterexample back"
+    );
+    assert!(
+        stats.sat_calls <= RECIPE_SWEEP_SAT_CALLS,
+        "recipe fraig made {} SAT calls (ceiling {RECIPE_SWEEP_SAT_CALLS}): {stats:?}",
+        stats.sat_calls
+    );
 }
