@@ -11,8 +11,12 @@
 //! - [`solver`] — the incremental CDCL solver (two-watched-literal
 //!   propagation, first-UIP learning, VSIDS, phase saving, Luby restarts,
 //!   learnt-DB reduction, conflict budgets, cancellation, clause
-//!   exchange hooks).
-//! - [`heap`] — the indexed max-heap behind the VSIDS decision order.
+//!   exchange hooks). Clause literals live in one flat arena, binary
+//!   clauses are resolved from their watch entries alone, and truth values
+//!   are indexed by literal; none of this layout may change a decision
+//!   (see the solver's byte-identity contract).
+//! - [`heap`] — the indexed max-heap behind the VSIDS decision order,
+//!   with each variable's activity stored inline in its entry.
 //! - [`portfolio`] — N diversified racing solver instances over one
 //!   shared formula (`ALMOST_SOLVERS`), glue-clause exchange included.
 //!

@@ -11,6 +11,37 @@
 //! the attack workloads in this workspace: key-conditioned (and four-copy
 //! 2-DIP) miters run thousands of incremental queries over the same solver,
 //! and without reduction the learnt database grows without bound.
+//!
+//! # Memory layout
+//!
+//! - **Clause arena.** Every clause's literals sit back to back in one
+//!   flat `Vec<SatLit>`; a clause slot holds only a start/length header
+//!   plus its learnt-clause bookkeeping. Deleting a clause zeroes its
+//!   length and leaves its literals behind as garbage, and the arena is
+//!   rewritten without them once half of it is garbage. Slot indices never
+//!   move, so reasons and watches name clauses by slot throughout.
+//! - **Watches.** Each watch-list entry carries the clause slot and, for a
+//!   binary clause, the clause's other literal: visiting a binary clause
+//!   whose other literal is already true reads no clause memory at all.
+//! - **Values.** Truth values are indexed by literal, so a lookup is one
+//!   load with no sign arithmetic; assigning a variable writes both of its
+//!   literals.
+//!
+//! # Byte-identity contract
+//!
+//! At portfolio width 1 the search is a deterministic function of the
+//! clauses and assumptions, and everything downstream (DIP sequences,
+//! recovered keys, fraig outputs, benchmark fingerprints) depends on it, so
+//! the layout above is an implementation detail that must not change one
+//! decision, propagation, learnt clause, restart or reduction. Watch lists
+//! keep their visit order and are edited exactly as a per-clause layout
+//! would edit them. A visit that finds the clause satisfied writes nothing,
+//! where a textbook two-watched-literal loop would first swap the false
+//! literal into position 1: the order of the two watched literals is
+//! unobservable, because conflict analysis, `clause_is_locked` and
+//! reduction read a clause only after a unit or conflict visit has laid it
+//! out as `[implied, false, ..]`. The `solver_golden` suite of `almost_sat`
+//! pins the trajectories.
 
 use crate::heap::ActivityHeap;
 use almost_telemetry as telemetry;
@@ -113,6 +144,7 @@ pub struct SolverStats {
     pub learnts_deleted: u64,
 }
 
+/// A literal's truth value under the current assignment.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Value {
     True,
@@ -121,6 +153,9 @@ enum Value {
 }
 
 const INVALID_CLAUSE: u32 = u32::MAX;
+
+/// The [`Watch::other`] of a clause longer than two literals.
+const LONG_CLAUSE: SatLit = SatLit(u32::MAX);
 
 /// Sentinel returned by the propagate loop when a portfolio stop flag
 /// interrupted it mid-queue. Distinct from both [`INVALID_CLAUSE`] and
@@ -183,13 +218,24 @@ const RESTART_BASE: u64 = 100;
 /// which costs one AND+branch when telemetry is disabled).
 const PROGRESS_INTERVAL: u64 = 8192;
 
-/// A stored clause: original clauses keep only their literals; learnt
-/// clauses additionally carry an activity (bumped when they participate in
-/// conflict analysis) and their literal-block distance at learn time.
-/// Deleted clauses keep their slot (watch lists and reasons index by slot)
-/// with `lits` emptied; slots are recycled through a free list.
+/// A watch-list entry: the clause slot, plus the clause's other literal
+/// when it is binary, so a visit whose `other` is already true never
+/// reads clause memory. Longer clauses carry [`LONG_CLAUSE`].
+#[derive(Clone, Copy)]
+struct Watch {
+    clause: u32,
+    other: SatLit,
+}
+
+/// A clause slot. The literals live in the solver's arena at
+/// `start .. start + len`; learnt clauses additionally carry an activity
+/// (bumped when they participate in conflict analysis) and their
+/// literal-block distance at learn time. Deleted clauses keep their slot
+/// (watch lists and reasons index by slot) with `len` zeroed; slots are
+/// recycled through a free list.
 struct Clause {
-    lits: Vec<SatLit>,
+    start: u32,
+    len: u32,
     learnt: bool,
     activity: f64,
     lbd: u32,
@@ -198,10 +244,18 @@ struct Clause {
 /// A CDCL SAT solver; see the [module documentation](self).
 pub struct Solver {
     clauses: Vec<Clause>,
+    /// Every clause's literals, back to back.
+    arena: Vec<SatLit>,
+    /// Arena literals of deleted clauses, reclaimed by compaction.
+    garbage: usize,
     /// Recycled slots of deleted clauses.
     free: Vec<u32>,
-    watches: Vec<Vec<u32>>,
-    assign: Vec<Value>,
+    /// `watches[l]` lists the clauses to visit when literal `l` becomes
+    /// false.
+    watches: Vec<Vec<Watch>>,
+    /// Literal-indexed truth values: assigning or unassigning a variable
+    /// writes both of its literals.
+    vals: Vec<Value>,
     phase: Vec<bool>,
     level: Vec<u32>,
     reason: Vec<u32>,
@@ -214,6 +268,13 @@ pub struct Solver {
     order: ActivityHeap,
     cla_inc: f64,
     seen: Vec<bool>,
+    /// Conflict-analysis scratch: the clause being learnt, reused across
+    /// conflicts.
+    learnt: Vec<SatLit>,
+    /// `level_stamp[l] == lbd_stamp` marks decision level `l` as already
+    /// counted by the current LBD computation.
+    level_stamp: Vec<u64>,
+    lbd_stamp: u64,
     /// Set when an empty clause (or a root-level conflict) makes the formula
     /// trivially unsatisfiable.
     unsat: bool,
@@ -250,9 +311,11 @@ impl Solver {
     pub fn new() -> Self {
         Solver {
             clauses: Vec::new(),
+            arena: Vec::new(),
+            garbage: 0,
             free: Vec::new(),
             watches: Vec::new(),
-            assign: Vec::new(),
+            vals: Vec::new(),
             phase: Vec::new(),
             level: Vec::new(),
             reason: Vec::new(),
@@ -264,6 +327,9 @@ impl Solver {
             order: ActivityHeap::new(),
             cla_inc: 1.0,
             seen: Vec::new(),
+            learnt: Vec::new(),
+            level_stamp: Vec::new(),
+            lbd_stamp: 0,
             unsat: false,
             db_reduction: true,
             reduce_threshold: DEFAULT_REDUCE_THRESHOLD,
@@ -282,8 +348,9 @@ impl Solver {
 
     /// Allocates a fresh variable.
     pub fn new_var(&mut self) -> SatVar {
-        let v = self.assign.len() as SatVar;
-        self.assign.push(Value::Unassigned);
+        let v = self.level.len() as SatVar;
+        self.vals.push(Value::Unassigned);
+        self.vals.push(Value::Unassigned);
         self.phase.push(self.default_phase);
         self.level.push(0);
         self.reason.push(INVALID_CLAUSE);
@@ -330,7 +397,7 @@ impl Solver {
     pub fn set_default_phase(&mut self, phase: bool) {
         self.default_phase = phase;
         for (v, ph) in self.phase.iter_mut().enumerate() {
-            if self.assign[v] == Value::Unassigned {
+            if self.vals[SatLit::positive(v as SatVar).index()] == Value::Unassigned {
                 *ph = phase;
             }
         }
@@ -338,7 +405,7 @@ impl Solver {
 
     /// Number of allocated variables.
     pub fn num_vars(&self) -> usize {
-        self.assign.len()
+        self.level.len()
     }
 
     /// Number of live clauses (original + learnt).
@@ -402,28 +469,20 @@ impl Solver {
     /// Exposed for the property tests; not part of the stable API.
     #[doc(hidden)]
     pub fn decision_heap_consistent(&self) -> bool {
-        (0..self.assign.len())
-            .all(|v| self.assign[v] != Value::Unassigned || self.order.contains(v as SatVar))
+        (0..self.num_vars() as SatVar).all(|v| {
+            self.lit_value(SatLit::positive(v)) != Value::Unassigned || self.order.contains(v)
+        })
     }
 
+    #[inline]
     fn lit_value(&self, lit: SatLit) -> Value {
-        match self.assign[lit.var() as usize] {
-            Value::Unassigned => Value::Unassigned,
-            Value::True => {
-                if lit.is_negative() {
-                    Value::False
-                } else {
-                    Value::True
-                }
-            }
-            Value::False => {
-                if lit.is_negative() {
-                    Value::True
-                } else {
-                    Value::False
-                }
-            }
-        }
+        self.vals[lit.index()]
+    }
+
+    /// The literals of the clause in slot `ci`.
+    fn clause_lits(&self, ci: u32) -> &[SatLit] {
+        let c = &self.clauses[ci as usize];
+        &self.arena[c.start as usize..(c.start + c.len) as usize]
     }
 
     /// Adds a clause. If a model from a previous `solve` call is still
@@ -435,7 +494,7 @@ impl Solver {
     pub fn add_clause(&mut self, lits: &[SatLit]) {
         self.cancel_until(0);
         for l in lits {
-            assert!((l.var() as usize) < self.assign.len(), "unknown variable");
+            assert!((l.var() as usize) < self.num_vars(), "unknown variable");
         }
         // Simplify: drop duplicate literals; detect tautologies.
         let mut simplified: Vec<SatLit> = Vec::with_capacity(lits.len());
@@ -463,22 +522,25 @@ impl Solver {
                 }
             }
             _ => {
-                self.alloc_clause(simplified, false, 0);
+                self.alloc_clause(&simplified, false, 0);
             }
         }
     }
 
-    /// Stores a clause (recycling a deleted slot when one exists) and
-    /// attaches its first two literals to the watch lists.
-    fn alloc_clause(&mut self, lits: Vec<SatLit>, learnt: bool, lbd: u32) -> u32 {
+    /// Stores a clause (recycling a deleted slot when one exists, appending
+    /// its literals to the arena) and attaches its first two literals to
+    /// the watch lists.
+    fn alloc_clause(&mut self, lits: &[SatLit], learnt: bool, lbd: u32) -> u32 {
         debug_assert!(lits.len() >= 2, "stored clauses have at least 2 literals");
         let (w0, w1) = (lits[0], lits[1]);
         let clause = Clause {
-            lits,
+            start: u32::try_from(self.arena.len()).expect("clause arena fits u32 offsets"),
+            len: lits.len() as u32,
             learnt,
             activity: if learnt { self.cla_inc } else { 0.0 },
             lbd,
         };
+        self.arena.extend_from_slice(lits);
         let idx = match self.free.pop() {
             Some(i) => {
                 self.clauses[i as usize] = clause;
@@ -489,31 +551,43 @@ impl Solver {
                 (self.clauses.len() - 1) as u32
             }
         };
-        self.watches[w0.index()].push(idx);
-        self.watches[w1.index()].push(idx);
+        let (o0, o1) = if lits.len() == 2 {
+            (w1, w0)
+        } else {
+            (LONG_CLAUSE, LONG_CLAUSE)
+        };
+        self.watches[w0.index()].push(Watch {
+            clause: idx,
+            other: o0,
+        });
+        self.watches[w1.index()].push(Watch {
+            clause: idx,
+            other: o1,
+        });
         if learnt {
             self.num_learnts += 1;
         }
         idx
     }
 
-    /// Removes a clause from the database: detaches its watches, empties
-    /// its literal list, and recycles the slot.
+    /// Removes a clause from the database: detaches its watches, marks its
+    /// arena literals as garbage, and recycles the slot.
     fn detach_clause(&mut self, ci: u32) {
         let (w0, w1) = {
-            let c = &self.clauses[ci as usize];
-            (c.lits[0], c.lits[1])
+            let lits = self.clause_lits(ci);
+            (lits[0], lits[1])
         };
         for w in [w0, w1] {
             let list = &mut self.watches[w.index()];
             let p = list
                 .iter()
-                .position(|&x| x == ci)
+                .position(|x| x.clause == ci)
                 .expect("live clause is watched by its first two literals");
             list.swap_remove(p);
         }
         let c = &mut self.clauses[ci as usize];
-        c.lits = Vec::new();
+        self.garbage += c.len as usize;
+        c.len = 0;
         if c.learnt {
             self.num_learnts -= 1;
             self.num_learnts_deleted += 1;
@@ -521,11 +595,24 @@ impl Solver {
         self.free.push(ci);
     }
 
+    /// Rewrites the arena without the literals of deleted clauses, in slot
+    /// order. Slots keep their indices, so watches and reasons stay valid.
+    fn compact_arena(&mut self) {
+        let mut arena = Vec::with_capacity(self.arena.len() - self.garbage);
+        for c in &mut self.clauses {
+            let start = c.start as usize;
+            c.start = arena.len() as u32;
+            arena.extend_from_slice(&self.arena[start..start + c.len as usize]);
+        }
+        self.arena = arena;
+        self.garbage = 0;
+    }
+
     /// True when `ci` is the reason of its asserting literal's current
     /// assignment (such clauses must survive reduction).
     fn clause_is_locked(&self, ci: u32) -> bool {
-        let v = self.clauses[ci as usize].lits[0].var() as usize;
-        self.reason[v] == ci && self.assign[v] != Value::Unassigned
+        let asserted = self.clause_lits(ci)[0];
+        self.reason[asserted.var() as usize] == ci && self.lit_value(asserted) != Value::Unassigned
     }
 
     /// Deletes the cold half of the deletable learnt clauses: glue clauses
@@ -536,11 +623,7 @@ impl Solver {
         let mut cands: Vec<u32> = (0..self.clauses.len() as u32)
             .filter(|&ci| {
                 let c = &self.clauses[ci as usize];
-                !c.lits.is_empty()
-                    && c.learnt
-                    && c.lits.len() > 2
-                    && c.lbd > GLUE_LBD
-                    && !self.clause_is_locked(ci)
+                c.learnt && c.len > 2 && c.lbd > GLUE_LBD && !self.clause_is_locked(ci)
             })
             .collect();
         cands.sort_by(|&a, &b| {
@@ -555,6 +638,9 @@ impl Solver {
         for ci in cands {
             self.detach_clause(ci);
         }
+        if 2 * self.garbage >= self.arena.len() {
+            self.compact_arena();
+        }
     }
 
     /// Enqueues an assignment; returns false on conflict with the current
@@ -564,19 +650,22 @@ impl Solver {
             Value::True => true,
             Value::False => false,
             Value::Unassigned => {
-                let v = lit.var() as usize;
-                self.assign[v] = if lit.is_negative() {
-                    Value::False
-                } else {
-                    Value::True
-                };
-                self.phase[v] = !lit.is_negative();
-                self.level[v] = self.trail_lim.len() as u32;
-                self.reason[v] = reason;
-                self.trail.push(lit);
+                self.assign(lit, reason);
                 true
             }
         }
+    }
+
+    /// Makes the unassigned `lit` true at the current decision level.
+    #[inline]
+    fn assign(&mut self, lit: SatLit, reason: u32) {
+        self.vals[lit.index()] = Value::True;
+        self.vals[(!lit).index()] = Value::False;
+        let v = lit.var() as usize;
+        self.phase[v] = !lit.is_negative();
+        self.level[v] = self.trail_lim.len() as u32;
+        self.reason[v] = reason;
+        self.trail.push(lit);
     }
 
     /// Unit propagation; returns the index of a conflicting clause or
@@ -598,63 +687,64 @@ impl Solver {
                     return CANCELLED;
                 }
             }
-            let lit = self.trail[self.qhead];
+            let false_lit = !self.trail[self.qhead];
             self.qhead += 1;
             self.num_propagations += 1;
-            let false_lit = !lit;
             // Take the watch list; rebuild it as we go.
             let mut watch_list = std::mem::take(&mut self.watches[false_lit.index()]);
             let mut i = 0;
             while i < watch_list.len() {
-                let ci = watch_list[i];
-                enum Action {
-                    Keep,
-                    Move(SatLit),
-                    Unit(SatLit),
-                }
-                let action = {
-                    let clause = &mut self.clauses[ci as usize].lits;
-                    // Ensure the false literal is at position 1.
-                    if clause[0] == false_lit {
-                        clause.swap(0, 1);
+                let Watch { clause: ci, other } = watch_list[i];
+                let unit = if other != LONG_CLAUSE {
+                    // A binary clause: `other` is all of the rest of it.
+                    if self.lit_value(other) == Value::True {
+                        i += 1;
+                        continue;
                     }
-                    debug_assert_eq!(clause[1], false_lit);
-                    let first = clause[0];
-                    if value_in(&self.assign, first) == Value::True {
-                        Action::Keep // clause already satisfied
-                    } else {
-                        // Look for a new literal to watch.
-                        let mut found = None;
-                        for k in 2..clause.len() {
-                            if value_in(&self.assign, clause[k]) != Value::False {
-                                clause.swap(1, k);
-                                found = Some(clause[1]);
-                                break;
-                            }
+                    other
+                } else {
+                    let c = &self.clauses[ci as usize];
+                    let lits = &mut self.arena[c.start as usize..(c.start + c.len) as usize];
+                    // The other watched literal sits in the first two
+                    // positions, beside the false one.
+                    let at = (lits[0] == false_lit) as usize;
+                    debug_assert_eq!(lits[1 - at], false_lit);
+                    let first = lits[at];
+                    if self.vals[first.index()] == Value::True {
+                        i += 1; // clause already satisfied
+                        continue;
+                    }
+                    // Look for a new literal to watch.
+                    match (2..lits.len()).find(|&k| self.vals[lits[k].index()] != Value::False) {
+                        Some(k) => {
+                            let new_watch = lits[k];
+                            lits[1 - at] = new_watch;
+                            lits[k] = false_lit;
+                            self.watches[new_watch.index()].push(Watch {
+                                clause: ci,
+                                other: LONG_CLAUSE,
+                            });
+                            watch_list.swap_remove(i);
+                            continue;
                         }
-                        match found {
-                            Some(l) => Action::Move(l),
-                            None => Action::Unit(first),
-                        }
+                        None => first,
                     }
                 };
-                match action {
-                    Action::Keep => i += 1,
-                    Action::Move(new_watch) => {
-                        self.watches[new_watch.index()].push(ci);
-                        watch_list.swap_remove(i);
-                    }
-                    Action::Unit(first) => {
-                        // Clause is unit or conflicting.
-                        if !self.enqueue(first, ci) {
-                            // Conflict: restore remaining watches and report.
-                            self.watches[false_lit.index()].extend_from_slice(&watch_list);
-                            self.qhead = self.trail.len();
-                            return ci;
-                        }
-                        i += 1;
-                    }
+                // Unit or conflicting: lay the clause out as
+                // `[unit, false_lit, ..]`, the order conflict analysis and
+                // `clause_is_locked` read it in.
+                let start = self.clauses[ci as usize].start as usize;
+                if self.arena[start] == false_lit {
+                    self.arena.swap(start, start + 1);
                 }
+                if self.lit_value(unit) == Value::False {
+                    // Conflict: put the watch list back and report.
+                    self.watches[false_lit.index()] = watch_list;
+                    self.qhead = self.trail.len();
+                    return ci;
+                }
+                self.assign(unit, ci);
+                i += 1;
             }
             self.watches[false_lit.index()] = watch_list;
         }
@@ -691,18 +781,33 @@ impl Solver {
         }
     }
 
-    /// Literal-block distance: number of distinct decision levels among the
-    /// clause's literals (computed at learn time, before backjumping).
-    fn clause_lbd(&self, lits: &[SatLit]) -> u32 {
-        let mut levels: Vec<u32> = lits.iter().map(|l| self.level[l.var() as usize]).collect();
-        levels.sort_unstable();
-        levels.dedup();
-        levels.len() as u32
+    /// Literal-block distance of the learnt clause: the number of distinct
+    /// decision levels among its literals (computed at learn time, before
+    /// backjumping), counted by stamping each level once.
+    fn learnt_lbd(&mut self) -> u32 {
+        let levels = self.trail_lim.len() + 1;
+        if self.level_stamp.len() < levels {
+            self.level_stamp.resize(levels, 0);
+        }
+        self.lbd_stamp += 1;
+        let mut lbd = 0;
+        for l in &self.learnt {
+            let stamp = &mut self.level_stamp[self.level[l.var() as usize] as usize];
+            if *stamp != self.lbd_stamp {
+                *stamp = self.lbd_stamp;
+                lbd += 1;
+            }
+        }
+        lbd
     }
 
-    /// First-UIP conflict analysis. Returns (learnt clause, backjump level).
-    fn analyze(&mut self, conflict: u32) -> (Vec<SatLit>, u32) {
-        let mut learnt: Vec<SatLit> = vec![SatLit::positive(0)]; // placeholder slot 0
+    /// First-UIP conflict analysis: leaves the learnt clause in
+    /// `self.learnt` (asserting literal first) and returns the backjump
+    /// level.
+    fn analyze(&mut self, conflict: u32) -> u32 {
+        let mut learnt = std::mem::take(&mut self.learnt);
+        learnt.clear();
+        learnt.push(SatLit::positive(0)); // placeholder slot 0
         let mut counter = 0usize;
         let mut lit: Option<SatLit> = None;
         let mut clause_idx = conflict;
@@ -712,10 +817,13 @@ impl Solver {
         loop {
             // Clauses that drive conflicts are the ones worth keeping.
             self.bump_clause(clause_idx);
-            let start = if lit.is_none() { 0 } else { 1 };
-            let clause_len = self.clauses[clause_idx as usize].lits.len();
-            for k in start..clause_len {
-                let q = self.clauses[clause_idx as usize].lits[k];
+            let skip = if lit.is_none() { 0 } else { 1 };
+            let (start, len) = {
+                let c = &self.clauses[clause_idx as usize];
+                (c.start as usize, c.len as usize)
+            };
+            for k in start + skip..start + len {
+                let q = self.arena[k];
                 let v = q.var() as usize;
                 if !self.seen[v] && self.level[v] > 0 {
                     self.seen[v] = true;
@@ -768,18 +876,22 @@ impl Solver {
                 + 1;
             learnt.swap(1, pos);
         }
-        (learnt, backjump)
+        self.learnt = learnt;
+        backjump
     }
 
+    /// Backtracks to `target_level`, re-queueing every unassigned variable
+    /// for decision. Levels and reasons of unassigned variables are left
+    /// stale: nothing reads them before the variable is assigned again.
     fn cancel_until(&mut self, target_level: u32) {
-        while self.trail_lim.len() as u32 > target_level {
-            let lim = self.trail_lim.pop().expect("non-root level");
+        if self.trail_lim.len() as u32 > target_level {
+            let lim = self.trail_lim[target_level as usize];
+            self.trail_lim.truncate(target_level as usize);
             while self.trail.len() > lim {
                 let lit = self.trail.pop().expect("trail non-empty");
-                let v = lit.var() as usize;
-                self.assign[v] = Value::Unassigned;
-                self.reason[v] = INVALID_CLAUSE;
-                self.order.insert(v as SatVar, &self.activity);
+                self.vals[lit.index()] = Value::Unassigned;
+                self.vals[(!lit).index()] = Value::Unassigned;
+                self.order.insert(lit.var(), &self.activity);
             }
         }
         // Clamp rather than jump: after a cancelled propagation `qhead`
@@ -795,8 +907,8 @@ impl Solver {
     /// re-inserts every unassigned variable), and ties on activity resolve
     /// to the lowest index, so the pick is deterministic.
     fn decide(&mut self) -> Option<SatLit> {
-        while let Some(v) = self.order.pop(&self.activity) {
-            if self.assign[v as usize] == Value::Unassigned {
+        while let Some(v) = self.order.pop() {
+            if self.lit_value(SatLit::positive(v)) == Value::Unassigned {
                 return Some(SatLit::new(v, !self.phase[v as usize]));
             }
         }
@@ -900,7 +1012,7 @@ impl Solver {
                 // reduction never drops it (matching its status in the
                 // exporting instance).
                 _ => {
-                    self.alloc_clause(simplified, true, GLUE_LBD);
+                    self.alloc_clause(&simplified, true, GLUE_LBD);
                 }
             }
         }
@@ -971,17 +1083,17 @@ impl Solver {
                 // the learnt clauses force a root conflict. To keep it
                 // simple and terminating, treat a conflict at or below the
                 // number of assumption levels as UNSAT-under-assumptions.
-                let (learnt, backjump) = self.analyze(conflict);
+                let backjump = self.analyze(conflict);
                 if (self.trail_lim.len() as u32) <= num_assumed_levels(assumptions, self) {
                     return Ok(SatResult::Unsat);
                 }
                 // Decay activities.
                 self.var_inc /= 0.95;
                 self.cla_inc /= 0.999;
-                let asserting = learnt[0];
-                if learnt.len() == 1 {
+                let asserting = self.learnt[0];
+                if self.learnt.len() == 1 {
                     if let Some(ex) = exchange.as_deref_mut() {
-                        ex.export(&learnt, 1);
+                        ex.export(&self.learnt, 1);
                     }
                     // A unit learnt must live at the root: enqueueing it at
                     // an assumption level would leave a reason-less literal
@@ -1006,15 +1118,17 @@ impl Solver {
                     }
                 } else {
                     // LBD is measured before backjumping unassigns levels.
-                    let lbd = self.clause_lbd(&learnt);
-                    if learnt.len() <= 2 || lbd <= GLUE_LBD {
+                    let lbd = self.learnt_lbd();
+                    if self.learnt.len() <= 2 || lbd <= GLUE_LBD {
                         if let Some(ex) = exchange.as_deref_mut() {
-                            ex.export(&learnt, lbd);
+                            ex.export(&self.learnt, lbd);
                         }
                     }
                     let backjump = backjump.max(num_assumed_levels(assumptions, self));
                     self.cancel_until(backjump);
-                    let idx = self.alloc_clause(learnt, true, lbd);
+                    let learnt = std::mem::take(&mut self.learnt);
+                    let idx = self.alloc_clause(&learnt, true, lbd);
+                    self.learnt = learnt;
                     let ok = self.enqueue(asserting, idx);
                     debug_assert!(ok, "asserting literal must be enqueueable");
                 }
@@ -1092,7 +1206,7 @@ impl Solver {
     /// The model value of `var` after a [`SatResult::Sat`] answer; `None` if
     /// the variable is unassigned (didn't matter).
     pub fn value(&self, var: SatVar) -> Option<bool> {
-        match self.assign[var as usize] {
+        match self.lit_value(SatLit::positive(var)) {
             Value::True => Some(true),
             Value::False => Some(false),
             Value::Unassigned => None,
@@ -1134,28 +1248,6 @@ fn luby(i: u64) -> u64 {
         i %= size;
     }
     1u64 << seq
-}
-
-/// Literal value lookup over the assignment array (a free function so it can
-/// be used while other solver fields are mutably borrowed).
-fn value_in(assign: &[Value], lit: SatLit) -> Value {
-    match assign[lit.var() as usize] {
-        Value::Unassigned => Value::Unassigned,
-        Value::True => {
-            if lit.is_negative() {
-                Value::False
-            } else {
-                Value::True
-            }
-        }
-        Value::False => {
-            if lit.is_negative() {
-                Value::True
-            } else {
-                Value::False
-            }
-        }
-    }
 }
 
 fn num_assumed_levels(assumptions: &[SatLit], solver: &Solver) -> u32 {

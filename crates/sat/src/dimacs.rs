@@ -87,11 +87,13 @@ pub fn write_dimacs(cnf: &Cnf) -> String {
 ///
 /// # Errors
 ///
-/// Returns [`ParseDimacsError`] for a missing/malformed problem line or
-/// non-integer tokens.
+/// Returns [`ParseDimacsError`] for a missing/malformed problem line,
+/// a clause before the problem line, non-integer tokens, and literals
+/// whose variable exceeds the declared count (`i32::MIN` included, which
+/// has no positive counterpart).
 pub fn parse_dimacs(text: &str) -> Result<Cnf, ParseDimacsError> {
     let mut cnf = Cnf::new();
-    let mut declared: Option<(usize, usize)> = None;
+    let mut declared: Option<usize> = None;
     let mut current: Vec<i32> = Vec::new();
     for line in text.lines() {
         let line = line.trim();
@@ -106,16 +108,24 @@ pub fn parse_dimacs(text: &str) -> Result<Cnf, ParseDimacsError> {
             let nv = fields[1]
                 .parse()
                 .map_err(|_| ParseDimacsError("bad var count".into()))?;
-            let nc = fields[2]
-                .parse()
+            fields[2]
+                .parse::<usize>()
                 .map_err(|_| ParseDimacsError("bad clause count".into()))?;
-            declared = Some((nv, nc));
+            declared = Some(nv);
             continue;
         }
+        let Some(num_vars) = declared else {
+            return Err(ParseDimacsError("clause before the problem line".into()));
+        };
         for tok in line.split_whitespace() {
             let v: i32 = tok
                 .parse()
                 .map_err(|_| ParseDimacsError(format!("bad literal `{tok}`")))?;
+            if v == i32::MIN || v.unsigned_abs() as usize > num_vars {
+                return Err(ParseDimacsError(format!(
+                    "literal `{tok}` exceeds the declared {num_vars} variables"
+                )));
+            }
             if v == 0 {
                 cnf.add_clause(&current.clone());
                 current.clear();
@@ -170,5 +180,19 @@ mod tests {
         assert!(parse_dimacs("p cnf x 2\n").is_err());
         assert!(parse_dimacs("1 2 0\n").is_err(), "missing problem line");
         assert!(parse_dimacs("p cnf 2 1\n1 q 0\n").is_err());
+        assert!(
+            parse_dimacs("p cnf 1 1\n2000000000 0\n").is_err(),
+            "literal beyond the declared variable count"
+        );
+        assert!(parse_dimacs("p cnf 2 1\n1 -3 0\n").is_err());
+        assert!(
+            parse_dimacs("p cnf 2147483647 1\n-2147483648 0\n").is_err(),
+            "i32::MIN has no variable"
+        );
+        assert!(
+            parse_dimacs("1 2 0\np cnf 2 1\n").is_err(),
+            "clause before the problem line"
+        );
+        assert!(parse_dimacs("p cnf 2 1\n-2 2 0\n").is_ok());
     }
 }

@@ -6,8 +6,16 @@
 //! corpus spanning SAT and UNSAT instances. Small instances are
 //! additionally cross-checked against brute-force enumeration, and hard
 //! structured instances (pigeonhole) confirm reductions actually fire.
+//!
+//! Clause literals live in one flat arena that is compacted once half of
+//! it belongs to deleted clauses, so a property test drives incremental
+//! sessions with an 8-learnt reduction threshold over randomised
+//! pigeonhole formulas (few original literals, many conflicts), where
+//! reduction and compaction fire over and over between clause additions
+//! and solves under assumptions.
 
 use almost_sat::solver::{SatLit, SatResult, SatVar, Solver};
+use proptest::prelude::*;
 
 /// Deterministic xorshift stream.
 fn stream(mut state: u64) -> impl FnMut() -> u64 {
@@ -164,4 +172,111 @@ fn aggressive_reduction_fires_and_preserves_pigeonhole_unsat() {
     );
     // Incremental re-use still works after heavy reduction.
     assert_eq!(s.solve(&[]), SatResult::Unsat);
+}
+
+/// Brute-force satisfiability of `clauses` under `assumptions` over
+/// `nvars` ≤ 64 variables: enumerates assignments in variable order and
+/// skips every extension of a prefix that already falsifies a clause
+/// (each clause is checked, as a pair of sign bitmasks, once its highest
+/// variable is set).
+fn brute_force_sat(clauses: &[Vec<SatLit>], assumptions: &[SatLit], nvars: usize) -> bool {
+    let mut by_last: Vec<Vec<(u64, u64)>> = vec![Vec::new(); nvars];
+    let units = assumptions.iter().map(std::slice::from_ref);
+    for cl in clauses.iter().map(Vec::as_slice).chain(units) {
+        let (pos, neg) = cl.iter().fold((0u64, 0u64), |(pos, neg), l| {
+            let bit = 1u64 << l.var();
+            if l.is_negative() {
+                (pos, neg | bit)
+            } else {
+                (pos | bit, neg)
+            }
+        });
+        by_last[63 - (pos | neg).leading_zeros() as usize].push((pos, neg));
+    }
+    fn extend(v: usize, model: u64, by_last: &[Vec<(u64, u64)>]) -> bool {
+        v == by_last.len()
+            || [0, 1].iter().any(|&bit| {
+                let m = model | bit << v;
+                by_last[v].iter().all(|&(pos, neg)| m & pos | !m & neg != 0)
+                    && extend(v + 1, m, by_last)
+            })
+    }
+    extend(0, 0, &by_last)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// One solver through an incremental session on a randomised
+    /// pigeonhole formula: `holes + 1` pigeons, where pigeon `p` must sit
+    /// in some hole only while its switch variable is on, at most one
+    /// pigeon per hole, plus random 3-clauses and the odd unit. The
+    /// clauses arrive in shuffled batches, each followed by solves under
+    /// assumptions that turn on a random subset of the switches (all on
+    /// is a pigeonhole refutation) and fix a few other literals. Every
+    /// verdict matches brute force, every model satisfies every clause and
+    /// assumption, and the decision heap holds every unassigned variable
+    /// after each call.
+    #[test]
+    fn arena_compaction_preserves_incremental_verdicts(
+        seed in 0u64..1_000_000,
+        holes in 5usize..7,
+    ) {
+        let mut next = stream(seed ^ 0xA4E7A);
+        let pigeons = holes + 1;
+        let nvars = pigeons * (holes + 1);
+        let mut s = Solver::new();
+        s.set_reduce_threshold(8);
+        let vars: Vec<SatVar> = (0..nvars).map(|_| s.new_var()).collect();
+        // Switches first, so brute force checks each row clause as soon
+        // as its last hole is set.
+        let switch = |p: usize| SatLit::positive(vars[p]);
+        let at = |p: usize, h: usize| SatLit::positive(vars[pigeons + p * holes + h]);
+        let random_lit = |r: u64| SatLit::new(vars[(r >> 1) as usize % nvars], r & 1 == 0);
+        let mut pending: Vec<Vec<SatLit>> = Vec::new();
+        for p in 0..pigeons {
+            pending.push(std::iter::once(!switch(p)).chain((0..holes).map(|h| at(p, h))).collect());
+        }
+        for h in 0..holes {
+            for p in 0..pigeons {
+                for q in p + 1..pigeons {
+                    pending.push(vec![!at(p, h), !at(q, h)]);
+                }
+            }
+        }
+        for _ in 0..nvars / 4 {
+            let width = if next().is_multiple_of(8) { 1 } else { 3 };
+            pending.push((0..width).map(|_| random_lit(next())).collect());
+        }
+        for i in (1..pending.len()).rev() {
+            pending.swap(i, (next() % (i as u64 + 1)) as usize);
+        }
+
+        let mut clauses: Vec<Vec<SatLit>> = Vec::new();
+        let batch = pending.len().div_ceil(4);
+        for chunk in pending.chunks(batch) {
+            for cl in chunk {
+                s.add_clause(cl);
+                prop_assert!(s.decision_heap_consistent());
+                clauses.push(cl.clone());
+            }
+            for _ in 0..6 {
+                let mut assumptions: Vec<SatLit> =
+                    (0..pigeons).filter(|_| !next().is_multiple_of(8)).map(switch).collect();
+                assumptions.extend((0..next() % 3).map(|_| random_lit(next())));
+                let verdict = s.solve(&assumptions);
+                prop_assert!(s.decision_heap_consistent());
+                let expected = if brute_force_sat(&clauses, &assumptions, nvars) {
+                    SatResult::Sat
+                } else {
+                    SatResult::Unsat
+                };
+                prop_assert_eq!(verdict, expected);
+                if verdict == SatResult::Sat {
+                    prop_assert!(model_satisfies(&s, &clauses));
+                    prop_assert!(assumptions.iter().all(|&a| s.lit_bool(a) == Some(true)));
+                }
+            }
+        }
+    }
 }

@@ -7,7 +7,8 @@
 //!
 //! 1. pops always return the globally best variable under that order;
 //! 2. the pop order survives a `var_inc`-style uniform rescale (after the
-//!    rebuild the solver performs);
+//!    rebuild the solver performs), and the keys the heap stores inline
+//!    follow the activities through bumps, pops and re-insertions;
 //! 3. the solver's backtracking re-inserts exactly the unassigned
 //!    variables, so `decide()` can never miss one.
 
@@ -38,8 +39,8 @@ fn reference_order(act: &[f64], vars: &[SatVar]) -> Vec<SatVar> {
     sorted
 }
 
-fn drain(heap: &mut ActivityHeap, act: &[f64]) -> Vec<SatVar> {
-    std::iter::from_fn(|| heap.pop(act)).collect()
+fn drain(heap: &mut ActivityHeap) -> Vec<SatVar> {
+    std::iter::from_fn(|| heap.pop()).collect()
 }
 
 proptest! {
@@ -61,7 +62,7 @@ proptest! {
         for &v in &vars {
             heap.insert(v, &act);
         }
-        let popped = drain(&mut heap, &act);
+        let popped = drain(&mut heap);
         prop_assert_eq!(popped, reference_order(&act, &vars));
     }
 
@@ -78,7 +79,7 @@ proptest! {
         for &v in &vars {
             before.insert(v, &act);
         }
-        let order_before = drain(&mut before, &act);
+        let order_before = drain(&mut before);
 
         let mut after = ActivityHeap::new();
         for &v in &vars {
@@ -88,8 +89,42 @@ proptest! {
             *a *= 1e-100;
         }
         after.rebuild(&act);
-        let order_after = drain(&mut after, &act);
+        let order_after = drain(&mut after);
         prop_assert_eq!(order_before, order_after);
+    }
+
+    /// Invariant 2b: the heap stores each key inline, so the stored keys
+    /// must follow the activities through bumps of queued variables, bumps
+    /// of popped ones (picked up on re-insertion) and a rescale with its
+    /// rebuild: the final pop order is still the reference sort.
+    #[test]
+    fn pop_order_survives_bumps_and_rebuild(seed in 0u64..1_000_000, nvars in 2usize..48) {
+        let mut next = stream(seed ^ 0xB0B0);
+        let mut act: Vec<f64> = (0..nvars).map(|_| (next() % 8) as f64).collect();
+        let mut heap = ActivityHeap::new();
+        for v in 0..nvars as SatVar {
+            heap.insert(v, &act);
+        }
+        let popped: Vec<SatVar> = (0..next() % nvars as u64).filter_map(|_| heap.pop()).collect();
+        let mut bump = |act: &mut Vec<f64>, heap: &mut ActivityHeap, scale: f64| {
+            for _ in 0..2 * nvars {
+                let v = (next() % nvars as u64) as usize;
+                // VSIDS bumps only ever raise an activity.
+                act[v] += (next() % 4) as f64 * scale;
+                heap.bumped(v as SatVar, act);
+            }
+        };
+        bump(&mut act, &mut heap, 1.0);
+        for a in &mut act {
+            *a *= 1e-100;
+        }
+        heap.rebuild(&act);
+        bump(&mut act, &mut heap, 1e-100);
+        for &v in &popped {
+            heap.insert(v, &act);
+        }
+        let all: Vec<SatVar> = (0..nvars as SatVar).collect();
+        prop_assert_eq!(drain(&mut heap), reference_order(&act, &all));
     }
 
     /// Invariant 3: after any mix of solves (which decide, propagate,
