@@ -87,7 +87,9 @@ pub fn write_aag(aig: &Aig) -> String {
 ///
 /// Returns [`ParseAigerError`] for malformed headers, latches (sequential
 /// circuits are unsupported), forward references, or out-of-range
-/// literals.
+/// literals. Memory follows the lines actually present, not the header's
+/// counts, so a huge `M` or `I` in a short file is an error, not an
+/// allocation.
 pub fn parse_aag(text: &str) -> Result<Aig, ParseAigerError> {
     let mut lines = text.lines();
     let header = lines
@@ -109,17 +111,20 @@ pub fn parse_aag(text: &str) -> Result<Aig, ParseAigerError> {
     if l != 0 {
         return Err(ParseAigerError::new("latches are not supported"));
     }
-    if m < i + a {
+    if m > u64::MAX / 2 {
+        // Literal 2M + 1 must fit.
+        return Err(ParseAigerError::new(format!("header M = {m} out of range")));
+    }
+    if i.checked_add(a).is_none_or(|defined| m < defined) {
         return Err(ParseAigerError::new("header M < I + A"));
     }
 
     let mut aig = Aig::new();
-    // AIGER var -> our Lit.
-    let mut lit_map: Vec<Option<Lit>> = vec![None; (m + 1) as usize];
-    lit_map[0] = Some(Lit::FALSE);
+    // AIGER var -> our Lit, holding only the vars the file defines.
+    let mut lit_map: HashMap<u64, Lit> = HashMap::new();
+    lit_map.insert(0, Lit::FALSE);
 
-    let mut input_vars = Vec::with_capacity(i as usize);
-    for k in 0..i {
+    for _ in 0..i {
         let line = lines
             .next()
             .ok_or_else(|| ParseAigerError::new("missing input line"))?;
@@ -127,17 +132,14 @@ pub fn parse_aag(text: &str) -> Result<Aig, ParseAigerError> {
         if lit % 2 != 0 || lit == 0 {
             return Err(ParseAigerError::new(format!("bad input literal {lit}")));
         }
-        let var = (lit / 2) as usize;
-        if var > m as usize || lit_map[var].is_some() {
+        let var = lit / 2;
+        if var > m || lit_map.contains_key(&var) {
             return Err(ParseAigerError::new(format!("bad input var {var}")));
         }
-        let l = aig.add_input();
-        lit_map[var] = Some(l);
-        input_vars.push(var);
-        let _ = k;
+        lit_map.insert(var, aig.add_input());
     }
 
-    let mut output_lits_raw = Vec::with_capacity(o as usize);
+    let mut output_lits_raw = Vec::new();
     for _ in 0..o {
         let line = lines
             .next()
@@ -160,21 +162,25 @@ pub fn parse_aag(text: &str) -> Result<Aig, ParseAigerError> {
         if out_lit % 2 != 0 {
             return Err(ParseAigerError::new("AND output literal must be even"));
         }
-        let resolve = |lit: u64, map: &[Option<Lit>]| -> Result<Lit, ParseAigerError> {
-            let var = (lit / 2) as usize;
-            let base = map
-                .get(var)
-                .and_then(|x| *x)
+        let resolve = |lit: u64| -> Result<Lit, ParseAigerError> {
+            let var = lit / 2;
+            let base = lit_map
+                .get(&var)
                 .ok_or_else(|| ParseAigerError::new(format!("forward reference to {var}")))?;
             Ok(base.xor_complement(lit % 2 == 1))
         };
-        let fa = resolve(a_lit, &lit_map)?;
-        let fb = resolve(b_lit, &lit_map)?;
-        let var = (out_lit / 2) as usize;
-        if lit_map[var].is_some() {
+        let fa = resolve(a_lit)?;
+        let fb = resolve(b_lit)?;
+        let var = out_lit / 2;
+        if var > m {
+            return Err(ParseAigerError::new(format!(
+                "AND var {var} exceeds M = {m}"
+            )));
+        }
+        if lit_map.contains_key(&var) {
             return Err(ParseAigerError::new(format!("var {var} defined twice")));
         }
-        lit_map[var] = Some(aig.and(fa, fb));
+        lit_map.insert(var, aig.and(fa, fb));
     }
 
     // Symbol table (optional).
@@ -195,10 +201,9 @@ pub fn parse_aag(text: &str) -> Result<Aig, ParseAigerError> {
     }
 
     for (k, &raw) in output_lits_raw.iter().enumerate() {
-        let var = (raw / 2) as usize;
+        let var = raw / 2;
         let base = lit_map
-            .get(var)
-            .and_then(|x| *x)
+            .get(&var)
             .ok_or_else(|| ParseAigerError::new(format!("undefined output var {var}")))?;
         aig.add_named_output(base.xor_complement(raw % 2 == 1), format!("o{k}"));
     }
@@ -254,6 +259,28 @@ mod tests {
         assert!(parse_aag("").is_err());
         assert!(parse_aag("aig 1 1 0 0 0\n").is_err());
         assert!(parse_aag("aag x 1 0 0 0\n").is_err());
+    }
+
+    #[test]
+    fn garbage_never_panics() {
+        for text in [
+            // AND var above M.
+            "aag 1 0 0 0 1\n4 0 0\n",
+            // M + 1 overflows; any huge M must not size an allocation.
+            "aag 18446744073709551615 0 0 0 0\n",
+            "aag 18446744073709551615 1 0 1 0\n2\n",
+            // I + A overflows.
+            "aag 2 1 0 0 18446744073709551615\n",
+            // Huge counts over a short body.
+            "aag 9223372036854775807 9223372036854775806 0 0 1\n2\n",
+            "aag 0 0 0 18446744073709551615 0\n",
+            // Constant var redefined, self reference, undefined output.
+            "aag 1 0 0 0 1\n0 0 0\n",
+            "aag 1 0 0 0 1\n2 2 2\n",
+            "aag 1 0 0 1 0\n2\n",
+        ] {
+            assert!(parse_aag(text).is_err(), "accepted {text:?}");
+        }
     }
 
     #[test]

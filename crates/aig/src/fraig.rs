@@ -26,7 +26,13 @@
 //!    incremental [`Solver`] that sweeps the whole netlist: the two cones
 //!    are Tseitin-encoded lazily (shared across all queries), a fresh
 //!    difference literal `d ⇒ (x ⊕ y)` is added, and the query is solved
-//!    under the assumption `[d]`. UNSAT proves equivalence — the node is
+//!    under the assumption `[d]`. The solver's variables are created as
+//!    non-decision variables; each query turns on the variables of its own
+//!    two cones for the length of the solve, so the search never branches
+//!    on the cones of earlier queries (ABC's fraig does the same). A SAT
+//!    answer assigns every cone variable, so the counterexample is exact
+//!    on the cones' inputs; inputs outside both cones read `false`.
+//!    UNSAT proves equivalence — the node is
 //!    *merged*: its consumers are rebuilt on the representative (through
 //!    strash, so downstream structure re-converges), and the equality is
 //!    asserted as two binary clauses that accelerate later queries. SAT
@@ -53,7 +59,18 @@
 //! deterministic (topological insertion) order, and an UNSAT verdict does
 //! not depend on which solver found it. Only effort *stats* (conflicts,
 //! escalations) vary with `ALMOST_SOLVERS`.
+//!
+//! The same argument makes the merged network independent of how the
+//! sweep solver searches, and so of which variables it may decide on:
+//! a search change can move counterexamples (and with them signatures and
+//! the order in which lookalike classes split), but an equivalent pair is
+//! never split, and class members are pairwise inequivalent, so a node
+//! has at most one equivalent representative to merge into. Only a
+//! budget skip whose outcome changes can change the result; the release
+//! rows of the `synthesis_golden` suite pin deploy-scale sweeps of both
+//! configurations.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -64,6 +81,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use crate::aig::{Aig, Lit, NodeKind, Var};
+use crate::hash::FastBuild;
 use crate::sim::Ternary;
 
 /// Tuning knobs for a fraig sweep.
@@ -146,6 +164,10 @@ pub struct FraigStats {
     pub ands_before: u64,
     /// AND count of the swept netlist.
     pub ands_after: u64,
+    /// Decisions of the incremental sweep solver (escalations excluded).
+    pub decisions: u64,
+    /// Conflicts of the incremental sweep solver (escalations excluded).
+    pub conflicts: u64,
     /// Wall-clock time of the sweep, in microseconds.
     pub wall_us: u64,
 }
@@ -166,6 +188,9 @@ pub fn fraig_with(aig: &Aig, config: &FraigConfig) -> (Aig, FraigStats) {
     stats.classes = sweeper.members.len() as u64 - 1;
     stats.ands_before = aig.num_ands() as u64;
     stats.ands_after = result.num_ands() as u64;
+    let solver = sweeper.solver.stats();
+    stats.decisions = solver.decisions;
+    stats.conflicts = solver.conflicts;
     stats.wall_us = start.elapsed().as_micros() as u64;
     telemetry::trace(|| telemetry::EventKind::FraigPass {
         classes: stats.classes,
@@ -218,17 +243,32 @@ struct Sweeper<'a> {
     repr: Vec<Lit>,
     /// Lazily assigned SAT literal per `out` var (sweep solver).
     sat_of: Vec<Option<SatLit>>,
+    /// The incremental sweep solver; its variables are decision variables
+    /// only while a query's cones include them.
     solver: Solver,
     /// SAT vars of the `out` inputs, in input order (for cex extraction).
     input_sat: Vec<SatVar>,
-    /// Complement-canonical signature hash → class members, in insertion
+    /// `cone_stamp[v] == stamp` marks `out` var `v` as already in the
+    /// current query's cones.
+    cone_stamp: Vec<u32>,
+    stamp: u32,
+    /// The current query's cone vars, and the walk's stack (reused).
+    cone: Vec<Var>,
+    cone_stack: Vec<Var>,
+    /// Complement-canonical signature hash → the first and last member of
+    /// its class. Members chain through `next_member` in insertion
     /// (topological) order. Seeded with the constant node.
-    classes: HashMap<u64, Vec<Var>>,
+    classes: HashMap<u64, (Var, Var), FastBuild>,
+    /// The next member of a representative's class, or [`NO_MEMBER`].
+    next_member: Vec<Var>,
     /// All class representatives in insertion order, for deterministic
     /// class-table rebuilds after a signature extension.
     members: Vec<Var>,
     stats: FraigStats,
 }
+
+/// End of a class's member chain.
+const NO_MEMBER: Var = Var::MAX;
 
 impl<'a> Sweeper<'a> {
     fn new(src: &'a Aig, config: &'a FraigConfig) -> Self {
@@ -239,7 +279,7 @@ impl<'a> Sweeper<'a> {
 
         // Node 0: constant false, in both worlds. Its SAT literal is a
         // variable pinned false by a unit clause.
-        let f = solver.new_var();
+        let f = sweep_var(&mut solver);
         solver.add_clause(&[SatLit::negative(f)]);
         let mut sigs = vec![vec![0u64; num_words]];
         let mut sat_of = vec![Some(SatLit::positive(f))];
@@ -249,7 +289,7 @@ impl<'a> Sweeper<'a> {
         for i in 0..src.num_inputs() {
             let lit = out.add_named_input(src.input_name(i));
             sigs.push((0..num_words).map(|_| rng.random::<u64>()).collect());
-            let v = solver.new_var();
+            let v = sweep_var(&mut solver);
             sat_of.push(Some(SatLit::positive(v)));
             input_sat.push(v);
             repr.push(lit);
@@ -268,11 +308,16 @@ impl<'a> Sweeper<'a> {
             sat_of,
             solver,
             input_sat,
-            classes: HashMap::new(),
+            cone_stamp: Vec::new(),
+            stamp: 0,
+            cone: Vec::new(),
+            cone_stack: Vec::new(),
+            classes: HashMap::default(),
+            next_member: vec![NO_MEMBER; src.num_inputs() + 1],
             members: vec![0],
             stats: FraigStats::default(),
         };
-        sweeper.classes.insert(sweeper.keys[0], vec![0]);
+        sweeper.link_member(0);
         sweeper
     }
 
@@ -333,7 +378,23 @@ impl<'a> Sweeper<'a> {
         self.keys.push(canonical_key(&row));
         self.sigs.push(row);
         self.sat_of.push(None);
+        self.next_member.push(NO_MEMBER);
         self.repr.push(Lit::positive(cv));
+    }
+
+    /// Appends representative `m` to the tail of its class's member chain.
+    fn link_member(&mut self, m: Var) {
+        self.next_member[m as usize] = NO_MEMBER;
+        match self.classes.entry(self.keys[m as usize]) {
+            Entry::Occupied(mut class) => {
+                let tail = &mut class.get_mut().1;
+                self.next_member[*tail as usize] = m;
+                *tail = m;
+            }
+            Entry::Vacant(class) => {
+                class.insert((m, m));
+            }
+        }
     }
 
     /// Proves a ternary-flagged structural constant against `constant`.
@@ -367,7 +428,7 @@ impl<'a> Sweeper<'a> {
                 Scan::Merged(rep) => return rep,
                 Scan::Rescan => continue,
                 Scan::NewRep => {
-                    self.classes.entry(key).or_default().push(cv);
+                    self.link_member(cv);
                     self.members.push(cv);
                     return Lit::positive(cv);
                 }
@@ -376,11 +437,15 @@ impl<'a> Sweeper<'a> {
     }
 
     fn scan_class(&mut self, cv: Var, key: u64) -> Scan {
-        let Some(candidates) = self.classes.get(&key).cloned() else {
+        let Some(&(first, _)) = self.classes.get(&key) else {
             return Scan::NewRep;
         };
         let phase = self.sigs[cv as usize][0] & 1 != 0;
-        for m in candidates {
+        // Only a refutation edits the class table, and it ends the scan.
+        let mut next = first;
+        while next != NO_MEMBER {
+            let m = next;
+            next = self.next_member[m as usize];
             let flip = phase != (self.sigs[m as usize][0] & 1 != 0);
             if !self.sig_rows_equal(cv, m, flip) {
                 continue; // hash collision or an already-split pair
@@ -418,12 +483,15 @@ impl<'a> Sweeper<'a> {
     }
 
     /// One equivalence query `x == y` against the incremental sweep
-    /// solver, with optional portfolio escalation on budget exhaustion.
-    /// A proof is locked in as two binary clauses.
+    /// solver, deciding only on the two cones, with optional portfolio
+    /// escalation on budget exhaustion. A proof is locked in as two binary
+    /// clauses.
     fn prove_equal(&mut self, x: Lit, y: Lit) -> Outcome {
         let lx = encode_cone(&self.out, &mut self.solver, &mut self.sat_of, x);
         let ly = encode_cone(&self.out, &mut self.solver, &mut self.sat_of, y);
-        let d = SatLit::positive(self.solver.new_var());
+        self.collect_cone(x.var(), y.var());
+        self.set_cone_decisions(true);
+        let d = SatLit::positive(sweep_var(&mut self.solver));
         // d ⇒ (lx ⊕ ly): only the forward direction is needed, d is only
         // ever assumed positive.
         self.solver.add_clause(&[!d, lx, ly]);
@@ -443,6 +511,7 @@ impl<'a> Sweeper<'a> {
             None if self.config.escalate => self.escalate(x, y),
             None => Outcome::Skipped,
         };
+        self.set_cone_decisions(false);
         // Retire the difference literal; on a proof, assert the equality
         // so later queries get it for free.
         self.solver.add_clause(&[!d]);
@@ -451,6 +520,35 @@ impl<'a> Sweeper<'a> {
             self.solver.add_clause(&[lx, !ly]);
         }
         outcome
+    }
+
+    /// Collects the `out` vars of the cones of `x` and `y` (inputs and the
+    /// constant included) into `self.cone`.
+    fn collect_cone(&mut self, x: Var, y: Var) {
+        self.stamp += 1;
+        self.cone_stamp.resize(self.sat_of.len(), 0);
+        self.cone.clear();
+        self.cone_stack.clear();
+        self.cone_stack.extend([x, y]);
+        while let Some(v) = self.cone_stack.pop() {
+            if self.cone_stamp[v as usize] == self.stamp {
+                continue;
+            }
+            self.cone_stamp[v as usize] = self.stamp;
+            self.cone.push(v);
+            if let NodeKind::And(a, b) = self.out.node(v) {
+                self.cone_stack.extend([a.var(), b.var()]);
+            }
+        }
+    }
+
+    /// Turns the sweep solver's decision flag on (or back off) for every
+    /// var of the current query's cones.
+    fn set_cone_decisions(&mut self, on: bool) {
+        for &v in &self.cone {
+            let s = self.sat_of[v as usize].expect("cone encoded");
+            self.solver.set_decision_var(s.var(), on);
+        }
     }
 
     /// Re-proves a budget-exhausted query on a fresh unbudgeted portfolio
@@ -491,8 +589,9 @@ impl<'a> Sweeper<'a> {
     /// density). Called on every refutation, without a cap: the vectors
     /// grow by one word per refuted SAT call. Each node's class key is
     /// folded forward by the new word (the same value a full re-hash of
-    /// the extended row gives), and the class table is rebuilt from the
-    /// keys in the original insertion order.
+    /// the extended row gives), and the class table is relinked from the
+    /// keys in the original insertion order (the map keeps its capacity,
+    /// so no rebuild allocates).
     fn append_cex(&mut self, cex: &[bool]) {
         let w = self.num_words;
         self.num_words += 1;
@@ -515,11 +614,8 @@ impl<'a> Sweeper<'a> {
             row.push(word);
         }
         self.classes.clear();
-        for &m in &self.members {
-            self.classes
-                .entry(self.keys[m as usize])
-                .or_default()
-                .push(m);
+        for i in 0..self.members.len() {
+            self.link_member(self.members[i]);
         }
     }
 }
@@ -621,6 +717,15 @@ fn sig_word(sigs: &[Vec<u64>], lit: Lit, w: usize) -> u64 {
     }
 }
 
+/// A fresh sweep-solver variable. It is not a decision variable:
+/// [`Sweeper::prove_equal`] turns on the variables of each query's cones
+/// for the length of its solve.
+fn sweep_var(solver: &mut Solver) -> SatVar {
+    let v = solver.new_var();
+    solver.set_decision_var(v, false);
+    v
+}
+
 /// The clause-accepting surface shared by the serial sweep solver and the
 /// escalation portfolio. (The richer `ClauseSink` lives in `almost_sat`,
 /// a layer above this crate.)
@@ -631,7 +736,7 @@ trait SolverLike {
 
 impl SolverLike for Solver {
     fn new_var(&mut self) -> SatVar {
-        Solver::new_var(self)
+        sweep_var(self)
     }
     fn add_clause(&mut self, lits: &[SatLit]) {
         Solver::add_clause(self, lits)

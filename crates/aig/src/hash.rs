@@ -1,13 +1,14 @@
 //! A multiplicative hasher for the small integer keys of the synthesis
 //! kernels.
 //!
-//! The structural hash, the resynthesis plan memo and the mapper's match
-//! memo are looked up millions of times per recipe with keys that are a
-//! few machine words (literal pairs, truth tables). SipHash's DoS
-//! resistance buys nothing there and costs most of a lookup: the keys are
-//! literals the graph assigns in creation order and truth tables the
-//! kernels derive, never raw outside input. None of these tables is ever
-//! iterated, so the hasher cannot affect any output.
+//! The structural hash, the resynthesis plan memo, the mapper's match
+//! memo and fraig's class table are looked up millions of times per
+//! recipe with keys that are a few machine words (literal pairs, truth
+//! tables, signature hashes). SipHash's DoS resistance buys nothing there
+//! and costs most of a lookup: the keys are literals the graph assigns in
+//! creation order and truth tables and signatures the kernels derive,
+//! never raw outside input. None of these tables is ever iterated, so the
+//! hasher cannot affect any output.
 
 use std::hash::{BuildHasherDefault, Hasher};
 

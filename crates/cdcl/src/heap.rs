@@ -1,9 +1,10 @@
 //! The indexed max-heap behind the solver's VSIDS decision order.
 //!
-//! [`ActivityHeap`] keeps every *unassigned* variable ordered by activity
-//! so [`Solver::solve`](crate::Solver::solve) picks its next decision in
-//! O(log n) instead of the O(n) scan the first implementation used — the
-//! bottleneck once four-copy 2-DIP miters double the variable count.
+//! [`ActivityHeap`] keeps every *unassigned* decision variable ordered by
+//! activity so [`Solver::solve`](crate::Solver::solve) picks its next
+//! decision in O(log n) instead of the O(n) scan the first implementation
+//! used — the bottleneck once four-copy 2-DIP miters double the variable
+//! count.
 //!
 //! The activities live in the solver (they are bumped during conflict
 //! analysis), but each heap entry stores a copy of its variable's activity

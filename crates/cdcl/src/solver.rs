@@ -42,6 +42,20 @@
 //! reduction read a clause only after a unit or conflict visit has laid it
 //! out as `[implied, false, ..]`. The `solver_golden` suite of `almost_sat`
 //! pins the trajectories.
+//!
+//! # Decision variables
+//!
+//! As in MiniSat, every variable carries a *decision* flag
+//! ([`Solver::set_decision_var`]): `decide` only branches on flagged
+//! variables, and backtracking re-queues only those. A SAT answer then
+//! assigns every decision variable (and whatever propagation reaches), so
+//! every clause over decision variables alone is satisfied and no clause
+//! is falsified; UNSAT answers never depend on the flags. Every variable
+//! starts flagged, and with every flag on the search is exactly the
+//! unrestricted one, so callers that never touch a flag (the miters,
+//! Double DIP, the residual CEC query, the portfolio) keep the trajectory
+//! the byte-identity contract pins. The fraig sweep solver is the one
+//! user: it flags only the cones of the query at hand.
 
 use crate::heap::ActivityHeap;
 use almost_telemetry as telemetry;
@@ -264,8 +278,12 @@ pub struct Solver {
     qhead: usize,
     activity: Vec<f64>,
     var_inc: f64,
-    /// VSIDS decision order over unassigned variables.
+    /// VSIDS decision order over unassigned variables. Every unassigned
+    /// decision variable is queued; a variable whose flag was turned off
+    /// may linger until `decide` pops and drops it.
     order: ActivityHeap,
+    /// Per-variable decision flag (see [`Solver::set_decision_var`]).
+    decision: Vec<bool>,
     cla_inc: f64,
     seen: Vec<bool>,
     /// Conflict-analysis scratch: the clause being learnt, reused across
@@ -325,6 +343,7 @@ impl Solver {
             activity: Vec::new(),
             var_inc: 1.0,
             order: ActivityHeap::new(),
+            decision: Vec::new(),
             cla_inc: 1.0,
             seen: Vec::new(),
             learnt: Vec::new(),
@@ -346,7 +365,7 @@ impl Solver {
         }
     }
 
-    /// Allocates a fresh variable.
+    /// Allocates a fresh variable (a decision variable).
     pub fn new_var(&mut self) -> SatVar {
         let v = self.level.len() as SatVar;
         self.vals.push(Value::Unassigned);
@@ -360,6 +379,7 @@ impl Solver {
             diversity_activity(self.diversity_seed, v)
         });
         self.seen.push(false);
+        self.decision.push(true);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
         self.order.insert(v, &self.activity);
@@ -400,6 +420,21 @@ impl Solver {
             if self.vals[SatLit::positive(v as SatVar).index()] == Value::Unassigned {
                 *ph = phase;
             }
+        }
+    }
+
+    /// Lets `decide` branch on `var` (`on`, the default for every fresh
+    /// variable) or not. A SAT answer assigns every decision variable;
+    /// others are assigned only where propagation reaches them and may
+    /// read `None` in the model. Verdicts stay exact on the decision
+    /// variables: UNSAT never depends on the flags, and a SAT answer
+    /// falsifies no clause and satisfies every clause whose variables are
+    /// all decision variables. Turning a flag on queues the variable if it
+    /// is unassigned; turning it off lets `decide` drop it lazily.
+    pub fn set_decision_var(&mut self, var: SatVar, on: bool) {
+        self.decision[var as usize] = on;
+        if on && self.lit_value(SatLit::positive(var)) == Value::Unassigned {
+            self.order.insert(var, &self.activity);
         }
     }
 
@@ -464,13 +499,16 @@ impl Solver {
         self.reduce_threshold = threshold.max(1);
     }
 
-    /// True when every unassigned variable is queued in the decision heap —
-    /// the invariant that makes [`Solver::solve`]'s `decide` loop complete.
-    /// Exposed for the property tests; not part of the stable API.
+    /// True when every unassigned decision variable is queued in the
+    /// decision heap — the invariant that makes [`Solver::solve`]'s
+    /// `decide` loop complete. Exposed for the property tests; not part of
+    /// the stable API.
     #[doc(hidden)]
     pub fn decision_heap_consistent(&self) -> bool {
         (0..self.num_vars() as SatVar).all(|v| {
-            self.lit_value(SatLit::positive(v)) != Value::Unassigned || self.order.contains(v)
+            !self.decision[v as usize]
+                || self.lit_value(SatLit::positive(v)) != Value::Unassigned
+                || self.order.contains(v)
         })
     }
 
@@ -880,8 +918,8 @@ impl Solver {
         backjump
     }
 
-    /// Backtracks to `target_level`, re-queueing every unassigned variable
-    /// for decision. Levels and reasons of unassigned variables are left
+    /// Backtracks to `target_level`, re-queueing every unassigned decision
+    /// variable. Levels and reasons of unassigned variables are left
     /// stale: nothing reads them before the variable is assigned again.
     fn cancel_until(&mut self, target_level: u32) {
         if self.trail_lim.len() as u32 > target_level {
@@ -891,7 +929,9 @@ impl Solver {
                 let lit = self.trail.pop().expect("trail non-empty");
                 self.vals[lit.index()] = Value::Unassigned;
                 self.vals[(!lit).index()] = Value::Unassigned;
-                self.order.insert(lit.var(), &self.activity);
+                if self.decision[lit.var() as usize] {
+                    self.order.insert(lit.var(), &self.activity);
+                }
             }
         }
         // Clamp rather than jump: after a cancelled propagation `qhead`
@@ -902,13 +942,16 @@ impl Solver {
         self.qhead = self.qhead.min(self.trail.len());
     }
 
-    /// Picks the unassigned variable ordered first by the VSIDS heap.
-    /// Variables assigned by propagation are skipped lazily (backtracking
-    /// re-inserts every unassigned variable), and ties on activity resolve
-    /// to the lowest index, so the pick is deterministic.
+    /// Picks the unassigned decision variable ordered first by the VSIDS
+    /// heap. Variables assigned by propagation, and variables whose
+    /// decision flag is off, are dropped lazily (backtracking re-inserts
+    /// every unassigned decision variable), and ties on activity resolve to
+    /// the lowest index, so the pick is deterministic. Dropping entries
+    /// never reorders the rest: the heap's order is strict and total.
     fn decide(&mut self) -> Option<SatLit> {
         while let Some(v) = self.order.pop() {
-            if self.lit_value(SatLit::positive(v)) == Value::Unassigned {
+            if self.decision[v as usize] && self.lit_value(SatLit::positive(v)) == Value::Unassigned
+            {
                 return Some(SatLit::new(v, !self.phase[v as usize]));
             }
         }
@@ -1204,7 +1247,8 @@ impl Solver {
     }
 
     /// The model value of `var` after a [`SatResult::Sat`] answer; `None` if
-    /// the variable is unassigned (didn't matter).
+    /// the variable is unassigned (not a decision variable, and not reached
+    /// by propagation).
     pub fn value(&self, var: SatVar) -> Option<bool> {
         match self.lit_value(SatLit::positive(var)) {
             Value::True => Some(true),
@@ -1430,6 +1474,24 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn non_decision_vars_are_left_to_propagation() {
+        let mut s = Solver::new();
+        let a = s.new_var();
+        let b = s.new_var();
+        let free = s.new_var();
+        s.add_clause(&[lit(a, true), lit(b, false)]); // a -> b
+        s.set_decision_var(b, false);
+        s.set_decision_var(free, false);
+        assert_eq!(s.solve(&[lit(a, false)]), SatResult::Sat);
+        assert_eq!(s.value(b), Some(true), "propagation still assigns b");
+        assert_eq!(s.value(free), None, "nothing decides an off variable");
+        s.set_decision_var(free, true);
+        assert!(s.decision_heap_consistent());
+        assert_eq!(s.solve(&[]), SatResult::Sat);
+        assert!(s.value(free).is_some());
     }
 
     #[test]

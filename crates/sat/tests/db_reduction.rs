@@ -13,6 +13,10 @@
 //! pigeonhole formulas (few original literals, many conflicts), where
 //! reduction and compaction fire over and over between clause additions
 //! and solves under assumptions.
+//!
+//! A second property test runs the same kind of session with decision
+//! flags toggled at random between solves: flags may shrink what a SAT
+//! answer assigns, but never the soundness of a verdict.
 
 use almost_sat::solver::{SatLit, SatResult, SatVar, Solver};
 use proptest::prelude::*;
@@ -276,6 +280,103 @@ proptest! {
                     prop_assert!(model_satisfies(&s, &clauses));
                     prop_assert!(assumptions.iter().all(|&a| s.lit_bool(a) == Some(true)));
                 }
+            }
+        }
+    }
+}
+
+/// The verdict checks that hold whatever the decision flags: an UNSAT
+/// verdict matches brute force, and a SAT answer makes every assumption
+/// true, falsifies no clause and satisfies every clause over decision
+/// variables alone. With every flag on (`decision` all true) a SAT answer
+/// is exact: brute force agrees and the model satisfies every clause.
+fn check_flagged_verdict(
+    s: &Solver,
+    verdict: SatResult,
+    clauses: &[Vec<SatLit>],
+    assumptions: &[SatLit],
+    decision: &[bool],
+) -> Result<(), TestCaseError> {
+    let satisfiable = brute_force_sat(clauses, assumptions, decision.len());
+    let all_on = decision.iter().all(|&on| on);
+    match verdict {
+        SatResult::Unsat => prop_assert!(!satisfiable, "UNSAT claimed for a satisfiable query"),
+        SatResult::Sat => {
+            prop_assert!(!all_on || satisfiable, "SAT claimed with every flag on");
+            prop_assert!(assumptions.iter().all(|&a| s.lit_bool(a) == Some(true)));
+            for cl in clauses {
+                prop_assert!(
+                    !cl.iter().all(|&l| s.lit_bool(l) == Some(false)),
+                    "model falsifies {cl:?}"
+                );
+                if cl.iter().all(|l| decision[l.var() as usize]) {
+                    prop_assert!(
+                        cl.iter().any(|&l| s.lit_bool(l) == Some(true)),
+                        "model leaves decision-only {cl:?} unsatisfied"
+                    );
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// One solver through an incremental random 3-SAT session (ending
+    /// near the phase transition) with an 8-learnt reduction threshold.
+    /// Between clause batches, random decision-flag toggles interleave
+    /// with solves under random assumptions; every verdict passes
+    /// [`check_flagged_verdict`] and the heap holds every unassigned
+    /// decision variable after each call. Once every flag is back on,
+    /// verdicts and models are exact again.
+    #[test]
+    fn decision_flags_never_unsound_incremental_verdicts(seed in 0u64..1_000_000) {
+        let mut next = stream(seed ^ 0xDEC1_5104);
+        let nvars = 20usize;
+        let mut s = Solver::new();
+        s.set_reduce_threshold(8);
+        let vars: Vec<SatVar> = (0..nvars).map(|_| s.new_var()).collect();
+        let random_lit = |r: u64| SatLit::new(vars[(r >> 1) as usize % nvars], r & 1 == 0);
+        let mut decision = vec![true; nvars];
+        let mut clauses: Vec<Vec<SatLit>> = Vec::new();
+        for _batch in 0..6 {
+            for _ in 0..14 {
+                let width = if next().is_multiple_of(10) { 2 } else { 3 };
+                let cl: Vec<SatLit> = (0..width).map(|_| random_lit(next())).collect();
+                s.add_clause(&cl);
+                prop_assert!(s.decision_heap_consistent());
+                clauses.push(cl);
+            }
+            for _ in 0..6 {
+                for _ in 0..next() % 6 {
+                    let v = (next() % nvars as u64) as usize;
+                    decision[v] = !decision[v];
+                    s.set_decision_var(vars[v], decision[v]);
+                    prop_assert!(s.decision_heap_consistent());
+                }
+                let assumptions: Vec<SatLit> =
+                    (0..next() % 3).map(|_| random_lit(next())).collect();
+                let verdict = s.solve(&assumptions);
+                prop_assert!(s.decision_heap_consistent());
+                check_flagged_verdict(&s, verdict, &clauses, &assumptions, &decision)?;
+            }
+        }
+        for (v, on) in decision.iter_mut().enumerate() {
+            if !*on {
+                *on = true;
+                s.set_decision_var(vars[v], true);
+                prop_assert!(s.decision_heap_consistent());
+            }
+        }
+        for _ in 0..6 {
+            let assumptions: Vec<SatLit> = (0..next() % 3).map(|_| random_lit(next())).collect();
+            let verdict = s.solve(&assumptions);
+            prop_assert!(s.decision_heap_consistent());
+            check_flagged_verdict(&s, verdict, &clauses, &assumptions, &decision)?;
+            if verdict == SatResult::Sat {
+                prop_assert!(model_satisfies(&s, &clauses));
             }
         }
     }

@@ -16,9 +16,10 @@
 //!   correct key re-applied) completes unbudgeted — the exact CEC call
 //!   the attack report's verdict column needs.
 //!
-//! Plus one effort ceiling, a deterministic count rather than a time: the
+//! Plus two effort ceilings, deterministic counts rather than times: the
 //! recipe-config sweep of a restructured locked c7552 refutes its
-//! lookalike candidates by simulation, not pair by pair in SAT.
+//! lookalike candidates by simulation, not pair by pair in SAT, and its
+//! solver decides only on each query's two cones.
 //!
 //! Timings are wall-clock once per path (the margin is large enough that
 //! best-of-N would be theatre). Debug builds skip.
@@ -39,10 +40,16 @@ const LEGACY_BUDGET: u64 = 20_000;
 
 /// SAT-call ceiling for the recipe-config sweep in
 /// [`recipe_fraig_splits_lookalike_classes_by_simulation`]. With every
-/// counterexample fed back the sweep makes 69 calls; a sweep that stops
+/// counterexample fed back the sweep makes 78 calls; a sweep that stops
 /// feeding them back after 16 words re-refutes each lookalike class pair
 /// by pair (1225 calls here, 881–4159 over lock seeds 0–2).
 const RECIPE_SWEEP_SAT_CALLS: u64 = 300;
+
+/// Sweep-solver decision ceiling for the same sweep. Deciding only on
+/// each query's two cones it makes 9,705 decisions; deciding on every
+/// variable of the incremental solver (the cones of all earlier queries
+/// too) it made 18,969.
+const RECIPE_SWEEP_DECISIONS: u64 = 14_000;
 
 /// Rebuilds `aig` with every `stride`-th AND wrapped in the absorption
 /// identity `u -> (u & s) | (u & !s)` (select `s` = first input).
@@ -189,5 +196,10 @@ fn recipe_fraig_splits_lookalike_classes_by_simulation() {
         stats.sat_calls <= RECIPE_SWEEP_SAT_CALLS,
         "recipe fraig made {} SAT calls (ceiling {RECIPE_SWEEP_SAT_CALLS}): {stats:?}",
         stats.sat_calls
+    );
+    assert!(
+        stats.decisions <= RECIPE_SWEEP_DECISIONS,
+        "recipe fraig made {} decisions (ceiling {RECIPE_SWEEP_DECISIONS}): {stats:?}",
+        stats.decisions
     );
 }

@@ -12,12 +12,18 @@
 //!
 //! A mismatch prints every digest, so a deliberate change of behaviour
 //! can re-pin the table in one edit.
+//!
+//! Release builds additionally pin the two fraig configurations on
+//! deploy-scale sweeps (c5315 and c7552 under 128 RLL key gates, after
+//! `wWfFsSb`), where counterexamples are frequent: a change to the sweep
+//! solver's search that moves one merge moves a digest here.
 
 use almost_repro::aig::aiger::write_aag;
-use almost_repro::aig::{Aig, Lit, Pass, Script};
+use almost_repro::aig::{fraig_with, Aig, FraigConfig, Lit, Pass, Script};
 use almost_repro::circuits::IscasBenchmark;
 use almost_repro::locking::{LockingScheme, Rll};
 use almost_repro::netlist::{map_aig, CellLibrary, MapConfig, MappedNetlist};
+use almost_repro::testutil::release_mode;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -176,5 +182,46 @@ fn pass_and_mapping_outputs_are_byte_identical() {
     assert!(
         actual == expected,
         "synthesis/mapping output digests moved; actual table:\n{table}"
+    );
+}
+
+/// `(input, config, digest)`: the `g` letter's output
+/// ([`FraigConfig::recipe`]) and the CEC sweep's output
+/// ([`FraigConfig::default`]) on deploy-scale restructured inputs.
+const FRAIG_GOLDEN: &[(&str, &str, u64)] = &[
+    ("c5315_rll128_wWfFsSb", "g", 0x449e0fa8a334b34c),
+    ("c5315_rll128_wWfFsSb", "fraig", 0x449e0fa8a334b34c),
+    ("c7552_rll128_wWfFsSb", "g", 0x0ce0fc20406c018a),
+    ("c7552_rll128_wWfFsSb", "fraig", 0x0ce0fc20406c018a),
+];
+
+#[test]
+fn deploy_scale_fraig_sweeps_are_byte_identical() {
+    if !release_mode("deploy_scale_fraig_sweeps_are_byte_identical") {
+        return;
+    }
+    let recipe = Script::from_mnemonics("wWfFsSb").expect("valid recipe");
+    let mut actual: Vec<(String, String, u64)> = Vec::new();
+    for (name, bench, seed) in [
+        ("c5315_rll128_wWfFsSb", IscasBenchmark::C5315, 5315),
+        ("c7552_rll128_wWfFsSb", IscasBenchmark::C7552, 7552),
+    ] {
+        let aig = recipe.apply(&locked(bench, 128, seed));
+        let (swept, _) = fraig_with(&aig, &FraigConfig::recipe());
+        actual.push((name.into(), "g".into(), aig_digest(&swept)));
+        let (swept, _) = fraig_with(&aig, &FraigConfig::default());
+        actual.push((name.into(), "fraig".into(), aig_digest(&swept)));
+    }
+    let table: String = actual
+        .iter()
+        .map(|(n, s, d)| format!("    (\"{n}\", \"{s}\", 0x{d:016x}),\n"))
+        .collect();
+    let expected: Vec<(String, String, u64)> = FRAIG_GOLDEN
+        .iter()
+        .map(|&(n, s, d)| (n.to_string(), s.to_string(), d))
+        .collect();
+    assert!(
+        actual == expected,
+        "fraig sweep digests moved; actual table:\n{table}"
     );
 }
