@@ -16,7 +16,10 @@
 //! Release builds additionally pin the two fraig configurations on
 //! deploy-scale sweeps (c5315 and c7552 under 128 RLL key gates, after
 //! `wWfFsSb`), where counterexamples are frequent: a change to the sweep
-//! solver's search that moves one merge moves a digest here.
+//! solver's search that moves one merge moves a digest here. They also pin
+//! every step of the `wWfFsSbgwb` recipe chained on the same two networks:
+//! at this scale the resynthesis node budgets cut candidates short most
+//! often, so a change to how candidates are costed shows here first.
 
 use almost_repro::aig::aiger::write_aag;
 use almost_repro::aig::{fraig_with, Aig, FraigConfig, Lit, Pass, Script};
@@ -223,5 +226,65 @@ fn deploy_scale_fraig_sweeps_are_byte_identical() {
     assert!(
         actual == expected,
         "fraig sweep digests moved; actual table:\n{table}"
+    );
+}
+
+/// The recipe `deploy_verify` deploys, pinned step by step below: each
+/// pass once, then a second rewrite and balance.
+const CHAIN: &str = "wWfFsSbgwb";
+
+/// `(input, step, digest)`: the output after each step of [`CHAIN`],
+/// applied one pass at a time; the step is the recipe prefix so far.
+const CHAIN_GOLDEN: &[(&str, &str, u64)] = &[
+    ("c5315_rll128", "w", 0x76a68133b4d45576),
+    ("c5315_rll128", "wW", 0x67be61ba31ceadb2),
+    ("c5315_rll128", "wWf", 0xbe2e35f311d09a3a),
+    ("c5315_rll128", "wWfF", 0x28c7f5c8b697b586),
+    ("c5315_rll128", "wWfFs", 0x758d1cd318b458cb),
+    ("c5315_rll128", "wWfFsS", 0x7d32319da31de0d4),
+    ("c5315_rll128", "wWfFsSb", 0xe09911fb5e9af8b3),
+    ("c5315_rll128", "wWfFsSbg", 0x449e0fa8a334b34c),
+    ("c5315_rll128", "wWfFsSbgw", 0x5e3a967a31d438b7),
+    ("c5315_rll128", "wWfFsSbgwb", 0xd6f49d109cda5ad5),
+    ("c7552_rll128", "w", 0x5cc5e19f11a7c3a8),
+    ("c7552_rll128", "wW", 0x30e48b175ed15763),
+    ("c7552_rll128", "wWf", 0x24e314f7ae36acb3),
+    ("c7552_rll128", "wWfF", 0x7d4619533ae8df6f),
+    ("c7552_rll128", "wWfFs", 0xe04af9ba9eb0780b),
+    ("c7552_rll128", "wWfFsS", 0x000be9a2c0922edc),
+    ("c7552_rll128", "wWfFsSb", 0x250b1b064b17dc21),
+    ("c7552_rll128", "wWfFsSbg", 0x0ce0fc20406c018a),
+    ("c7552_rll128", "wWfFsSbgw", 0xcd8b29cbae697aaa),
+    ("c7552_rll128", "wWfFsSbgwb", 0x59705c94c0be1389),
+];
+
+#[test]
+fn chain_golden_is_byte_identical() {
+    if !release_mode("chain_golden_is_byte_identical") {
+        return;
+    }
+    let recipe = Script::from_mnemonics(CHAIN).expect("valid recipe");
+    let mut actual: Vec<(String, String, u64)> = Vec::new();
+    for (name, bench, seed) in [
+        ("c5315_rll128", IscasBenchmark::C5315, 5315),
+        ("c7552_rll128", IscasBenchmark::C7552, 7552),
+    ] {
+        let mut aig = locked(bench, 128, seed);
+        for (i, pass) in recipe.passes().iter().enumerate() {
+            aig = pass.apply(&aig);
+            actual.push((name.into(), CHAIN[..=i].into(), aig_digest(&aig)));
+        }
+    }
+    let table: String = actual
+        .iter()
+        .map(|(n, s, d)| format!("    (\"{n}\", \"{s}\", 0x{d:016x}),\n"))
+        .collect();
+    let expected: Vec<(String, String, u64)> = CHAIN_GOLDEN
+        .iter()
+        .map(|&(n, s, d)| (n.to_string(), s.to_string(), d))
+        .collect();
+    assert!(
+        actual == expected,
+        "recipe chain digests moved; actual table:\n{table}"
     );
 }
