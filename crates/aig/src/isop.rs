@@ -7,11 +7,12 @@
 //! distinct function's candidate structures once; its documentation gives
 //! the memo and probe order. This is the re-synthesis engine behind the
 //! `rewrite` and `refactor` passes. Tables have at most 8 variables and
-//! are computed on the stack ([`Tt8`]).
+//! are computed on the stack ([`Tt8`]); the ISOP recursion drops to a
+//! single `u64` word once the variables left are below 6.
 
 use crate::aig::{Aig, Lit};
 use crate::hash::FastBuild;
-use crate::truth::{Tt, Tt8};
+use crate::truth::{word, Tt, Tt8};
 use std::collections::HashMap;
 
 /// A product term over the variables of a truth table.
@@ -68,30 +69,109 @@ pub fn isop(f: &Tt) -> Vec<Cube> {
 
 fn isop8(f: Tt8, nvars: usize) -> Vec<Cube> {
     let mut cubes = Vec::new();
-    let cover = isop_rec(f, f, nvars, &mut cubes);
+    let cover = Tt8::isop_below(f, f, nvars, &mut cubes);
     debug_assert_eq!(cover, f, "ISOP cover must equal the function");
     cubes
 }
 
-/// Minato–Morreale recursion: appends to `cubes` a cover F with
-/// `lower ⊆ F ⊆ upper` and returns F.
-fn isop_rec(lower: Tt8, upper: Tt8, top: usize, cubes: &mut Vec<Cube>) -> Tt8 {
-    if lower.is_zero() {
-        return Tt8::ZERO;
+/// The table operations the ISOP recursion runs on: the 256-bit [`Tt8`],
+/// and one `u64` word once every remaining variable is below 6.
+trait IsopTable: Copy + Eq {
+    const ZERO: Self;
+    const ONE: Self;
+    fn var(var: usize) -> Self;
+    fn and(self, other: Self) -> Self;
+    fn or(self, other: Self) -> Self;
+    fn not(self) -> Self;
+    fn cofactor0(self, var: usize) -> Self;
+    fn cofactor1(self, var: usize) -> Self;
+    /// [`isop_rec`] on bounds that depend on no variable at or above
+    /// `top`, in whichever representation suits `top`.
+    fn isop_below(lower: Self, upper: Self, top: usize, cubes: &mut Vec<Cube>) -> Self;
+}
+
+impl IsopTable for Tt8 {
+    const ZERO: Tt8 = Tt8::ZERO;
+    const ONE: Tt8 = Tt8::ONE;
+    fn var(var: usize) -> Tt8 {
+        Tt8::var(var)
     }
-    if upper.is_one() {
+    fn and(self, other: Tt8) -> Tt8 {
+        Tt8::and(self, other)
+    }
+    fn or(self, other: Tt8) -> Tt8 {
+        Tt8::or(self, other)
+    }
+    fn not(self) -> Tt8 {
+        Tt8::not(self)
+    }
+    fn cofactor0(self, var: usize) -> Tt8 {
+        Tt8::cofactor0(self, var)
+    }
+    fn cofactor1(self, var: usize) -> Tt8 {
+        Tt8::cofactor1(self, var)
+    }
+    /// Below variable 6 both bounds are one word repeated four times, so
+    /// the recursion continues on that word.
+    fn isop_below(lower: Tt8, upper: Tt8, top: usize, cubes: &mut Vec<Cube>) -> Tt8 {
+        if top > 6 {
+            return isop_rec(lower, upper, top, cubes);
+        }
+        let [l, u] = [lower, upper].map(|t| {
+            debug_assert!(t.0.iter().all(|&w| w == t.0[0]), "replicated below 6");
+            t.0[0]
+        });
+        Tt8([isop_rec(l, u, top, cubes); 4])
+    }
+}
+
+impl IsopTable for u64 {
+    const ZERO: u64 = 0;
+    const ONE: u64 = u64::MAX;
+    fn var(var: usize) -> u64 {
+        word::var(var)
+    }
+    fn and(self, other: u64) -> u64 {
+        self & other
+    }
+    fn or(self, other: u64) -> u64 {
+        self | other
+    }
+    fn not(self) -> u64 {
+        !self
+    }
+    fn cofactor0(self, var: usize) -> u64 {
+        word::cofactor0(self, var)
+    }
+    fn cofactor1(self, var: usize) -> u64 {
+        word::cofactor1(self, var)
+    }
+    fn isop_below(lower: u64, upper: u64, top: usize, cubes: &mut Vec<Cube>) -> u64 {
+        isop_rec(lower, upper, top, cubes)
+    }
+}
+
+/// Minato–Morreale recursion: appends to `cubes` a cover F with
+/// `lower ⊆ F ⊆ upper` and returns F. Neither bound depends on a
+/// variable at or above `top`.
+fn isop_rec<T: IsopTable>(lower: T, upper: T, top: usize, cubes: &mut Vec<Cube>) -> T {
+    if lower == T::ZERO {
+        return T::ZERO;
+    }
+    if upper == T::ONE {
         cubes.push(Cube::UNIVERSE);
-        return Tt8::ONE;
+        return T::ONE;
     }
     // Find the topmost variable either bound depends on. If there is none,
     // lower is nonzero and constant over the remaining variables, so the
     // universe cube is the cover.
+    let depends = |t: T, v: usize| t.cofactor0(v) != t.cofactor1(v);
     let Some(var) = (0..top)
         .rev()
-        .find(|&v| lower.depends_on(v) || upper.depends_on(v))
+        .find(|&v| depends(lower, v) || depends(upper, v))
     else {
         cubes.push(Cube::UNIVERSE);
-        return Tt8::ONE;
+        return T::ONE;
     };
 
     let l0 = lower.cofactor0(var);
@@ -101,33 +181,46 @@ fn isop_rec(lower: Tt8, upper: Tt8, top: usize, cubes: &mut Vec<Cube>) -> Tt8 {
 
     // Minterms that can only be covered in the var=0 branch.
     let start = cubes.len();
-    let f0 = isop_rec(l0.and(u1.not()), u0, var, cubes);
+    let f0 = T::isop_below(l0.and(u1.not()), u0, var, cubes);
     for c in &mut cubes[start..] {
         c.neg |= 1 << var;
     }
     // Minterms that can only be covered in the var=1 branch.
     let start = cubes.len();
-    let f1 = isop_rec(l1.and(u0.not()), u1, var, cubes);
+    let f1 = T::isop_below(l1.and(u0.not()), u1, var, cubes);
     for c in &mut cubes[start..] {
         c.pos |= 1 << var;
     }
     // Remaining minterms, coverable without the variable.
     let lnew = l0.and(f0.not()).or(l1.and(f1.not()));
-    let f2 = isop_rec(lnew, u0.and(u1), var, cubes);
+    let f2 = T::isop_below(lnew, u0.and(u1), var, cubes);
 
-    let tv = Tt8::var(var);
+    let tv = T::var(var);
     f2.or(tv.not().and(f0)).or(tv.and(f1))
 }
 
 /// Builds an AIG structure computing the SOP `cubes` over the given leaf
-/// literals and returns the root literal.
+/// literals and returns the root literal, if that adds at most `budget`
+/// nodes to `dest`.
 ///
 /// Construction goes through the structural hash of `dest`, so shared logic
-/// is reused for free.
-pub fn build_sop(dest: &mut Aig, cubes: &[Cube], leaves: &[Lit]) -> Lit {
+/// is reused for free. The node count is checked after every cube and
+/// after the final OR: as soon as it passes `budget`, the build stops,
+/// `dest` is rolled back to its state on entry and `None` is returned. An
+/// unbounded build (`budget = usize::MAX`) always completes.
+pub fn build_sop(dest: &mut Aig, cubes: &[Cube], leaves: &[Lit], budget: usize) -> Option<Lit> {
+    let cp = dest.checkpoint();
+    let over = |dest: &mut Aig| {
+        let over = dest.checkpoint() - cp > budget;
+        if over {
+            dest.rollback(cp);
+        }
+        over
+    };
     let mut terms = Vec::with_capacity(cubes.len());
+    let mut lits = Vec::with_capacity(leaves.len());
     for cube in cubes {
-        let mut lits = Vec::with_capacity(cube.num_literals() as usize);
+        lits.clear();
         for (v, &leaf) in leaves.iter().enumerate() {
             if cube.pos >> v & 1 != 0 {
                 lits.push(leaf);
@@ -136,8 +229,12 @@ pub fn build_sop(dest: &mut Aig, cubes: &[Cube], leaves: &[Lit]) -> Lit {
             }
         }
         terms.push(dest.and_many(&lits));
+        if over(dest) {
+            return None;
+        }
     }
-    dest.or_many(&terms)
+    let lit = dest.or_many(&terms);
+    (!over(dest)).then_some(lit)
 }
 
 /// Builds an AIG computing the truth table `tt` over `leaves`, choosing the
@@ -212,7 +309,8 @@ struct Shannon {
 /// 1. the ISOP of `f` is built and its added nodes counted, then rolled
 ///    back — unless it added none, in which case it wins outright;
 /// 2. the complemented ISOP of `!f` likewise; it is kept as built if it
-///    is cheaper than the first and free, or no Shannon candidate follows;
+///    is cheaper than the first, within the budget, and free or followed
+///    by no Shannon candidate;
 /// 3. the Shannon decomposition `mux(x, f|x=1, f|x=0)` is built with the
 ///    cofactors resynthesised recursively (cofactor 0 first). It only
 ///    matters if it is strictly cheaper than both covers, so its build is
@@ -220,11 +318,30 @@ struct Shannon {
 ///    completes, it is kept as built rather than rebuilt;
 /// 4. otherwise the cheaper cover is rebuilt, the ISOP of `f` on ties.
 ///
-/// A build can also carry a node budget: a result that would add more
-/// nodes than the caller can accept is abandoned the same way. Because the
-/// construction order never changes and rollback restores the exact
-/// graph, every result is node-for-node the one a fresh, unbounded build
-/// from the same state produces.
+/// A build carries a node budget: the most nodes the caller can accept
+/// ([`Resynth::build`] passes `usize::MAX`). Each cover build in steps 1
+/// and 2 is checked after every cube and stops, rolled back, once it has
+/// added more than `budget` nodes; its cost then reads as `budget + 1`.
+/// That changes no decision. A cover over the budget can never be
+/// returned, and every use of a cost gives the same answer when an
+/// over-budget cost reads as `budget + 1`:
+///
+/// - `cost == 0` (step 1): `budget + 1` is not 0, and neither is the
+///   true cost;
+/// - step 2 keeps the complement only if its cost is within the budget,
+///   hence exact; `cost_neg < cost_pos` then reads the same, since a
+///   capped first cost exceeds the budget under both readings;
+/// - the Shannon budget `(best - 1).min(budget)`, with `best` the cheaper
+///   cover's cost: if `best <= budget` it is exact (a capped cost exceeds
+///   it under both readings), otherwise both readings give `budget`;
+/// - "no candidate fits" is `best > budget` under both readings;
+/// - the step 4 tie-break `cost_pos <= cost_neg` runs only when
+///   `best <= budget`, where at most one cost is capped and it is the
+///   larger under both readings.
+///
+/// Because the construction order never changes and rollback restores the
+/// exact graph, every result is node-for-node the one a fresh, unbounded
+/// build from the same state produces.
 #[derive(Default)]
 pub struct Resynth {
     index: HashMap<(usize, Tt8), PlanId, FastBuild>,
@@ -298,20 +415,27 @@ impl Resynth {
             Plan::Leaf { var, complement } => Some(leaves[*var].xor_complement(*complement)),
             Plan::Split(split) => self.split(dest, *split, leaves, budget),
             Plan::Choose { pos, neg, split } => {
+                // A cover that passes the budget is stopped and rolled
+                // back; its cost then reads as `budget + 1` (see the type
+                // docs for why that changes no decision).
                 let cp = dest.checkpoint();
-                let lit = build_sop(dest, pos, leaves);
-                let cost_pos = dest.checkpoint() - cp;
+                let cost = |dest: &Aig, built: Option<Lit>| match built {
+                    Some(_) => dest.checkpoint() - cp,
+                    None => budget + 1,
+                };
+                let built = build_sop(dest, pos, leaves, budget);
+                let cost_pos = cost(dest, built);
                 if cost_pos == 0 {
-                    return Some(lit);
+                    return built;
                 }
                 dest.rollback(cp);
-                let lit = !build_sop(dest, neg, leaves);
-                let cost_neg = dest.checkpoint() - cp;
+                let built = build_sop(dest, neg, leaves, budget).map(|lit| !lit);
+                let cost_neg = cost(dest, built);
                 // The complement cover is kept as built if it beats the
                 // first one and no Shannon candidate can beat it.
                 let neg_wins = cost_neg < cost_pos && (cost_neg == 0 || split.is_none());
                 if neg_wins && cost_neg <= budget {
-                    return Some(lit);
+                    return built;
                 }
                 dest.rollback(cp);
                 let best = cost_pos.min(cost_neg);
@@ -323,9 +447,9 @@ impl Resynth {
                 if best > budget {
                     None
                 } else if cost_pos <= cost_neg {
-                    Some(build_sop(dest, pos, leaves))
+                    build_sop(dest, pos, leaves, budget)
                 } else {
-                    Some(!build_sop(dest, neg, leaves))
+                    build_sop(dest, neg, leaves, budget).map(|lit| !lit)
                 }
             }
         }
@@ -402,6 +526,59 @@ mod tests {
         let cubes = isop(&f);
         assert_eq!(cubes.len(), 2);
         assert!(cubes.iter().all(|c| c.num_literals() == 2));
+    }
+
+    /// The 256-bit recursion all the way down, without the one-word path:
+    /// the reference the one-word recursion must reproduce.
+    #[derive(Clone, Copy, PartialEq, Eq)]
+    struct Wide(Tt8);
+
+    impl IsopTable for Wide {
+        const ZERO: Wide = Wide(Tt8::ZERO);
+        const ONE: Wide = Wide(Tt8::ONE);
+        fn var(var: usize) -> Wide {
+            Wide(Tt8::var(var))
+        }
+        fn and(self, other: Wide) -> Wide {
+            Wide(self.0.and(other.0))
+        }
+        fn or(self, other: Wide) -> Wide {
+            Wide(self.0.or(other.0))
+        }
+        fn not(self) -> Wide {
+            Wide(self.0.not())
+        }
+        fn cofactor0(self, var: usize) -> Wide {
+            Wide(self.0.cofactor0(var))
+        }
+        fn cofactor1(self, var: usize) -> Wide {
+            Wide(self.0.cofactor1(var))
+        }
+        fn isop_below(lower: Wide, upper: Wide, top: usize, cubes: &mut Vec<Cube>) -> Wide {
+            isop_rec(lower, upper, top, cubes)
+        }
+    }
+
+    #[test]
+    fn one_word_isop_matches_the_wide_recursion() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x1509);
+        let table = |rng: &mut StdRng, nvars| Tt8::from_tt(&Tt::from_u64(nvars, rng.random()));
+        for _ in 0..4000 {
+            let nvars = rng.random_range(0..7usize);
+            let upper = table(&mut rng, nvars);
+            let lower = if rng.random_bool(0.25) {
+                upper
+            } else {
+                upper.and(table(&mut rng, nvars))
+            };
+            let (mut narrow, mut wide) = (Vec::new(), Vec::new());
+            let cover = Tt8::isop_below(lower, upper, nvars, &mut narrow);
+            let reference = isop_rec(Wide(lower), Wide(upper), nvars, &mut wide);
+            assert_eq!(narrow, wide, "lower {lower:?} upper {upper:?}");
+            assert_eq!(cover, reference.0);
+        }
     }
 
     #[test]

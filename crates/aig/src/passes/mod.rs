@@ -7,7 +7,7 @@
 //! | Pass | Algorithm |
 //! |------|-----------|
 //! | [`Pass::Rewrite`], [`Pass::RewriteZ`] | 4-input cut rewriting with MFFC gain accounting (ISOP/Shannon re-synthesis through the structural hash) |
-//! | [`Pass::Refactor`], [`Pass::RefactorZ`] | reconvergence-driven large-cut (≤10 leaves) collapsing and re-synthesis |
+//! | [`Pass::Refactor`], [`Pass::RefactorZ`] | reconvergence-driven large-cut (≤8 leaves) collapsing and re-synthesis |
 //! | [`Pass::Resub`], [`Pass::ResubZ`] | windowed resubstitution: replace a node by an existing divisor (or a one/three-node combination of two divisors) with *exact* window-truth-table verification |
 //! | [`Pass::Balance`] | level-minimising AND-tree balancing |
 //! | [`Pass::Fraig`] | SAT sweeping ([`crate::fraig`]): sim-signature candidate classes under running hash keys, incremental-SAT equivalence proofs, every counterexample fed back as a signature word (uncapped, so no pair is refuted twice), bounded [`crate::fraig::FraigConfig::recipe`] conflict budgets |
@@ -34,7 +34,9 @@
 //!   which derives each distinct function's candidate structures (ISOP
 //!   covers, Shannon pivot, cofactor plans) once and replays them against
 //!   the live graph in a fixed probe order (documented there), under a node
-//!   budget that abandons candidates the pass could not accept anyway;
+//!   budget: a cover or Shannon build stops and is rolled back as soon as
+//!   it adds more nodes than the pass could accept, so no candidate is
+//!   costed past that point;
 //! - an accepted candidate is kept as built, never rolled back and rebuilt.
 //!
 //! All memos live for one pass call; there is no global or thread-local

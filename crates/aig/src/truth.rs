@@ -386,6 +386,30 @@ impl fmt::Debug for Tt {
     }
 }
 
+/// One-word kernels over variables `0..6`: a table of at most six
+/// variables is one `u64`, and these are [`Tt8`]'s operations on each of
+/// its words.
+pub(crate) mod word {
+    use super::MASKS;
+
+    /// The projection function of variable `var < 6`.
+    pub fn var(var: usize) -> u64 {
+        MASKS[var]
+    }
+
+    /// Negative cofactor on `var < 6`.
+    pub fn cofactor0(x: u64, var: usize) -> u64 {
+        let lo = x & !MASKS[var];
+        lo | lo << (1 << var)
+    }
+
+    /// Positive cofactor on `var < 6`.
+    pub fn cofactor1(x: u64, var: usize) -> u64 {
+        let hi = x & MASKS[var];
+        hi | hi >> (1 << var)
+    }
+}
+
 /// A truth table over at most 8 variables in fixed, stack-allocated
 /// 256-bit storage: the fast path of the cut and window kernels.
 ///
@@ -493,10 +517,7 @@ impl Tt8 {
     pub fn cofactor0(self, var: usize) -> Tt8 {
         let w = self.0;
         match var {
-            0..=5 => self.map(|x| {
-                let lo = x & !MASKS[var];
-                lo | lo << (1 << var)
-            }),
+            0..=5 => self.map(|x| word::cofactor0(x, var)),
             6 => Tt8([w[0], w[0], w[2], w[2]]),
             _ => Tt8([w[0], w[1], w[0], w[1]]),
         }
@@ -506,10 +527,7 @@ impl Tt8 {
     pub fn cofactor1(self, var: usize) -> Tt8 {
         let w = self.0;
         match var {
-            0..=5 => self.map(|x| {
-                let hi = x & MASKS[var];
-                hi | hi >> (1 << var)
-            }),
+            0..=5 => self.map(|x| word::cofactor1(x, var)),
             6 => Tt8([w[1], w[1], w[3], w[3]]),
             _ => Tt8([w[2], w[3], w[2], w[3]]),
         }

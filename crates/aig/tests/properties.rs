@@ -1,11 +1,11 @@
 //! Property-based tests for the AIG substrate.
 
 use almost_aig::cut::{cut_function, CutConfig, CutSet};
-use almost_aig::isop::{build_from_tt, isop, Cube};
+use almost_aig::isop::{build_from_tt, isop, Cube, Resynth};
 use almost_aig::npn::canonize;
 use almost_aig::passes::{balance, reconvergence_cut, Window};
 use almost_aig::sim::{probably_equivalent, SimVectors};
-use almost_aig::{Aig, Lit, Pass, Tt, Tt8};
+use almost_aig::{Aig, Lit, NodeKind, Pass, Tt, Tt8, Var};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -32,6 +32,91 @@ fn random_aig(num_inputs: usize, num_ands: usize, seed: u64) -> Aig {
         aig.add_output(lit);
     }
     aig
+}
+
+/// A random function of `nvars` variables: mostly the root of a random
+/// AND/INV expression over them, the kind of function the passes
+/// resynthesise; sometimes raw random bits, whose covers are wide.
+fn random_table(rng: &mut StdRng, nvars: usize) -> Tt8 {
+    if rng.random_bool(0.25) {
+        let words = if nvars <= 6 { 1 } else { 1 << (nvars - 6) };
+        return Tt8::from_tt(&Tt::from_words(
+            nvars,
+            (0..words).map(|_| rng.random()).collect(),
+        ));
+    }
+    let mut pool: Vec<Tt8> = (0..nvars).map(Tt8::var).collect();
+    for _ in 0..rng.random_range(1..3 * nvars) {
+        let a = pool[rng.random_range(0..pool.len())].xor_complement(rng.random());
+        let b = pool[rng.random_range(0..pool.len())].xor_complement(rng.random());
+        pool.push(a.and(b));
+    }
+    *pool.last().expect("non-empty")
+}
+
+fn nodes(aig: &Aig) -> Vec<NodeKind> {
+    (0..aig.num_nodes() as Var).map(|v| aig.node(v)).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn build_within_keeps_its_budget_contract(seed in 0u64..100_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let nvars = rng.random_range(3..9usize);
+        let tt = random_table(&mut rng, nvars);
+        // Leaves drawn from a random graph, which sometimes already holds
+        // part of the function's structure for the hash to share.
+        let mut aig = random_aig(nvars + 2, rng.random_range(0..40), seed);
+        let mut pool: Vec<Lit> = aig.iter_vars().skip(1).map(Lit::positive).collect();
+        for i in 0..nvars {
+            let j = rng.random_range(i..pool.len());
+            pool.swap(i, j);
+        }
+        let leaves: Vec<Lit> = pool[..nvars]
+            .iter()
+            .map(|l| l.xor_complement(rng.random()))
+            .collect();
+        let mut resynth = Resynth::default();
+        if rng.random_bool(0.5) {
+            let shared = if rng.random_bool(0.5) {
+                tt.cofactor0(rng.random_range(0..nvars))
+            } else {
+                random_table(&mut rng, nvars)
+            };
+            resynth.build(&mut aig, shared, &leaves);
+        }
+        let mut unbounded = aig.clone();
+        let lit = resynth.build(&mut unbounded, tt, &leaves);
+        let cost = unbounded.num_nodes() - aig.num_nodes();
+        let budgets = [
+            0,
+            usize::MAX,
+            cost,
+            cost.saturating_sub(1),
+            cost + 1,
+            rng.random_range(0..cost + 3),
+        ];
+        for budget in budgets {
+            let mut within = aig.clone();
+            match resynth.build_within(&mut within, tt, &leaves, budget) {
+                Some(got) => {
+                    prop_assert!(cost <= budget, "cost {} over budget {}", cost, budget);
+                    prop_assert_eq!(got, lit);
+                    prop_assert_eq!(nodes(&within), nodes(&unbounded));
+                }
+                None => {
+                    prop_assert!(cost > budget, "cost {} within budget {}", cost, budget);
+                    prop_assert_eq!(nodes(&within), nodes(&aig));
+                    // The structural hash is restored too: an unbounded
+                    // build from here is the reference build.
+                    prop_assert_eq!(resynth.build(&mut within, tt, &leaves), lit);
+                    prop_assert_eq!(nodes(&within), nodes(&unbounded));
+                }
+            }
+        }
+    }
 }
 
 proptest! {

@@ -61,7 +61,13 @@ impl LockingScheme for AntiSat {
         let n = self.block_width;
         // The lockable sites of a point-function scheme are the tappable
         // inputs; the block needs n of them (and a circuit to protect).
-        if n == 0 || aig.num_inputs() < n || aig.num_outputs() == 0 {
+        if n == 0 {
+            return Err(LockError::EmptyKey);
+        }
+        if aig.num_outputs() == 0 {
+            return Err(LockError::NoOutputs);
+        }
+        if aig.num_inputs() < n {
             return Err(LockError::NotEnoughGates {
                 available: aig.num_inputs(),
                 requested: n,

@@ -49,7 +49,13 @@ impl LockingScheme for SarLock {
         let n = self.key_size;
         // The lockable sites of a point-function scheme are the tappable
         // inputs; the comparator needs n of them.
-        if n == 0 || aig.num_inputs() < n || aig.num_outputs() == 0 {
+        if n == 0 {
+            return Err(LockError::EmptyKey);
+        }
+        if aig.num_outputs() == 0 {
+            return Err(LockError::NoOutputs);
+        }
+        if aig.num_inputs() < n {
             return Err(LockError::NotEnoughGates {
                 available: aig.num_inputs(),
                 requested: n,

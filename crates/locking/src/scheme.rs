@@ -16,6 +16,10 @@ pub enum LockError {
         /// Key bits requested.
         requested: usize,
     },
+    /// The scheme was configured with a zero-bit key, which locks nothing.
+    EmptyKey,
+    /// The circuit has no primary output for the scheme to corrupt.
+    NoOutputs,
 }
 
 impl fmt::Display for LockError {
@@ -28,6 +32,8 @@ impl fmt::Display for LockError {
                 f,
                 "circuit has only {available} lockable gates for a {requested}-bit key"
             ),
+            LockError::EmptyKey => write!(f, "a 0-bit key locks nothing"),
+            LockError::NoOutputs => write!(f, "circuit has no outputs to lock"),
         }
     }
 }
@@ -89,7 +95,9 @@ pub trait LockingScheme {
     /// # Errors
     ///
     /// Returns [`LockError::NotEnoughGates`] if the circuit is too small
-    /// for the configured key size.
+    /// for the configured key size. Point-function schemes also return
+    /// [`LockError::EmptyKey`] for a zero-width key and
+    /// [`LockError::NoOutputs`] for a circuit without outputs.
     fn lock(&self, aig: &Aig, rng: &mut StdRng) -> Result<LockedCircuit, LockError>;
 
     /// The scheme's display name.
@@ -139,6 +147,8 @@ mod tests {
             requested: 64,
         };
         assert!(e.to_string().contains("64-bit"));
+        assert!(LockError::EmptyKey.to_string().contains("0-bit key"));
+        assert!(LockError::NoOutputs.to_string().contains("no outputs"));
     }
 
     #[test]

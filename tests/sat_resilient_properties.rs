@@ -7,7 +7,9 @@
 //! - Any single-bit-wrong key differs from the original on at least one
 //!   input (the point function guarantees a witness: the comparator fires
 //!   on exactly the pattern spelled by the wrong key).
-//! - `LockError::NotEnoughGates` fires on circuits too small to tap.
+//! - `LockError::NotEnoughGates` fires on circuits too small to tap,
+//!   `LockError::EmptyKey` on zero-width keys and `LockError::NoOutputs`
+//!   on netlists without outputs.
 
 use almost_repro::circuits::IscasBenchmark;
 use almost_repro::locking::{apply_key, AntiSat, LockError, LockingScheme, Rll, SarLock, Stacked};
@@ -120,9 +122,16 @@ fn not_enough_gates_fires_on_tiny_circuits() {
             other => panic!("{}: expected NotEnoughGates, got {other:?}", scheme.name()),
         }
     }
-    // Zero-width point functions are rejected too (degenerate comparator).
-    assert!(SarLock::new(0).lock(&tiny, &mut rng).is_err());
-    assert!(AntiSat::new(0).lock(&tiny, &mut rng).is_err());
+    // Zero-width point functions are rejected as such (degenerate
+    // comparator), not as a shortage of gates.
+    assert_eq!(
+        SarLock::new(0).lock(&tiny, &mut rng).err(),
+        Some(LockError::EmptyKey)
+    );
+    assert_eq!(
+        AntiSat::new(0).lock(&tiny, &mut rng).err(),
+        Some(LockError::EmptyKey)
+    );
 
     // The compound propagates whichever layer fails.
     let err = Stacked::new(Rll::new(1), SarLock::new(64))
@@ -132,4 +141,24 @@ fn not_enough_gates_fires_on_tiny_circuits() {
         err,
         LockError::NotEnoughGates { requested: 64, .. }
     ));
+}
+
+#[test]
+fn no_outputs_is_its_own_error() {
+    // Plenty of inputs to tap, but no output to corrupt.
+    let mut headless = almost_repro::aig::Aig::new();
+    let ins: Vec<_> = (0..8).map(|_| headless.add_input()).collect();
+    headless.and(ins[0], ins[1]);
+
+    let mut rng = StdRng::seed_from_u64(2);
+    for scheme in [
+        Box::new(SarLock::new(4)) as Box<dyn LockingScheme>,
+        Box::new(AntiSat::new(4)),
+    ] {
+        let err = scheme
+            .lock(&headless, &mut rng)
+            .expect_err("nothing to lock");
+        assert_eq!(err, LockError::NoOutputs, "{}", scheme.name());
+        assert!(err.to_string().contains("no outputs"), "{err}");
+    }
 }
