@@ -34,9 +34,9 @@
 //!   which derives each distinct function's candidate structures (ISOP
 //!   covers, Shannon pivot, cofactor plans) once and replays them against
 //!   the live graph in a fixed probe order (documented there), under a node
-//!   budget: a cover or Shannon build stops and is rolled back as soon as
-//!   it adds more nodes than the pass could accept, so no candidate is
-//!   costed past that point;
+//!   budget: a cover or Shannon build stops and is rolled back once it
+//!   adds more nodes than the pass could accept, so no candidate is costed
+//!   past that point;
 //! - an accepted candidate is kept as built, never rolled back and rebuilt.
 //!
 //! All memos live for one pass call; there is no global or thread-local
