@@ -10,6 +10,22 @@
 //! derived during the merge from the fanin cuts' tables, so consumers never
 //! re-simulate a cone. [`cut_function`] recomputes a cone's table from the
 //! graph and stays as the differential reference.
+//!
+//! # Storage and the merge
+//!
+//! All cuts of all nodes live in one arena, node after node, with a table
+//! of per-node offsets; [`CutSet::cuts_of`] is a slice of it. A node's
+//! candidates are collected in one merge buffer reused across nodes, each
+//! remembering the pair of fanin cuts that first produced its leaf set.
+//! The buffer is kept free of dominated cuts (a linear sorted-subset
+//! test), then placed into the arena by size, smallest first and in
+//! discovery order within a size (a stable sort by size, done as four
+//! buckets), up to the per-node cap. Only the cuts that survive get a
+//! table: each fanin table is *stretched* over the merged leaves by moving
+//! its variables up into the positions of their leaves, from the highest
+//! down, each move a single variable swap. A cut's table never depends on
+//! variables past its size, so every target position is free and a
+//! stretch takes at most three swaps.
 
 use crate::aig::{Aig, NodeKind, Var};
 use crate::truth::Tt;
@@ -17,8 +33,8 @@ use crate::truth::Tt;
 /// Maximum number of leaves of an enumerated cut.
 pub const K: usize = 4;
 
-/// The projection table of leaf 0 in a 4-variable truth table.
-const VAR0: u16 = 0xAAAA;
+/// The projection tables of the four variables of a 4-variable truth table.
+const VARS: [u16; K] = [0xAAAA, 0xCCCC, 0xF0F0, 0xFF00];
 
 /// A single cut: a sorted set of at most [`K`] leaf variables, together with
 /// the function of its root over them.
@@ -36,7 +52,7 @@ impl Cut {
         Cut {
             leaves: [var, 0, 0, 0],
             size: 1,
-            truth: VAR0,
+            truth: VARS[0],
             signature: 1 << (var % 64),
         }
     }
@@ -97,7 +113,7 @@ impl Cut {
         Some(Cut {
             leaves,
             size: size as u8,
-            truth: VAR0,
+            truth: VARS[0],
             signature,
         })
     }
@@ -105,22 +121,30 @@ impl Cut {
     /// Returns true if `self`'s leaves are a subset of `other`'s (then
     /// `other` is dominated and can be discarded).
     pub fn dominates(&self, other: &Cut) -> bool {
-        if self.size > other.size {
+        if self.size > other.size || self.signature & !other.signature != 0 {
             return false;
         }
-        if self.signature & !other.signature != 0 {
-            return false;
+        // Both leaf lists are sorted: one forward scan of `other`.
+        let wider = other.leaves();
+        let mut j = 0;
+        for &l in self.leaves() {
+            while j < wider.len() && wider[j] < l {
+                j += 1;
+            }
+            if j == wider.len() || wider[j] != l {
+                return false;
+            }
+            j += 1;
         }
-        self.leaves()
-            .iter()
-            .all(|l| other.leaves().binary_search(l).is_ok())
+        true
     }
 
     /// This cut's table re-expressed over the leaves of `wider`, a superset
-    /// of this cut's leaves.
+    /// of this cut's leaves (the truth stretch of the module docs).
     fn truth_over(&self, wider: &Cut) -> u16 {
-        if self.leaves() == wider.leaves() {
-            return self.truth;
+        let mut truth = self.truth;
+        if self.size == wider.size {
+            return truth;
         }
         // Position of each of this cut's leaves among the wider leaves.
         let mut pos = [0usize; K];
@@ -131,15 +155,12 @@ impl Cut {
             }
             pos[i] = p;
         }
-        let mut out = 0u16;
-        for row in 0..16 {
-            let mut src = 0;
-            for (i, &p) in pos[..self.size()].iter().enumerate() {
-                src |= (row >> p & 1) << i;
+        for i in (0..self.size()).rev() {
+            if pos[i] != i {
+                truth = swap_vars(truth, i, pos[i]);
             }
-            out |= (self.truth >> src & 1) << row;
         }
-        out
+        truth
     }
 
     /// Sets the truth table of `self`, a merge of fanin cuts `x` and `y`,
@@ -152,10 +173,32 @@ impl Cut {
     }
 }
 
+/// Swaps variables `i < j` of a 4-variable truth table (such as
+/// [`Cut::truth`]).
+#[inline]
+pub fn swap_vars(truth: u16, i: usize, j: usize) -> u16 {
+    let shift = (1 << j) - (1 << i);
+    let up = VARS[i] & !VARS[j]; // rows with i set and j clear
+    let down = VARS[j] & !VARS[i];
+    truth & !(up | down) | (truth & up) << shift | (truth & down) >> shift
+}
+
+/// A candidate cut of the node being merged, with the arena indices of the
+/// fanin cuts that first produced its leaf set (its table's source).
+#[derive(Clone, Copy, Debug)]
+struct Candidate {
+    cut: Cut,
+    x: usize,
+    y: usize,
+}
+
 /// Per-node cut sets for an entire AIG.
 #[derive(Debug)]
 pub struct CutSet {
-    cuts: Vec<Vec<Cut>>,
+    /// Every node's cuts, node after node.
+    cuts: Vec<Cut>,
+    /// The cuts of node `v` are `cuts[offsets[v]..offsets[v + 1]]`.
+    offsets: Vec<usize>,
 }
 
 /// Configuration for cut enumeration.
@@ -174,47 +217,84 @@ impl Default for CutConfig {
 impl CutSet {
     /// Enumerates cuts (with their truth tables) for every node of `aig`.
     pub fn compute(aig: &Aig, config: CutConfig) -> Self {
-        let mut cuts: Vec<Vec<Cut>> = Vec::with_capacity(aig.num_nodes());
+        let mut cuts: Vec<Cut> = Vec::with_capacity(aig.num_nodes() * 4);
+        let mut offsets: Vec<usize> = Vec::with_capacity(aig.num_nodes() + 1);
+        let mut pending: Vec<Candidate> = Vec::new();
+        offsets.push(0);
         for v in aig.iter_vars() {
-            let node_cuts = match aig.node(v) {
-                NodeKind::Const0 | NodeKind::Input(_) => vec![Cut::trivial(v)],
-                NodeKind::And(a, b) => {
-                    let (ca, cb) = (a.is_complement(), b.is_complement());
-                    let mut new_cuts: Vec<Cut> = Vec::new();
-                    for x in &cuts[a.var() as usize] {
-                        for y in &cuts[b.var() as usize] {
-                            if let Some(m) = x.merge(y) {
-                                if !new_cuts.iter().any(|c| c.dominates(&m)) {
-                                    new_cuts.retain(|c| !m.dominates(c));
-                                    new_cuts.push(m.with_and_truth((x, ca), (y, cb)));
-                                }
-                            }
-                        }
-                    }
-                    // Prefer smaller cuts when trimming to the cap.
-                    new_cuts.sort_by_key(Cut::size);
-                    new_cuts.truncate(config.max_cuts);
-                    // The structural fanin cut must always survive: the
-                    // technology mapper and rewriting rely on every node
-                    // having at least one matchable cut.
-                    let (ta, tb) = (Cut::trivial(a.var()), Cut::trivial(b.var()));
-                    let fanin_cut = ta.merge(&tb).expect("two leaves always fit");
-                    if !new_cuts.iter().any(|c| c.leaves() == fanin_cut.leaves()) {
-                        new_cuts.push(fanin_cut.with_and_truth((&ta, ca), (&tb, cb)));
-                    }
-                    new_cuts.push(Cut::trivial(v));
-                    new_cuts
-                }
+            let NodeKind::And(a, b) = aig.node(v) else {
+                cuts.push(Cut::trivial(v));
+                offsets.push(cuts.len());
+                continue;
             };
-            cuts.push(node_cuts);
+            let (ca, cb) = (a.is_complement(), b.is_complement());
+            let (va, vb) = (a.var() as usize, b.var() as usize);
+            let (xs, ys) = (offsets[va]..offsets[va + 1], offsets[vb]..offsets[vb + 1]);
+            pending.clear();
+            for (x, cx) in xs.clone().zip(&cuts[xs]) {
+                for (y, cy) in ys.clone().zip(&cuts[ys.clone()]) {
+                    if let Some(m) = cx.merge(cy) {
+                        insert_undominated(&mut pending, Candidate { cut: m, x, y });
+                    }
+                }
+            }
+            // Prefer smaller cuts when trimming to the cap; only the cuts
+            // kept get their table.
+            let start = cuts.len();
+            for size in 1..=K as u8 {
+                for c in pending.iter().filter(|c| c.cut.size == size) {
+                    if cuts.len() - start == config.max_cuts {
+                        break;
+                    }
+                    let cut = c.cut.with_and_truth((&cuts[c.x], ca), (&cuts[c.y], cb));
+                    cuts.push(cut);
+                }
+            }
+            // The structural fanin cut must always survive: the
+            // technology mapper and rewriting rely on every node
+            // having at least one matchable cut.
+            let (ta, tb) = (Cut::trivial(a.var()), Cut::trivial(b.var()));
+            let fanin_cut = ta.merge(&tb).expect("two leaves always fit");
+            if !cuts[start..]
+                .iter()
+                .any(|c| c.leaves() == fanin_cut.leaves())
+            {
+                cuts.push(fanin_cut.with_and_truth((&ta, ca), (&tb, cb)));
+            }
+            cuts.push(Cut::trivial(v));
+            offsets.push(cuts.len());
         }
-        CutSet { cuts }
+        CutSet { cuts, offsets }
     }
 
     /// The cuts of node `var` (the last entry is the trivial cut).
     pub fn cuts_of(&self, var: Var) -> &[Cut] {
-        &self.cuts[var as usize]
+        let v = var as usize;
+        &self.cuts[self.offsets[v]..self.offsets[v + 1]]
     }
+}
+
+/// Adds `new` to a node's candidates unless one of them dominates it, and
+/// drops the candidates it dominates, keeping the rest in order.
+///
+/// The candidates never dominate one another, so once one of them
+/// dominates `new`, `new` dominates none of those before it (that one
+/// aside, when the two are equal): one pass decides both.
+fn insert_undominated(pending: &mut Vec<Candidate>, new: Candidate) {
+    let mut kept = 0;
+    for i in 0..pending.len() {
+        let c = pending[i];
+        if c.cut.dominates(&new.cut) {
+            debug_assert_eq!(kept, i, "nothing was dropped before");
+            return;
+        }
+        if !new.cut.dominates(&c.cut) {
+            pending[kept] = c;
+            kept += 1;
+        }
+    }
+    pending.truncate(kept);
+    pending.push(new);
 }
 
 /// Computes the truth table of `root` as a function of the cut `leaves`
@@ -346,6 +426,40 @@ mod tests {
             let ve = (idx & 4) != 0;
             let expect = (if vs { vt } else { ve }) ^ m.is_complement();
             assert_eq!(tt.get_bit(idx), expect, "idx={idx}");
+        }
+    }
+
+    #[test]
+    fn truth_stretch_matches_row_by_row_reexpression() {
+        // Every leaf subset of a 4-leaf cut, under tables that ignore the
+        // variables past the subset's size.
+        let wider = cut_of(&[3, 5, 8, 9]);
+        for mask in 1u32..16 {
+            let leaves: Vec<Var> = (0..K)
+                .filter(|&i| mask >> i & 1 != 0)
+                .map(|i| wider.leaves()[i])
+                .collect();
+            let pos: Vec<usize> = (0..K).filter(|&i| mask >> i & 1 != 0).collect();
+            for seed in 0..16u16 {
+                let rows = 1u32 << (1 << leaves.len());
+                let bits = (seed.wrapping_mul(0x9E37) ^ 0x5A5A) as u32 % rows;
+                // Replicate the table so it ignores the unused variables.
+                let mut truth = 0u16;
+                for row in 0..16 {
+                    truth |= ((bits >> (row % (1 << leaves.len())) & 1) as u16) << row;
+                }
+                let mut cut = cut_of(&leaves);
+                cut.truth = truth;
+                let mut want = 0u16;
+                for row in 0..16 {
+                    let src = pos
+                        .iter()
+                        .enumerate()
+                        .fold(0, |s, (i, &p)| s | (row >> p & 1) << i);
+                    want |= (truth >> src & 1) << row;
+                }
+                assert_eq!(cut.truth_over(&wider), want, "leaves {leaves:?}");
+            }
         }
     }
 

@@ -20,12 +20,12 @@ pub fn mffc_size(aig: &Aig, root: Var, leaves: &[Var], refs: &mut [u32]) -> usiz
     count
 }
 
-/// Collects the MFFC node set itself (including `root`).
-pub fn mffc_nodes(aig: &Aig, root: Var, leaves: &[Var], refs: &mut [u32]) -> Vec<Var> {
-    let mut nodes = Vec::new();
+/// Collects the MFFC node set itself (including `root`, which comes first)
+/// into `nodes`, replacing its contents; its length is [`mffc_size`].
+pub fn mffc_nodes(aig: &Aig, root: Var, leaves: &[Var], refs: &mut [u32], nodes: &mut Vec<Var>) {
+    nodes.clear();
     deref(aig, root, leaves, refs, &mut |v| nodes.push(v));
     reref(aig, root, leaves, refs);
-    nodes
 }
 
 /// Dereferences the cone of `v` down to `leaves`, visiting every node whose
@@ -123,8 +123,10 @@ mod tests {
         aig.add_output(z);
         let mut refs = aig.fanout_counts();
         let leaves: Vec<Var> = ins.iter().map(|l| l.var()).collect();
-        let nodes = mffc_nodes(&aig, z.var(), &leaves, &mut refs);
+        let mut nodes = vec![0];
+        mffc_nodes(&aig, z.var(), &leaves, &mut refs, &mut nodes);
         assert_eq!(nodes.len(), 3);
+        assert_eq!(nodes.len(), mffc_size(&aig, z.var(), &leaves, &mut refs));
         assert_eq!(refs, aig.fanout_counts());
     }
 }

@@ -26,10 +26,16 @@
 //! The cut-based passes never recompute what a call has already derived:
 //!
 //! - cuts ([`crate::cut`]) carry their 4-variable truth table through the
-//!   merge, so `rewrite` never simulates a cone;
+//!   merge, so `rewrite` never simulates a cone; all nodes' cuts share one
+//!   arena and one merge buffer, and a table is derived only for a cut
+//!   the per-node cap keeps;
 //! - `refactor` and `resub` load each reconvergence window once into
 //!   8-variable tables ([`Window`]), in topological order, and read the
 //!   root's and every divisor's function from there;
+//! - nothing is allocated per node: a reconvergence cut's leaves sit inline
+//!   ([`WindowLeaves`]), and the window's tables and volume, the mapped
+//!   leaf literals of `rewrite` and `refactor`, and `resub`'s MFFC,
+//!   divisor and host buffers are cleared and refilled from node to node;
 //! - `rewrite` and `refactor` own one [`crate::isop::Resynth`] per call,
 //!   which derives each distinct function's candidate structures (ISOP
 //!   covers, Shannon pivot, cofactor plans) once and replays them against
@@ -56,7 +62,7 @@ pub use balance::balance;
 pub use refactor::refactor;
 pub use resub::resub;
 pub use rewrite::rewrite;
-pub use window::{reconvergence_cut, Window};
+pub use window::{reconvergence_cut, Window, WindowLeaves, MAX_WINDOW_LEAVES};
 
 use crate::aig::Aig;
 use std::fmt;

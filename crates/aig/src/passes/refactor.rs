@@ -24,6 +24,7 @@ pub fn refactor(aig: &Aig, zero_cost: bool) -> Aig {
     for i in 0..aig.num_inputs() {
         map[aig.inputs()[i] as usize] = new.add_named_input(aig.input_name(i).to_string());
     }
+    let mut leaves_new: Vec<Lit> = Vec::with_capacity(MAX_LEAVES);
 
     for v in aig.iter_ands() {
         let (a, b) = aig.and_fanins(v).expect("iterating ANDs");
@@ -41,7 +42,8 @@ pub fn refactor(aig: &Aig, zero_cost: bool) -> Aig {
             continue;
         }
         window.load(aig, v, &leaves);
-        let leaves_new: Vec<Lit> = leaves.iter().map(|&l| map[l as usize]).collect();
+        leaves_new.clear();
+        leaves_new.extend(leaves.iter().map(|&l| map[l as usize]));
 
         // Accepted at a positive gain, or a zero one under -z: that caps
         // the nodes the candidate may add.

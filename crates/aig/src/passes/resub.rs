@@ -16,7 +16,7 @@
 //! needed.
 
 use crate::aig::{Aig, Lit, Var};
-use crate::mffc::{mffc_nodes, mffc_size};
+use crate::mffc::mffc_nodes;
 use crate::passes::window::{reconvergence_cut, Window};
 use crate::truth::Tt8;
 
@@ -29,7 +29,10 @@ const MAX_DIVISORS: usize = 48;
 pub fn resub(aig: &Aig, zero_cost: bool) -> Aig {
     let mut refs = aig.fanout_counts();
     let mut window = Window::new(aig.num_nodes());
+    // Per-node buffers, reused from node to node.
     let mut divisors: Vec<(Var, Tt8)> = Vec::with_capacity(MAX_DIVISORS);
+    let mut hosts: Vec<(bool, bool)> = Vec::with_capacity(MAX_DIVISORS);
+    let mut in_mffc: Vec<Var> = Vec::new();
     let mut new = Aig::new();
     let mut map: Vec<Lit> = vec![Lit::FALSE; aig.num_nodes()];
     for i in 0..aig.num_inputs() {
@@ -47,15 +50,13 @@ pub fn resub(aig: &Aig, zero_cost: bool) -> Aig {
         if leaves.len() < 2 {
             continue;
         }
-        let credit = mffc_size(aig, v, &leaves, &mut refs) as isize;
-        if credit <= 0 {
-            continue;
-        }
+        // The MFFC always holds `v` itself, so the credit is positive.
+        mffc_nodes(aig, v, &leaves, &mut refs, &mut in_mffc);
+        let credit = in_mffc.len() as isize;
 
         // One simulation of the window gives the target's table and every
         // divisor's, all as functions of the same leaves.
         window.load(aig, v, &leaves);
-        let in_mffc = mffc_nodes(aig, v, &leaves, &mut refs);
         let target_tt = window.table(v);
 
         // Divisors: the leaves themselves, then window nodes outside the
@@ -93,10 +94,12 @@ pub fn resub(aig: &Aig, zero_cost: bool) -> Aig {
             // some phase: pairs failing that and the XOR test are skipped
             // without trying the gate.
             let contains = |t: Tt8, f: Tt8| f.and(t.not()).is_zero() || f.and(t).is_zero();
-            let hosts: Vec<(bool, bool)> = divisors
-                .iter()
-                .map(|&(_, t)| (contains(t, target_tt), contains(t, target_tt.not())))
-                .collect();
+            hosts.clear();
+            hosts.extend(
+                divisors
+                    .iter()
+                    .map(|&(_, t)| (contains(t, target_tt), contains(t, target_tt.not()))),
+            );
             'outer: for i in 0..divisors.len() {
                 for j in (i + 1)..divisors.len() {
                     let (d1, t1) = divisors[i];

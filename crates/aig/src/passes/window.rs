@@ -3,25 +3,74 @@
 
 use crate::aig::{Aig, Var};
 use crate::truth::Tt8;
+use std::ops::Deref;
+
+/// Most leaves a window may have (its tables are [`Tt8`]s).
+pub const MAX_WINDOW_LEAVES: usize = 8;
+
+/// The sorted leaves of a reconvergence-driven cut, held inline (unused
+/// slots are 0).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct WindowLeaves {
+    vars: [Var; MAX_WINDOW_LEAVES],
+    len: usize,
+}
+
+impl WindowLeaves {
+    fn push(&mut self, v: Var) {
+        self.vars[self.len] = v;
+        self.len += 1;
+    }
+
+    fn swap_remove(&mut self, i: usize) -> Var {
+        let v = self.vars[i];
+        self.len -= 1;
+        self.vars[i] = self.vars[self.len];
+        self.vars[self.len] = 0;
+        v
+    }
+}
+
+impl Deref for WindowLeaves {
+    type Target = [Var];
+
+    fn deref(&self) -> &[Var] {
+        &self.vars[..self.len]
+    }
+}
 
 /// Grows a reconvergence-driven cut of `root` with at most `max_leaves`
 /// leaves.
 ///
 /// Starting from the fanins of `root`, the leaf whose expansion increases
 /// the leaf count least (reconvergent leaves may even *decrease* it) is
-/// expanded repeatedly until no expansion fits within `max_leaves`.
+/// expanded repeatedly until no expansion fits within `max_leaves`; ties go
+/// to the first such leaf in the working order, which an expansion changes
+/// by moving the last leaf into the expanded one's place.
 ///
-/// Returns the sorted leaf variables.
+/// Returns the sorted leaf variables. An expansion never takes the cut past
+/// `max_leaves`, so the leaves fit inline and nothing is allocated.
 ///
 /// # Panics
 ///
-/// Panics if `root` is not an AND node.
-pub fn reconvergence_cut(aig: &Aig, root: Var, max_leaves: usize) -> Vec<Var> {
+/// Panics if `root` is not an AND node or `max_leaves` exceeds
+/// [`MAX_WINDOW_LEAVES`].
+pub fn reconvergence_cut(aig: &Aig, root: Var, max_leaves: usize) -> WindowLeaves {
+    assert!(
+        max_leaves <= MAX_WINDOW_LEAVES,
+        "a window has at most {MAX_WINDOW_LEAVES} leaves"
+    );
     let (a, b) = aig
         .and_fanins(root)
         .expect("reconvergence cut root must be an AND node");
-    let mut leaves: Vec<Var> = vec![a.var(), b.var()];
-    leaves.dedup();
+    let mut leaves = WindowLeaves {
+        vars: [0; MAX_WINDOW_LEAVES],
+        len: 0,
+    };
+    leaves.push(a.var());
+    if b.var() != a.var() {
+        leaves.push(b.var());
+    }
 
     loop {
         let mut best: Option<(isize, usize)> = None; // (cost, leaf index)
@@ -58,7 +107,7 @@ pub fn reconvergence_cut(aig: &Aig, root: Var, max_leaves: usize) -> Vec<Var> {
             }
         }
     }
-    leaves.sort_unstable();
+    leaves.vars[..leaves.len].sort_unstable();
     leaves
 }
 
@@ -154,7 +203,7 @@ mod tests {
         let cut = reconvergence_cut(&aig, z.var(), 8);
         let mut want: Vec<Var> = ins.iter().map(|l| l.var()).collect();
         want.sort_unstable();
-        assert_eq!(cut, want);
+        assert_eq!(&cut[..], &want[..]);
     }
 
     #[test]
@@ -179,9 +228,9 @@ mod tests {
         let f = aig.and(ab, ac);
         aig.add_output(f);
         let cut = reconvergence_cut(&aig, f.var(), 8);
-        let mut want = vec![a.var(), b.var(), c.var()];
+        let mut want = [a.var(), b.var(), c.var()];
         want.sort_unstable();
-        assert_eq!(cut, want);
+        assert_eq!(&cut[..], &want[..]);
     }
 
     #[test]

@@ -54,6 +54,183 @@ fn random_table(rng: &mut StdRng, nvars: usize) -> Tt8 {
     *pool.last().expect("non-empty")
 }
 
+/// The per-node `Vec` cut enumerator the arena [`CutSet`] replaced, kept
+/// as its differential reference: each cut as its sorted leaves and table.
+fn reference_cuts(aig: &Aig, max_cuts: usize) -> Vec<Vec<(Vec<Var>, u16)>> {
+    #[derive(Clone)]
+    struct RefCut {
+        leaves: Vec<Var>,
+        truth: u16,
+        signature: u64,
+    }
+    fn trivial(v: Var) -> RefCut {
+        RefCut {
+            leaves: vec![v],
+            truth: 0xAAAA,
+            signature: 1 << (v % 64),
+        }
+    }
+    fn merge(x: &RefCut, y: &RefCut) -> Option<RefCut> {
+        let signature = x.signature | y.signature;
+        if signature.count_ones() > 4 {
+            return None;
+        }
+        let mut leaves: Vec<Var> = x.leaves.iter().chain(&y.leaves).copied().collect();
+        leaves.sort_unstable();
+        leaves.dedup();
+        (leaves.len() <= 4).then_some(RefCut {
+            leaves,
+            truth: 0xAAAA,
+            signature,
+        })
+    }
+    fn dominates(x: &RefCut, y: &RefCut) -> bool {
+        x.leaves.len() <= y.leaves.len() && x.leaves.iter().all(|l| y.leaves.contains(l))
+    }
+    // Row by row: wider row `r` reads this table at the row spelled by
+    // the bits of `r` at the positions of this cut's leaves.
+    fn truth_over(x: &RefCut, wider: &RefCut) -> u16 {
+        let pos: Vec<usize> = x
+            .leaves
+            .iter()
+            .map(|l| wider.leaves.iter().position(|w| w == l).expect("subset"))
+            .collect();
+        let mut out = 0u16;
+        for row in 0..16 {
+            let src = pos
+                .iter()
+                .enumerate()
+                .fold(0, |s, (i, &p)| s | (row >> p & 1) << i);
+            out |= (x.truth >> src & 1) << row;
+        }
+        out
+    }
+    fn and_truth(mut m: RefCut, x: (&RefCut, bool), y: (&RefCut, bool)) -> RefCut {
+        let tx = truth_over(x.0, &m) ^ if x.1 { u16::MAX } else { 0 };
+        let ty = truth_over(y.0, &m) ^ if y.1 { u16::MAX } else { 0 };
+        m.truth = tx & ty;
+        m
+    }
+
+    let mut cuts: Vec<Vec<RefCut>> = Vec::new();
+    for v in aig.iter_vars() {
+        let node_cuts = match aig.node(v) {
+            NodeKind::And(a, b) => {
+                let (ca, cb) = (a.is_complement(), b.is_complement());
+                let mut new_cuts: Vec<RefCut> = Vec::new();
+                for x in &cuts[a.var() as usize] {
+                    for y in &cuts[b.var() as usize] {
+                        if let Some(m) = merge(x, y) {
+                            if !new_cuts.iter().any(|c| dominates(c, &m)) {
+                                new_cuts.retain(|c| !dominates(&m, c));
+                                new_cuts.push(and_truth(m, (x, ca), (y, cb)));
+                            }
+                        }
+                    }
+                }
+                new_cuts.sort_by_key(|c| c.leaves.len());
+                new_cuts.truncate(max_cuts);
+                let (ta, tb) = (trivial(a.var()), trivial(b.var()));
+                let fanin_cut = merge(&ta, &tb).expect("two leaves always fit");
+                if !new_cuts.iter().any(|c| c.leaves == fanin_cut.leaves) {
+                    new_cuts.push(and_truth(fanin_cut, (&ta, ca), (&tb, cb)));
+                }
+                new_cuts.push(trivial(v));
+                new_cuts
+            }
+            _ => vec![trivial(v)],
+        };
+        cuts.push(node_cuts);
+    }
+    cuts.into_iter()
+        .map(|node| node.into_iter().map(|c| (c.leaves, c.truth)).collect())
+        .collect()
+}
+
+/// Asserts that the arena cut sets equal [`reference_cuts`] on every node:
+/// the same cuts in the same order, with the same tables.
+fn assert_cuts_match_reference(aig: &Aig, max_cuts: usize) {
+    let cuts = CutSet::compute(aig, CutConfig { max_cuts });
+    for (v, want) in aig.iter_vars().zip(reference_cuts(aig, max_cuts)) {
+        let got: Vec<(Vec<Var>, u16)> = cuts
+            .cuts_of(v)
+            .iter()
+            .map(|c| (c.leaves().to_vec(), c.truth()))
+            .collect();
+        assert_eq!(got, want, "node {v} at max_cuts {max_cuts}");
+    }
+}
+
+/// The `Vec`-based reconvergence cut the inline [`reconvergence_cut`]
+/// replaced, kept as its differential reference.
+fn reference_reconvergence_cut(aig: &Aig, root: Var, max_leaves: usize) -> Vec<Var> {
+    let (a, b) = aig.and_fanins(root).expect("AND root");
+    let mut leaves: Vec<Var> = vec![a.var(), b.var()];
+    leaves.dedup();
+    loop {
+        let mut best: Option<(isize, usize)> = None;
+        for (i, &leaf) in leaves.iter().enumerate() {
+            let Some((fa, fb)) = aig.and_fanins(leaf) else {
+                continue;
+            };
+            let mut added = 0isize;
+            for f in [fa.var(), fb.var()] {
+                if !leaves.contains(&f) {
+                    added += 1;
+                }
+            }
+            if fa.var() == fb.var() {
+                added = added.min(1);
+            }
+            let cost = added - 1;
+            if (leaves.len() as isize + cost) as usize > max_leaves {
+                continue;
+            }
+            if best.is_none_or(|(bc, _)| cost < bc) {
+                best = Some((cost, i));
+            }
+        }
+        let Some((_, idx)) = best else {
+            break;
+        };
+        let leaf = leaves.swap_remove(idx);
+        let (fa, fb) = aig.and_fanins(leaf).expect("AND leaf");
+        for f in [fa.var(), fb.var()] {
+            if !leaves.contains(&f) {
+                leaves.push(f);
+            }
+        }
+    }
+    leaves.sort_unstable();
+    leaves
+}
+
+#[test]
+fn arena_cuts_match_the_reference_on_locked_circuits() {
+    use almost_circuits::IscasBenchmark;
+    use almost_locking::{LockingScheme, Rll};
+    for (bench, key_size) in [(IscasBenchmark::C1908, 64), (IscasBenchmark::C3540, 64)] {
+        let raw = bench.build();
+        let mut rng = StdRng::seed_from_u64(key_size as u64);
+        let locked = Rll::new(key_size)
+            .lock(&raw, &mut rng)
+            .expect("lockable")
+            .aig;
+        let balanced = Pass::Balance.apply(&locked);
+        for aig in [&raw, &locked, &balanced] {
+            for max_cuts in [8, 12] {
+                assert_cuts_match_reference(aig, max_cuts);
+            }
+            for v in aig.iter_ands() {
+                assert_eq!(
+                    &reconvergence_cut(aig, v, 8)[..],
+                    &reference_reconvergence_cut(aig, v, 8)[..]
+                );
+            }
+        }
+    }
+}
+
 fn nodes(aig: &Aig) -> Vec<NodeKind> {
     (0..aig.num_nodes() as Var).map(|v| aig.node(v)).collect()
 }
@@ -221,6 +398,28 @@ proptest! {
             for cut in cuts.cuts_of(v) {
                 prop_assert_eq!(cut.function(), cut_function(&aig, v, cut.leaves()));
             }
+        }
+    }
+
+    #[test]
+    fn arena_cuts_match_the_vec_reference(seed in 0u64..100_000) {
+        let aig = random_aig(8, 120, seed);
+        for max_cuts in [8, 12] {
+            assert_cuts_match_reference(&aig, max_cuts);
+        }
+    }
+
+    #[test]
+    fn inline_reconvergence_cut_matches_the_vec_reference(
+        seed in 0u64..100_000,
+        max_leaves in 2usize..9,
+    ) {
+        let aig = random_aig(8, 90, seed);
+        for v in aig.iter_ands() {
+            prop_assert_eq!(
+                &reconvergence_cut(&aig, v, max_leaves)[..],
+                &reference_reconvergence_cut(&aig, v, max_leaves)[..]
+            );
         }
     }
 

@@ -221,7 +221,9 @@ impl SearchObjective for AdversarialLossObjective<'_> {
 }
 
 /// Generates labelled localities: re-lock, synthesise with a recipe drawn
-/// from `next_recipe`, extract the new key gates' subgraphs.
+/// from `next_recipe`, extract the new key gates' subgraphs. Stops short
+/// of `count` (with nothing, at worst) once `base` cannot take a
+/// `relock_key_size`-bit relock.
 pub fn generate_samples(
     base: &Aig,
     mut next_recipe: impl FnMut(&mut StdRng) -> Recipe,
@@ -318,8 +320,11 @@ pub fn train_proxy(locked: &LockedCircuit, kind: ProxyKind, config: &ProxyConfig
         // Line 6: s* = SA maximising the current model's loss (Eq. 3).
         // The loss of a candidate recipe is estimated on one re-locked,
         // re-synthesised probe batch.
-        let probe = relock(&Rll::new(config.relock_key_size), base, &mut rng)
-            .expect("circuit was lockable before");
+        // A relock key the design cannot take (0 bits, or more than its
+        // gates) yields no probe: augmentation stops, the rounds still train.
+        let Ok(probe) = relock(&Rll::new(config.relock_key_size), base, &mut rng) else {
+            continue;
+        };
         let probe_positions: Vec<usize> = probe.key_input_positions().collect();
         let snapshot = ProxyModel {
             kind,
@@ -454,6 +459,33 @@ mod tests {
             );
         }
         assert!(model.predict_accuracy_batch(&locked, &[]).is_empty());
+    }
+
+    #[test]
+    fn unusable_relock_keys_return_instead_of_hanging() {
+        // A 0-bit relock locks nothing and an oversized one does not fit:
+        // sampling must come back empty and training must still finish.
+        let design = IscasBenchmark::C432.build();
+        let locked = locked_c432();
+        for key_size in [0, locked.aig.num_ands() + 1, usize::MAX] {
+            let mut rng = StdRng::seed_from_u64(3);
+            let samples = generate_samples(
+                &design,
+                |_| Recipe::resyn2(),
+                4,
+                key_size,
+                &SubgraphConfig::default(),
+                &mut rng,
+            );
+            assert!(samples.is_empty(), "key size {key_size}");
+            let config = ProxyConfig {
+                relock_key_size: key_size,
+                ..tiny_config()
+            };
+            for kind in [ProxyKind::Resyn2, ProxyKind::Adversarial] {
+                assert_eq!(train_proxy(&locked, kind, &config).kind(), kind);
+            }
+        }
     }
 
     #[test]

@@ -219,6 +219,22 @@ mod tests {
     }
 
     #[test]
+    fn unusable_relock_keys_end_data_generation() {
+        // A 0-bit relock locks nothing and an oversized one does not fit:
+        // either way generation returns empty instead of spinning.
+        let base = IscasBenchmark::C432.build();
+        for relock_key_size in [0, base.num_ands() + 1] {
+            let omla = Omla::new(OmlaConfig {
+                relock_key_size,
+                ..quick_config()
+            });
+            let mut rng = StdRng::seed_from_u64(2);
+            let data = omla.generate_training_data(&base, &Script::resyn2(), &mut rng);
+            assert!(data.is_empty(), "relock key size {relock_key_size}");
+        }
+    }
+
+    #[test]
     fn training_data_is_labelled_and_sized() {
         let mut rng = StdRng::seed_from_u64(1);
         let base = IscasBenchmark::C432.build();

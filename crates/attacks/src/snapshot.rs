@@ -225,6 +225,22 @@ mod tests {
     }
 
     #[test]
+    fn unusable_relock_keys_still_train() {
+        // No relock fits, so the model trains on nothing instead of
+        // spinning in the sampling loop.
+        let base = IscasBenchmark::C432.build();
+        for relock_key_size in [0, base.num_ands() + 1] {
+            let cfg = SnapshotConfig {
+                relock_key_size,
+                epochs: 2,
+                ..SnapshotConfig::default()
+            };
+            let model = Snapshot::new(cfg).train_model(&base, &Script::resyn2());
+            assert_eq!(model.hops, cfg.subgraph.hops);
+        }
+    }
+
+    #[test]
     fn snapshot_beats_chance_on_unsynthesised_locking() {
         let mut rng = StdRng::seed_from_u64(31);
         let base = IscasBenchmark::C880.build();

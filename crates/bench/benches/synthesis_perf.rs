@@ -10,7 +10,14 @@
 //! a deployed recipe: restructuring leaves classes of near-constant
 //! lookalikes that only counterexample feedback splits, which the raw
 //! locked netlists never show.
+//!
+//! The cut layer also runs on its own on c5315 RLL-128: priority-cut
+//! enumeration at the pass's and the extreme-opt mapper's caps, and a
+//! reconvergence cut plus window load for every AND, the per-node set-up
+//! of `refactor` and `resub`.
 
+use almost_aig::cut::{CutConfig, CutSet};
+use almost_aig::passes::{reconvergence_cut, Window};
 use almost_aig::{Aig, Pass, Script};
 use almost_circuits::IscasBenchmark;
 use almost_locking::{LockingScheme, Rll};
@@ -84,5 +91,35 @@ fn bench_map(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_passes, bench_resyn2, bench_map);
+fn bench_cut_layer(c: &mut Criterion) {
+    let aig = rll128(IscasBenchmark::C5315, 5315);
+    let mut group = c.benchmark_group("cut_layer_c5315_rll128");
+    group.sample_size(10);
+    for max_cuts in [8, 12] {
+        group.bench_function(format!("cutset_compute_{max_cuts}"), |b| {
+            b.iter(|| black_box(CutSet::compute(black_box(&aig), CutConfig { max_cuts })))
+        });
+    }
+    group.bench_function("reconvergence_cut_window_load", |b| {
+        let mut window = Window::new(aig.num_nodes());
+        b.iter(|| {
+            let mut volume = 0;
+            for v in aig.iter_ands() {
+                let leaves = reconvergence_cut(&aig, v, 8);
+                window.load(&aig, v, &leaves);
+                volume += window.volume().len();
+            }
+            black_box(volume)
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_passes,
+    bench_resyn2,
+    bench_map,
+    bench_cut_layer
+);
 criterion_main!(benches);

@@ -33,9 +33,13 @@ impl MuxLock {
 
 impl LockingScheme for MuxLock {
     fn lock(&self, aig: &Aig, rng: &mut StdRng) -> Result<LockedCircuit, LockError> {
+        if self.key_size == 0 {
+            return Err(LockError::EmptyKey);
+        }
         let candidates: Vec<Var> = aig.iter_ands().collect();
-        // Need a site and a distinct decoy for each key gate.
-        if candidates.len() < self.key_size + 1 {
+        // Need a site and a distinct decoy for each key gate (compared
+        // without adding, so no key size overflows).
+        if candidates.len() <= self.key_size {
             return Err(LockError::NotEnoughGates {
                 available: candidates.len().saturating_sub(1),
                 requested: self.key_size,

@@ -34,6 +34,9 @@ impl Rll {
 
 impl LockingScheme for Rll {
     fn lock(&self, aig: &Aig, rng: &mut StdRng) -> Result<LockedCircuit, LockError> {
+        if self.key_size == 0 {
+            return Err(LockError::EmptyKey);
+        }
         // Lockable sites: AND nodes (internal signals).
         let candidates: Vec<Var> = aig.iter_ands().collect();
         if candidates.len() < self.key_size {
@@ -59,14 +62,13 @@ impl LockingScheme for Rll {
             .map(|k| new.add_named_input(format!("keyinput{k}")))
             .collect();
 
-        let mut site_iter = sites.iter().peekable();
+        let mut idx = 0usize; // the next site, in topological order
         for v in aig.iter_vars() {
             if let NodeKind::And(a, b) = aig.node(v) {
                 let fa = map[a.var() as usize].xor_complement(a.is_complement());
                 let fb = map[b.var() as usize].xor_complement(b.is_complement());
                 let mut lit = new.and(fa, fb);
-                if site_iter.peek() == Some(&&v) {
-                    let idx = sites.iter().position(|&s| s == v).expect("site");
+                if sites.get(idx) == Some(&v) {
                     let k = key_lits[idx];
                     // Bit 0 -> XOR, bit 1 -> XNOR; bubble pushing happens
                     // automatically through complemented-edge absorption.
@@ -75,7 +77,7 @@ impl LockingScheme for Rll {
                     } else {
                         new.xor(lit, k)
                     };
-                    site_iter.next();
+                    idx += 1;
                 }
                 map[v as usize] = lit;
             }

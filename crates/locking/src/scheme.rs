@@ -94,9 +94,9 @@ pub trait LockingScheme {
     ///
     /// # Errors
     ///
-    /// Returns [`LockError::NotEnoughGates`] if the circuit is too small
-    /// for the configured key size. Point-function schemes also return
-    /// [`LockError::EmptyKey`] for a zero-width key and
+    /// Returns [`LockError::EmptyKey`] for a zero-width key and
+    /// [`LockError::NotEnoughGates`] if the circuit is too small for the
+    /// configured key size. Point-function schemes also return
     /// [`LockError::NoOutputs`] for a circuit without outputs.
     fn lock(&self, aig: &Aig, rng: &mut StdRng) -> Result<LockedCircuit, LockError>;
 

@@ -12,7 +12,7 @@
 
 use crate::cell::{CellLibrary, CellMatch};
 use crate::netlist::{MappedNetlist, NetId};
-use almost_aig::cut::{CutConfig, CutSet};
+use almost_aig::cut::{swap_vars, CutConfig, CutSet, K};
 use almost_aig::{Aig, Var};
 use std::collections::HashMap;
 
@@ -52,15 +52,17 @@ impl MapConfig {
 }
 
 /// Per-node mapping decision.
-#[derive(Clone, Debug)]
-enum Choice {
+#[derive(Clone, Copy, Debug)]
+enum Choice<'lib> {
     /// The node is functionally a (possibly complemented) copy of another
     /// node.
     Wire { leaf: Var, flip: bool },
-    /// A bound library cell over the given (support-compressed) leaves.
+    /// A library binding over the first `len` of `leaves` (the
+    /// support-compressed cut leaves).
     Bind {
-        leaves: Vec<Var>,
-        cell_match: CellMatch,
+        leaves: [Var; K],
+        len: u8,
+        cell_match: &'lib CellMatch,
     },
 }
 
@@ -97,12 +99,15 @@ pub fn map_aig(aig: &Aig, library: &CellLibrary, config: &MapConfig) -> MappedNe
                 if cut.leaves() == [v] {
                     continue;
                 }
-                let (support, ctt) = compress(cut.truth(), cut.size());
-                if support.is_empty() {
+                let (support, len, ctt) = compress(cut.truth(), cut.size());
+                if len == 0 {
                     continue; // constant nodes cannot exist in a hashed AIG
                 }
-                let leaves: Vec<Var> = support.iter().map(|&s| cut.leaves()[s]).collect();
-                if support.len() == 1 {
+                let mut leaves = [0; K];
+                for (leaf, &s) in leaves.iter_mut().zip(&support[..len]) {
+                    *leaf = cut.leaves()[s];
+                }
+                if len == 1 {
                     let flip = ctt & 1 != 0; // f(0)=1 means complement
                     let leaf = leaves[0];
                     let cost = flow[leaf as usize] + if flip { inv_area } else { 0.0 };
@@ -112,11 +117,11 @@ pub fn map_aig(aig: &Aig, library: &CellLibrary, config: &MapConfig) -> MappedNe
                     }
                     continue;
                 }
-                for m in library.matches_for_bits(support.len(), ctt) {
+                for m in library.matches_for_bits(len, ctt) {
                     let cell = library.cell(m.cell);
                     let mut cost = cell.area();
                     let mut arr: f64 = 0.0;
-                    for (li, &leaf) in leaves.iter().enumerate() {
+                    for (li, &leaf) in leaves[..len].iter().enumerate() {
                         let flip = m.leaf_flips >> li & 1 != 0;
                         cost += flow[leaf as usize] + if flip { inv_area } else { 0.0 };
                         arr = arr.max(arrival[leaf as usize] + if flip { inv_delay } else { 0.0 });
@@ -129,8 +134,9 @@ pub fn map_aig(aig: &Aig, library: &CellLibrary, config: &MapConfig) -> MappedNe
                     arr += cell.delay();
                     if improves(&best, cost, arr) {
                         let choice = Choice::Bind {
-                            leaves: leaves.clone(),
-                            cell_match: m.clone(),
+                            leaves,
+                            len: len as u8,
+                            cell_match: m,
                         };
                         best = Some((cost, arr, choice));
                     }
@@ -159,22 +165,31 @@ fn improves(best: &Option<(f64, f64, Choice)>, cost: f64, arr: f64) -> bool {
 }
 
 /// Restricts a cut's 4-variable table over `size` leaves to the variables
-/// it depends on: returns that support (sorted leaf positions) and the
-/// table over it (bit `i` = value on support assignment `i`).
-fn compress(truth: u16, size: usize) -> (Vec<usize>, u16) {
-    const HALF: [u16; 4] = [0x5555, 0x3333, 0x0F0F, 0x00FF];
-    let support: Vec<usize> = (0..size)
-        .filter(|&v| (truth >> (1 << v)) & HALF[v] != truth & HALF[v])
-        .collect();
-    let mut out = 0u16;
-    for idx in 0..1usize << support.len() {
-        let full = support
-            .iter()
-            .enumerate()
-            .fold(0, |f, (i, &s)| f | (idx >> i & 1) << s);
-        out |= (truth >> full & 1) << idx;
+/// it depends on: returns that support (the first `len` entries, sorted
+/// leaf positions), `len`, and the table over it (bit `i` = value on
+/// support assignment `i`, bits from `2^len` on clear).
+///
+/// Support variable `i` moves down from position `support[i]` to `i`, in
+/// increasing `i`, one variable swap each; the position it moves into
+/// holds a variable the table ignores.
+fn compress(truth: u16, size: usize) -> ([usize; K], usize, u16) {
+    const HALF: [u16; K] = [0x5555, 0x3333, 0x0F0F, 0x00FF];
+    let mut support = [0; K];
+    let mut len = 0;
+    for (v, half) in HALF[..size].iter().enumerate() {
+        if (truth >> (1 << v)) & half != truth & half {
+            support[len] = v;
+            len += 1;
+        }
     }
-    (support, out)
+    let mut out = truth;
+    for (i, &s) in support[..len].iter().enumerate() {
+        if s != i {
+            out = swap_vars(out, i, s);
+        }
+    }
+    let rows = 1u32 << (1 << len);
+    (support, len, (out as u32 & (rows - 1)) as u16)
 }
 
 /// Counts how often each node's signal is consumed by the cover implied by
@@ -200,8 +215,8 @@ fn measure_usage(aig: &Aig, choices: &[Option<Choice>]) -> Vec<f64> {
                 usage[*leaf as usize] += 1.0;
                 stack.push(*leaf);
             }
-            Choice::Bind { leaves, .. } => {
-                for &l in leaves {
+            Choice::Bind { leaves, len, .. } => {
+                for &l in &leaves[..*len as usize] {
                     usage[l as usize] += 1.0;
                     stack.push(l);
                 }
@@ -253,7 +268,9 @@ fn emit(aig: &Aig, library: &CellLibrary, choices: &[Option<Choice>]) -> MappedN
                     pos.insert(v, src);
                 }
             }
-            Choice::Bind { leaves, cell_match } => {
+            Choice::Bind {
+                leaves, cell_match, ..
+            } => {
                 let cell = library.cell(cell_match.cell);
                 let mut fanins: Vec<NetId> = Vec::with_capacity(cell.num_inputs());
                 for p in 0..cell.num_inputs() {
@@ -363,6 +380,34 @@ mod tests {
                 nl.eval(lib, &ins),
                 "mapped netlist diverges on {ins:?}"
             );
+        }
+    }
+
+    #[test]
+    fn compress_matches_row_by_row_restriction() {
+        const HALF: [u16; K] = [0x5555, 0x3333, 0x0F0F, 0x00FF];
+        for size in 1..=K {
+            for bits in 0..1u32 << (1 << size) {
+                // A cut table ignores the variables past its size.
+                let mut truth = 0u16;
+                for row in 0..16 {
+                    truth |= ((bits >> (row % (1 << size)) & 1) as u16) << row;
+                }
+                let support: Vec<usize> = (0..size)
+                    .filter(|&v| (truth >> (1 << v)) & HALF[v] != truth & HALF[v])
+                    .collect();
+                let mut want = 0u16;
+                for idx in 0..1usize << support.len() {
+                    let full = support
+                        .iter()
+                        .enumerate()
+                        .fold(0, |f, (i, &s)| f | (idx >> i & 1) << s);
+                    want |= (truth >> full & 1) << idx;
+                }
+                let (got_support, len, got) = compress(truth, size);
+                assert_eq!(&got_support[..len], &support[..], "{truth:04x}");
+                assert_eq!(got, want, "{truth:04x} over {size}");
+            }
         }
     }
 

@@ -10,9 +10,13 @@
 //! - `LockError::NotEnoughGates` fires on circuits too small to tap,
 //!   `LockError::EmptyKey` on zero-width keys and `LockError::NoOutputs`
 //!   on netlists without outputs.
+//! - Degenerate key sizes (0 and `usize::MAX`) return an error from every
+//!   scheme, gate-locking and stacked ones included, and never panic.
 
 use almost_repro::circuits::IscasBenchmark;
-use almost_repro::locking::{apply_key, AntiSat, LockError, LockingScheme, Rll, SarLock, Stacked};
+use almost_repro::locking::{
+    apply_key, AntiSat, LockError, LockingScheme, MuxLock, Rll, SarLock, Stacked,
+};
 use almost_repro::sat::{check_equivalence, Equivalence};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -160,5 +164,91 @@ fn no_outputs_is_its_own_error() {
             .expect_err("nothing to lock");
         assert_eq!(err, LockError::NoOutputs, "{}", scheme.name());
         assert!(err.to_string().contains("no outputs"), "{err}");
+    }
+}
+
+#[test]
+fn degenerate_key_sizes_error_without_panicking() {
+    let design = IscasBenchmark::C432.build();
+    let mut rng = StdRng::seed_from_u64(3);
+    // Gate-locking schemes refuse a 0-bit key like the point functions
+    // do, and report an unfillable key as a shortage of gates.
+    for (scheme, want) in [
+        (
+            Box::new(Rll::new(0)) as Box<dyn LockingScheme>,
+            LockError::EmptyKey,
+        ),
+        (Box::new(MuxLock::new(0)), LockError::EmptyKey),
+        (Box::new(SarLock::new(0)), LockError::EmptyKey),
+        (Box::new(AntiSat::new(0)), LockError::EmptyKey),
+        (
+            Box::new(Rll::new(usize::MAX)),
+            LockError::NotEnoughGates {
+                available: design.num_ands(),
+                requested: usize::MAX,
+            },
+        ),
+        (
+            Box::new(MuxLock::new(usize::MAX)),
+            LockError::NotEnoughGates {
+                available: design.num_ands() - 1,
+                requested: usize::MAX,
+            },
+        ),
+    ] {
+        assert_eq!(
+            scheme.lock(&design, &mut rng).err(),
+            Some(want),
+            "{}",
+            scheme.name()
+        );
+    }
+    // A stack fails with whichever layer cannot lock.
+    for (scheme, want_empty) in [
+        (
+            Box::new(Stacked::new(Rll::new(0), SarLock::new(4))) as Box<dyn LockingScheme>,
+            true,
+        ),
+        (Box::new(Stacked::new(Rll::new(4), SarLock::new(0))), true),
+        (
+            Box::new(Stacked::new(MuxLock::new(0), AntiSat::new(4))),
+            true,
+        ),
+        (Box::new(Stacked::new(Rll::new(4), AntiSat::new(0))), true),
+        (
+            Box::new(Stacked::new(Rll::new(usize::MAX), SarLock::new(4))),
+            false,
+        ),
+        (
+            Box::new(Stacked::new(Rll::new(4), SarLock::new(usize::MAX))),
+            false,
+        ),
+        (
+            Box::new(Stacked::new(MuxLock::new(usize::MAX), AntiSat::new(4))),
+            false,
+        ),
+        (
+            Box::new(Stacked::new(Rll::new(4), AntiSat::new(usize::MAX))),
+            false,
+        ),
+    ] {
+        let err = scheme
+            .lock(&design, &mut rng)
+            .expect_err("a degenerate layer cannot lock");
+        if want_empty {
+            assert_eq!(err, LockError::EmptyKey, "{}", scheme.name());
+        } else {
+            assert!(
+                matches!(
+                    err,
+                    LockError::NotEnoughGates {
+                        requested: usize::MAX,
+                        ..
+                    }
+                ),
+                "{}: {err:?}",
+                scheme.name()
+            );
+        }
     }
 }
