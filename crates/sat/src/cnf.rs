@@ -3,9 +3,16 @@
 //! Every AIG node gets a solver variable; an AND node `v = a ∧ b` produces
 //! the three clauses `(¬v ∨ a) (¬v ∨ b) (v ∨ ¬a ∨ ¬b)`. Node overrides allow
 //! encoding *faulty* copies (stuck-at values) for ATPG.
+//!
+//! [`StrashEncoder`] is the structurally hashed form the key miters use:
+//! it maps AIG copies onto caller-given solver literals, folds constants
+//! and reuses the variable of any AND whose fanin literal pair it has
+//! already encoded. Copies that share inputs then share every gate those
+//! inputs alone determine.
 
 use crate::portfolio::PortfolioSolver;
 use crate::solver::{SatLit, SatVar, Solver};
+use almost_aig::hash::FastBuild;
 use almost_aig::{Aig, Lit, NodeKind, Var};
 use std::collections::HashMap;
 
@@ -116,6 +123,131 @@ fn lit_of(node_lits: &[SatLit], lit: Lit) -> SatLit {
     }
 }
 
+/// A hash-consing Tseitin encoder over one solver: the structural hash of
+/// [`Aig::and`] lifted to solver literals.
+///
+/// [`and`](Self::and) folds `a ∧ 0`, `a ∧ 1`, `a ∧ a` and `a ∧ ¬a`, and
+/// returns the existing variable when the ordered fanin pair was encoded
+/// before; otherwise it allocates a variable with its three Tseitin
+/// clauses. Every variable it hands out is therefore fully defined by its
+/// fanins, so sharing one between copies, or between a copy and a
+/// constant-input residue, leaves the solution set over the caller's
+/// input literals unchanged.
+#[derive(Debug)]
+pub struct StrashEncoder {
+    table: HashMap<(SatLit, SatLit), SatLit, FastBuild>,
+    const_false: SatLit,
+    /// Per-node literals of the copy being encoded (scratch).
+    node_lits: Vec<SatLit>,
+}
+
+impl StrashEncoder {
+    /// Creates an encoder, allocating its constant-false variable in
+    /// `sink`.
+    pub fn new<S: ClauseSink>(sink: &mut S) -> Self {
+        let false_var = sink.new_var();
+        sink.add_clause(&[SatLit::negative(false_var)]);
+        StrashEncoder {
+            table: HashMap::default(),
+            const_false: SatLit::positive(false_var),
+            node_lits: Vec::new(),
+        }
+    }
+
+    /// The literal fixed to `value`.
+    pub fn constant(&self, value: bool) -> SatLit {
+        if value {
+            !self.const_false
+        } else {
+            self.const_false
+        }
+    }
+
+    /// Number of distinct AND gates encoded so far.
+    pub fn num_ands(&self) -> usize {
+        self.table.len()
+    }
+
+    /// Returns a literal equivalent to `a ∧ b`.
+    pub fn and<S: ClauseSink>(&mut self, sink: &mut S, a: SatLit, b: SatLit) -> SatLit {
+        let f = self.const_false;
+        if a == f || b == f || a == !b {
+            return f;
+        }
+        if a == !f {
+            return b;
+        }
+        if b == !f || a == b {
+            return a;
+        }
+        let key = if a <= b { (a, b) } else { (b, a) };
+        *self.table.entry(key).or_insert_with(|| {
+            let out = SatLit::positive(sink.new_var());
+            sink.add_clause(&[!out, a]);
+            sink.add_clause(&[!out, b]);
+            sink.add_clause(&[out, !a, !b]);
+            out
+        })
+    }
+
+    /// Returns a literal equivalent to `a ⊕ b`, folding constants and equal
+    /// or opposite operands; otherwise a fresh [`encode_xor`] gadget.
+    pub fn xor<S: ClauseSink>(&mut self, sink: &mut S, a: SatLit, b: SatLit) -> SatLit {
+        let f = self.const_false;
+        if a == b {
+            return f;
+        }
+        if a == !b {
+            return !f;
+        }
+        for (c, other) in [(a, b), (b, a)] {
+            if c == f {
+                return other;
+            }
+            if c == !f {
+                return !other;
+            }
+        }
+        encode_xor(sink, a, b)
+    }
+
+    /// Encodes `aig` with its inputs bound to `inputs` (constants allowed:
+    /// [`constant`](Self::constant)) and returns its output literals.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs.len()` differs from the AIG's input count.
+    pub fn encode<S: ClauseSink>(
+        &mut self,
+        sink: &mut S,
+        aig: &Aig,
+        inputs: &[SatLit],
+    ) -> Vec<SatLit> {
+        assert_eq!(inputs.len(), aig.num_inputs());
+        let mut node_lits = std::mem::take(&mut self.node_lits);
+        node_lits.clear();
+        for v in aig.iter_vars() {
+            let lit = match aig.node(v) {
+                NodeKind::Const0 => self.const_false,
+                NodeKind::Input(i) => inputs[i as usize],
+                NodeKind::And(a, b) => {
+                    let la = lit_of(&node_lits, a);
+                    let lb = lit_of(&node_lits, b);
+                    self.and(sink, la, lb)
+                }
+            };
+            node_lits.push(lit);
+        }
+        let outputs = aig
+            .outputs()
+            .iter()
+            .map(|&l| lit_of(&node_lits, l))
+            .collect();
+        self.node_lits = node_lits;
+        outputs
+    }
+}
+
 /// Adds an XOR constraint `out = a ⊕ b` and returns `out`.
 pub fn encode_xor<S: ClauseSink>(solver: &mut S, a: SatLit, b: SatLit) -> SatLit {
     let out = SatLit::positive(solver.new_var());
@@ -173,6 +305,38 @@ mod tests {
         let assumptions = [SatLit::negative(inputs[0])];
         assert_eq!(s.solve(&assumptions), SatResult::Sat);
         assert_eq!(s.lit_bool(cnf.output_lits[0]), Some(true));
+    }
+
+    #[test]
+    fn strash_folds_constants_and_reuses_gates() {
+        let mut s = Solver::new();
+        let mut enc = StrashEncoder::new(&mut s);
+        let a = SatLit::positive(s.new_var());
+        let b = SatLit::positive(s.new_var());
+        let (f, t) = (enc.constant(false), enc.constant(true));
+        assert_eq!(enc.and(&mut s, a, f), f);
+        assert_eq!(enc.and(&mut s, t, a), a);
+        assert_eq!(enc.and(&mut s, a, a), a);
+        assert_eq!(enc.and(&mut s, a, !a), f);
+        assert_eq!(enc.num_ands(), 0);
+        let ab = enc.and(&mut s, a, b);
+        assert_eq!(enc.and(&mut s, b, a), ab, "fanin order is normalised");
+        assert_ne!(enc.and(&mut s, a, !b), ab);
+        assert_eq!(enc.num_ands(), 2);
+        assert_eq!(enc.xor(&mut s, a, !a), t);
+        assert_eq!(enc.xor(&mut s, t, b), !b);
+        assert_eq!(s.num_vars(), 5);
+        // Two copies of one AIG over the same inputs share every gate.
+        let aig = build_xor();
+        let first = enc.encode(&mut s, &aig, &[a, b]);
+        let vars = s.num_vars();
+        assert_eq!(enc.encode(&mut s, &aig, &[a, b]), first);
+        assert_eq!(s.num_vars(), vars);
+        for (va, vb) in [(false, false), (false, true), (true, false), (true, true)] {
+            let assumptions = [if va { a } else { !a }, if vb { b } else { !b }];
+            assert_eq!(s.solve(&assumptions), SatResult::Sat);
+            assert_eq!(s.lit_bool(first[0]), Some(va ^ vb));
+        }
     }
 
     #[test]

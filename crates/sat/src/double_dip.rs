@@ -36,15 +36,18 @@
 //!
 //! Like [`KeyMiter`](crate::KeyMiter), the structural constraints are
 //! guarded by an activation literal (assumed to search, released to settle
-//! a key), I/O constraints are input-restricted circuit residues, and the
-//! solver is fully incremental across iterations.
+//! a key), and the solver is fully incremental across iterations. The
+//! four copies, every I/O constraint and every probe go through one
+//! [`StrashEncoder`]: gates no key input
+//! reaches get one variable shared by all four copies, and a constraint or
+//! probe binds `x` to constant literals, so only its key-dependent residue
+//! is encoded, reusing every residue gate encoded before.
 
-use crate::cnf::{encode_with_inputs, encode_xor};
-use crate::miter::{restrict_to_keys, splice_inputs};
+use crate::cnf::StrashEncoder;
+use crate::miter::splice_inputs;
 use crate::portfolio::{PortfolioSolver, PortfolioStats};
 use crate::solver::{SatLit, SatResult, SatVar};
 use almost_aig::Aig;
-use std::collections::HashMap;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
@@ -82,6 +85,7 @@ pub enum TwoDipSearch {
 /// ```
 pub struct DoubleDipMiter {
     solver: PortfolioSolver,
+    enc: StrashEncoder,
     locked: Aig,
     key_start: usize,
     key_len: usize,
@@ -107,8 +111,8 @@ impl DoubleDipMiter {
 
     /// Like [`DoubleDipMiter::new`], but sweeps the locked circuit with
     /// [`almost_aig::fraig`] before encoding. The four-copy miter
-    /// amplifies any netlist reduction fourfold (every copy — and every
-    /// probe residue — encodes the swept network), which is why the 2-DIP
+    /// amplifies any reduction of key-dependent logic fourfold (every
+    /// copy — and every probe residue — encodes the swept network), which is why the 2-DIP
     /// loop benefits even more from the pre-pass than the classic miter.
     /// Interface order and names are preserved; opt-in for the same
     /// reason as [`KeyMiter::with_fraig_prepass`](crate::KeyMiter::with_fraig_prepass).
@@ -149,27 +153,25 @@ impl DoubleDipMiter {
         let keys: [Vec<SatVar>; 4] =
             std::array::from_fn(|_| (0..key_len).map(|_| solver.new_var()).collect::<Vec<_>>());
 
-        let no_overrides = HashMap::new();
-        let cnfs: Vec<_> = keys
+        let mut enc = StrashEncoder::new(&mut solver);
+        let x_lits: Vec<SatLit> = x_vars.iter().map(|&v| SatLit::positive(v)).collect();
+        let outs: Vec<Vec<SatLit>> = keys
             .iter()
             .map(|key_vars| {
-                let inputs = splice_inputs(&x_vars, key_vars, key_start);
-                encode_with_inputs(&mut solver, locked, &inputs, &no_overrides)
+                let inputs = splice_inputs(&x_lits, key_vars, key_start);
+                enc.encode(&mut solver, locked, &inputs)
             })
             .collect();
 
         let act = SatLit::positive(solver.new_var());
         // act → the copies within each pair agree on every output.
         for (p, q) in [(0, 1), (2, 3)] {
-            for (&lp, &lq) in cnfs[p].output_lits.iter().zip(&cnfs[q].output_lits) {
-                solver.add_clause(&[!act, !lp, lq]);
-                solver.add_clause(&[!act, lp, !lq]);
-            }
+            agree_under(&mut solver, act, &outs[p], &outs[q]);
         }
         // act → the pairs disagree on at least one output.
         let mut diff: Vec<SatLit> = vec![!act];
-        for (&la, &lb) in cnfs[0].output_lits.iter().zip(&cnfs[2].output_lits) {
-            diff.push(encode_xor(&mut solver, la, lb));
+        for (&la, &lb) in outs[0].iter().zip(&outs[2]) {
+            diff.push(enc.xor(&mut solver, la, lb));
         }
         solver.add_clause(&diff);
         // act → the keys within each pair are bitwise distinct (otherwise
@@ -178,11 +180,7 @@ impl DoubleDipMiter {
         for (p, q) in [(0usize, 1usize), (2, 3)] {
             let mut distinct: Vec<SatLit> = vec![!act];
             for (&vp, &vq) in keys[p].iter().zip(&keys[q]) {
-                distinct.push(encode_xor(
-                    &mut solver,
-                    SatLit::positive(vp),
-                    SatLit::positive(vq),
-                ));
+                distinct.push(enc.xor(&mut solver, SatLit::positive(vp), SatLit::positive(vq)));
             }
             solver.add_clause(&distinct);
         }
@@ -190,19 +188,22 @@ impl DoubleDipMiter {
         // key residues; no oracle involvement).
         for probe in probes {
             assert_eq!(probe.len(), num_data, "probe arity mismatch");
-            let residue = restrict_to_keys(locked, key_start, key_len, probe);
-            for (p, q) in [(0usize, 1usize), (2, 3)] {
-                let cp = encode_with_inputs(&mut solver, &residue, &keys[p], &no_overrides);
-                let cq = encode_with_inputs(&mut solver, &residue, &keys[q], &no_overrides);
-                for (&lp, &lq) in cp.output_lits.iter().zip(&cq.output_lits) {
-                    solver.add_clause(&[!act, !lp, lq]);
-                    solver.add_clause(&[!act, lp, !lq]);
-                }
+            let x: Vec<SatLit> = probe.iter().map(|&b| enc.constant(b)).collect();
+            let residues: Vec<Vec<SatLit>> = keys
+                .iter()
+                .map(|key_vars| {
+                    let inputs = splice_inputs(&x, key_vars, key_start);
+                    enc.encode(&mut solver, locked, &inputs)
+                })
+                .collect();
+            for (p, q) in [(0, 1), (2, 3)] {
+                agree_under(&mut solver, act, &residues[p], &residues[q]);
             }
         }
 
         DoubleDipMiter {
             solver,
+            enc,
             locked: locked.clone(),
             key_start,
             key_len,
@@ -240,7 +241,7 @@ impl DoubleDipMiter {
     }
 
     /// Adds the oracle response `outputs = C*(inputs)` as a constraint on
-    /// all four key copies (input-restricted residues, as in
+    /// all four key copies (constant-input residues, as in
     /// [`KeyMiter::constrain_io`](crate::KeyMiter::constrain_io)).
     ///
     /// # Panics
@@ -253,11 +254,11 @@ impl DoubleDipMiter {
             self.locked.num_outputs(),
             "output arity mismatch"
         );
-        let residue = restrict_to_keys(&self.locked, self.key_start, self.key_len, inputs);
-        let no_overrides = HashMap::new();
-        for key_vars in self.keys.clone() {
-            let cnf = encode_with_inputs(&mut self.solver, &residue, &key_vars, &no_overrides);
-            for (&lit, &want) in cnf.output_lits.iter().zip(outputs) {
+        let x: Vec<SatLit> = inputs.iter().map(|&b| self.enc.constant(b)).collect();
+        for key_vars in &self.keys {
+            let inputs = splice_inputs(&x, key_vars, self.key_start);
+            let outs = self.enc.encode(&mut self.solver, &self.locked, &inputs);
+            for (&lit, &want) in outs.iter().zip(outputs) {
                 self.solver.add_clause(&[if want { lit } else { !lit }]);
             }
         }
@@ -330,6 +331,17 @@ impl DoubleDipMiter {
     /// with `cause: "cancelled"` in telemetry).
     pub fn set_stop_flag(&mut self, flag: Arc<AtomicBool>) {
         self.solver.set_stop_flag(flag);
+    }
+}
+
+/// Adds `act → (a = b)` output by output, skipping pairs the encoder
+/// already mapped to one literal.
+fn agree_under(solver: &mut PortfolioSolver, act: SatLit, a: &[SatLit], b: &[SatLit]) {
+    for (&la, &lb) in a.iter().zip(b) {
+        if la != lb {
+            solver.add_clause(&[!act, !la, lb]);
+            solver.add_clause(&[!act, la, !lb]);
+        }
     }
 }
 

@@ -18,7 +18,10 @@
 //! [`miter`] builds *key-conditioned* miters over locked circuits, the
 //! substrate of the oracle-guided SAT attack implemented in
 //! `almost-attacks`; [`double_dip`] extends them to the four-copy 2-DIP
-//! miter that defeats point-function defences (SARLock, Anti-SAT).
+//! miter that defeats point-function defences (SARLock, Anti-SAT). Both
+//! encode through one structurally hashed [`cnf::StrashEncoder`] each, so
+//! key copies share their key-free logic and I/O residues share gates;
+//! CEC and ATPG keep the plain per-copy [`cnf::encode_with_inputs`].
 //!
 //! # Example
 //!

@@ -16,16 +16,20 @@
 //! solver: the difference clause is guarded by an activation literal so the
 //! same solver answers both the DIP query (assume the guard) and the key
 //! settlement (release it), keeping every learnt clause across iterations.
-//! I/O constraints are added as *input-restricted* circuit copies — the
-//! functional inputs are constant-folded out of the AIG before encoding, so
-//! each iteration only adds the key-dependent cone instead of a full
-//! circuit copy.
+//!
+//! Everything the miter encodes goes through one
+//! [`StrashEncoder`] it owns. The two copies
+//! therefore share one variable for every gate no key input reaches, and
+//! the solver never has to learn that they agree there. An I/O constraint
+//! encodes the locked circuit once more per key copy, with `x` bound to
+//! constant literals: the constants fold away, what remains is the
+//! key-dependent residue, and any residue gate an earlier DIP (or the
+//! other copy) already produced is reused rather than re-encoded.
 
-use crate::cnf::{encode_with_inputs, encode_xor};
+use crate::cnf::StrashEncoder;
 use crate::portfolio::{PortfolioSolver, PortfolioStats};
 use crate::solver::{SatLit, SatResult, SatVar};
-use almost_aig::{Aig, Lit, NodeKind};
-use std::collections::HashMap;
+use almost_aig::Aig;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
@@ -72,6 +76,7 @@ pub enum DipSearch {
 /// ```
 pub struct KeyMiter {
     solver: PortfolioSolver,
+    enc: StrashEncoder,
     locked: Aig,
     key_start: usize,
     key_len: usize,
@@ -100,7 +105,7 @@ impl KeyMiter {
     /// Like [`KeyMiter::new`], but sweeps the locked circuit with
     /// [`almost_aig::fraig`] before encoding. The sweep merges every
     /// internally equivalent node once, up front — both circuit copies
-    /// (and every later input-restricted I/O copy) then encode the
+    /// (and every later I/O residue) then encode the
     /// reduced network, shrinking the CNF the DIP loop iterates on. The
     /// interface (input order and names, output order) is preserved, so
     /// key positions are unaffected.
@@ -136,22 +141,30 @@ impl KeyMiter {
         let key_a: Vec<SatVar> = (0..key_len).map(|_| solver.new_var()).collect();
         let key_b: Vec<SatVar> = (0..key_len).map(|_| solver.new_var()).collect();
 
-        let inputs_a = splice_inputs(&x_vars, &key_a, key_start);
-        let inputs_b = splice_inputs(&x_vars, &key_b, key_start);
-        let no_overrides = HashMap::new();
-        let cnf_a = encode_with_inputs(&mut solver, locked, &inputs_a, &no_overrides);
-        let cnf_b = encode_with_inputs(&mut solver, locked, &inputs_b, &no_overrides);
+        let mut enc = StrashEncoder::new(&mut solver);
+        let x_lits: Vec<SatLit> = x_vars.iter().map(|&v| SatLit::positive(v)).collect();
+        let out_a = enc.encode(
+            &mut solver,
+            locked,
+            &splice_inputs(&x_lits, &key_a, key_start),
+        );
+        let out_b = enc.encode(
+            &mut solver,
+            locked,
+            &splice_inputs(&x_lits, &key_b, key_start),
+        );
 
         // Difference clause, guarded: act → (some output pair differs).
         let act = SatLit::positive(solver.new_var());
         let mut clause: Vec<SatLit> = vec![!act];
-        for (&la, &lb) in cnf_a.output_lits.iter().zip(&cnf_b.output_lits) {
-            clause.push(encode_xor(&mut solver, la, lb));
+        for (&la, &lb) in out_a.iter().zip(&out_b) {
+            clause.push(enc.xor(&mut solver, la, lb));
         }
         solver.add_clause(&clause);
 
         KeyMiter {
             solver,
+            enc,
             locked: locked.clone(),
             key_start,
             key_len,
@@ -192,10 +205,10 @@ impl KeyMiter {
     /// Adds the oracle response `outputs = C*(inputs)` as a constraint on
     /// both key copies.
     ///
-    /// The locked circuit is first specialised to the constant `inputs`
-    /// (constant propagation through AIG construction), so only the
-    /// key-dependent residue is Tseitin-encoded — typically a small
-    /// fraction of the circuit.
+    /// The locked circuit is encoded with `inputs` as constant literals, so
+    /// only the key-dependent residue reaches the solver — typically a
+    /// small fraction of the circuit — and residue gates already encoded
+    /// for an earlier constraint are shared, not repeated.
     ///
     /// # Panics
     ///
@@ -207,11 +220,11 @@ impl KeyMiter {
             self.locked.num_outputs(),
             "output arity mismatch"
         );
-        let residue = restrict_to_keys(&self.locked, self.key_start, self.key_len, inputs);
-        let no_overrides = HashMap::new();
-        for key_vars in [self.key_a.clone(), self.key_b.clone()] {
-            let cnf = encode_with_inputs(&mut self.solver, &residue, &key_vars, &no_overrides);
-            for (&lit, &want) in cnf.output_lits.iter().zip(outputs) {
+        let x: Vec<SatLit> = inputs.iter().map(|&b| self.enc.constant(b)).collect();
+        for key_vars in [&self.key_a, &self.key_b] {
+            let inputs = splice_inputs(&x, key_vars, self.key_start);
+            let outs = self.enc.encode(&mut self.solver, &self.locked, &inputs);
+            for (&lit, &want) in outs.iter().zip(outputs) {
                 self.solver.add_clause(&[if want { lit } else { !lit }]);
             }
         }
@@ -297,61 +310,20 @@ impl std::fmt::Debug for KeyMiter {
     }
 }
 
-/// Interleaves shared data variables and per-copy key variables into the
-/// locked circuit's input order.
-pub(crate) fn splice_inputs(
-    x_vars: &[SatVar],
-    key_vars: &[SatVar],
-    key_start: usize,
-) -> Vec<SatVar> {
-    let mut inputs = Vec::with_capacity(x_vars.len() + key_vars.len());
-    inputs.extend_from_slice(&x_vars[..key_start]);
-    inputs.extend_from_slice(key_vars);
-    inputs.extend_from_slice(&x_vars[key_start..]);
+/// Interleaves the shared data literals and one copy's key variables into
+/// the locked circuit's input order.
+pub(crate) fn splice_inputs(x: &[SatLit], key_vars: &[SatVar], key_start: usize) -> Vec<SatLit> {
+    let mut inputs = Vec::with_capacity(x.len() + key_vars.len());
+    inputs.extend_from_slice(&x[..key_start]);
+    inputs.extend(key_vars.iter().map(|&v| SatLit::positive(v)));
+    inputs.extend_from_slice(&x[key_start..]);
     inputs
-}
-
-/// Specialises `locked` under constant functional inputs, leaving exactly
-/// the key inputs (in order) as the inputs of the returned AIG.
-pub(crate) fn restrict_to_keys(
-    locked: &Aig,
-    key_start: usize,
-    key_len: usize,
-    data: &[bool],
-) -> Aig {
-    let mut new = Aig::new();
-    let mut map: Vec<Lit> = vec![Lit::FALSE; locked.num_nodes()];
-    let mut data_iter = data.iter();
-    for i in 0..locked.num_inputs() {
-        let var = locked.inputs()[i];
-        map[var as usize] = if (key_start..key_start + key_len).contains(&i) {
-            new.add_named_input(locked.input_name(i).to_string())
-        } else {
-            let &value = data_iter.next().expect("data arity checked by caller");
-            if value {
-                Lit::TRUE
-            } else {
-                Lit::FALSE
-            }
-        };
-    }
-    for v in locked.iter_vars() {
-        if let NodeKind::And(a, b) = locked.node(v) {
-            let fa = map[a.var() as usize].xor_complement(a.is_complement());
-            let fb = map[b.var() as usize].xor_complement(b.is_complement());
-            map[v as usize] = new.and(fa, fb);
-        }
-    }
-    for (i, out) in locked.outputs().iter().enumerate() {
-        let lit = map[out.var() as usize].xor_complement(out.is_complement());
-        new.add_named_output(lit, locked.output_name(i).to_string());
-    }
-    new
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use almost_aig::{Lit, NodeKind};
 
     /// Locks `aig`-style: y = (a ∧ b) ⊕ k₀, z = (a ∨ b) ⊕ ¬k₁ (an XNOR key
     /// gate). Correct key: k₀ = 0, k₁ = 1.
@@ -533,15 +505,65 @@ mod tests {
         assert_eq!(miter.settle_key(), None);
     }
 
+    /// Data a, b, c and key k₀, k₁ (inputs 3, 4): the outputs are
+    /// `(a ∧ b ∧ c) ⊕ k₀`, `(a ⊕ k₁) ∧ k₀` and the key-free `a ∧ b`.
+    /// Returns the lock and its number of key-free ANDs.
+    fn shared_logic_lock() -> (Aig, usize) {
+        let mut locked = Aig::new();
+        let a = locked.add_input();
+        let b = locked.add_input();
+        let c = locked.add_input();
+        let k0 = locked.add_named_input("keyinput0");
+        let k1 = locked.add_named_input("keyinput1");
+        let ab = locked.and(a, b);
+        let abc = locked.and(ab, c);
+        let y = locked.xor(abc, k0);
+        let ak = locked.xor(a, k1);
+        let z = locked.and(ak, k0);
+        locked.add_output(y);
+        locked.add_output(z);
+        locked.add_output(ab);
+        (locked, 2)
+    }
+
+    #[test]
+    fn key_free_ands_are_encoded_once() {
+        let (locked, key_free) = shared_logic_lock();
+        let ands = locked.num_ands();
+        assert_eq!(ands, 9, "2 key-free ANDs, two 3-AND XORs and one AND");
+        let miter = KeyMiter::new(&locked, 3, 2);
+        // x, both key copies and the constant; copy A in full, copy B only
+        // its key-dependent ANDs; the guard; one XOR per key-dependent
+        // output (the key-free output is the same literal in both copies).
+        let expected = 3 + 2 * 2 + 1 + ands + (ands - key_free) + 1 + 2;
+        assert_eq!(miter.solver_size().0, expected);
+    }
+
+    #[test]
+    fn constraining_the_same_dip_twice_allocates_nothing() {
+        let (locked, _) = shared_logic_lock();
+        let mut miter = KeyMiter::new(&locked, 3, 2);
+        let (x, y) = ([true, true, false], [false, false, true]);
+        let before = miter.solver_size().0;
+        miter.constrain_io(&x, &y);
+        let once = miter.solver_size().0;
+        // a = b = 1, c = 0: y ↦ k₀ and a ∧ b ↦ 1 fold away; z ↦ ¬k₁ ∧ k₀
+        // is one new AND per key copy.
+        assert_eq!(once, before + 2);
+        miter.constrain_io(&x, &y);
+        assert_eq!(miter.solver_size().0, once);
+        assert_eq!(miter.num_constraints(), 2);
+    }
+
     #[test]
     fn restriction_folds_data_constants() {
         let (_plain, locked) = two_bit_locked();
-        let residue = restrict_to_keys(&locked, 2, 2, &[true, false]);
-        assert_eq!(residue.num_inputs(), 2);
-        assert_eq!(residue.num_outputs(), 2);
-        // a=1, b=0: y = 0 ⊕ k₀ = k₀; z = 1 ⊕ ¬k₁ = k₁.
-        assert_eq!(residue.eval(&[false, true]), vec![false, true]);
-        assert_eq!(residue.eval(&[true, false]), vec![true, false]);
-        assert!(residue.num_ands() <= locked.num_ands());
+        let mut miter = KeyMiter::new(&locked, 2, 2);
+        let (vars, _) = miter.solver_size();
+        // a=1, b=0: y = 0 ⊕ k₀ = k₀; z = 1 ⊕ ¬k₁ = k₁. Both residues fold
+        // to bare key literals, so the constraint allocates no variable.
+        miter.constrain_io(&[true, false], &[true, false]);
+        assert_eq!(miter.solver_size().0, vars);
+        assert_eq!(miter.settle_key(), Some(vec![true, false]));
     }
 }
