@@ -138,12 +138,16 @@ impl DoubleDip {
             }
         }
 
-        let recovered = miter.settle_key().unwrap_or_else(|| vec![false; key_len]);
+        // Contradictory constraints admit no key: a "settled" miter then
+        // proves nothing.
+        let settled = miter.settle_key();
+        let inconsistent_oracle = settled.is_none();
         let key_sensitive_probes =
             count_key_sensitive_probes(locked, key_start, key_len, &probes, self.config.seed);
         let run = DoubleDipRun {
-            recovered,
-            two_dip_settled,
+            recovered: settled.unwrap_or_default(),
+            two_dip_settled: two_dip_settled && !inconsistent_oracle,
+            inconsistent_oracle,
             key_sensitive_probes,
             iterations,
             oracle_queries: oracle.queries_served() - queries_at_start,
@@ -208,11 +212,16 @@ fn count_key_sensitive_probes(
 #[derive(Clone, Debug)]
 pub struct DoubleDipRun {
     /// The recovered key bits — correct up to inputs where only a single
-    /// key class errs (the stripped point function).
+    /// key class errs (the stripped point function). Empty when
+    /// `inconsistent_oracle` is set.
     pub recovered: Vec<bool>,
-    /// True when the 2-DIP miter was proved UNSAT: no input remains whose
-    /// answer could eliminate two keys, so the base scheme is resolved.
+    /// True when the 2-DIP miter was proved UNSAT with at least one key
+    /// consistent with every oracle answer: no input remains whose answer
+    /// could eliminate two keys, so the base scheme is resolved.
     pub two_dip_settled: bool,
+    /// True when no key agrees with every oracle answer: the oracle
+    /// contradicted itself, so no key is reported and nothing is proved.
+    pub inconsistent_oracle: bool,
     /// How many of the structural pair-agreement probes are *key
     /// sensitive* — their output actually varies across random keys (one
     /// word-level sweep of the compiled locked netlist, no oracle
@@ -272,7 +281,7 @@ impl OracleGuidedAttack for DoubleDip {
         score_oracle_run(
             self.name().to_string(),
             target,
-            run.recovered,
+            (!run.inconsistent_oracle).then_some(run.recovered),
             false,
             run.iterations,
             run.oracle_queries,
@@ -319,6 +328,22 @@ mod tests {
             run.key_sensitive_probes > 0,
             "RLL probes must show key sensitivity"
         );
+    }
+
+    #[test]
+    fn an_inconsistent_oracle_is_never_reported_as_settled() {
+        let locked = crate::testutil::lock_with(&IscasBenchmark::C432.build(), &Rll::new(16), 7);
+        let liar = crate::testutil::AlternatingLiar::new(&locked);
+        let run = DoubleDip::exact().run(
+            &locked.aig,
+            locked.key_input_start,
+            locked.key_size(),
+            &liar,
+        );
+        assert!(run.inconsistent_oracle, "the answers admit no key");
+        assert!(!run.two_dip_settled, "a contradiction settles nothing");
+        assert!(run.recovered.is_empty(), "no key is made up");
+        assert!(run.accounting_consistent());
     }
 
     #[test]

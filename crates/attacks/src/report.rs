@@ -151,11 +151,15 @@ pub fn dip_log_consistent(iterations: &[DipIteration], total_queries: usize) -> 
 pub struct OracleAttackOutcome {
     /// Attack name.
     pub attack: String,
-    /// The recovered key (one bit per key input).
+    /// The recovered key (one bit per key input); empty when
+    /// `inconsistent_oracle` is set.
     pub recovered: Vec<bool>,
     /// True when the DIP loop terminated with an UNSAT miter — the
     /// recovered key is then *provably* functionally correct.
     pub proved_exact: bool,
+    /// True when no key agreed with every oracle answer, so the attack
+    /// reported none.
+    pub inconsistent_oracle: bool,
     /// True when the unlocked circuit was SAT-CEC-verified equivalent to
     /// the deployed circuit under the true key.
     pub functionally_correct: bool,
@@ -196,12 +200,14 @@ impl OracleAttackOutcome {
 /// Scores a finished oracle-guided run against the ground truth in
 /// `target`: bit agreement for the scoreboard, simulation + unbudgeted
 /// fraig-first CEC for the functional verdict. Shared by every [`OracleGuidedAttack`]
-/// so all rows of a report are judged identically.
+/// so all rows of a report are judged identically. `recovered` is `None`
+/// when the oracle's answers admitted no key; that scores as incorrect
+/// with zero bit agreement.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn score_oracle_run(
     attack: String,
     target: &AttackTarget,
-    recovered: Vec<bool>,
+    recovered: Option<Vec<bool>>,
     proved_exact: bool,
     iterations: Vec<DipIteration>,
     oracle_queries: usize,
@@ -212,6 +218,8 @@ pub(crate) fn score_oracle_run(
     use almost_aig::sim::probably_equivalent;
     use almost_sat::{check_equivalence, Equivalence};
 
+    let inconsistent_oracle = recovered.is_none();
+    let recovered = recovered.unwrap_or_default();
     let truth = target.locked.key.bits();
     let agreement = truth.iter().zip(&recovered).filter(|(t, r)| t == r).count();
     let accuracy = if truth.is_empty() {
@@ -220,20 +228,23 @@ pub(crate) fn score_oracle_run(
         agreement as f64 / truth.len() as f64
     };
     let key_start = target.locked.key_input_start;
-    let unlocked = almost_locking::apply_key(&target.deployed, key_start, &recovered);
-    let reference = almost_locking::apply_key(&target.deployed, key_start, truth);
     // 4096-pattern simulation refutes grossly wrong keys immediately; CEC
     // upgrades agreement to a proof (and is what catches point-function
     // keys wrong on one pattern). It has no budget, so "correct" is never
     // a budget running out: both sides are the same deployed netlist under
     // two keys, which fraig settles by merging the shared structure.
-    let functionally_correct = probably_equivalent(&unlocked, &reference, 64, sim_seed)
-        && check_equivalence(&unlocked, &reference) == Equivalence::Equivalent;
+    let functionally_correct = !inconsistent_oracle && {
+        let unlocked = almost_locking::apply_key(&target.deployed, key_start, &recovered);
+        let reference = almost_locking::apply_key(&target.deployed, key_start, truth);
+        probably_equivalent(&unlocked, &reference, 64, sim_seed)
+            && check_equivalence(&unlocked, &reference) == Equivalence::Equivalent
+    };
 
     OracleAttackOutcome {
         attack,
         recovered,
         proved_exact,
+        inconsistent_oracle,
         functionally_correct,
         iterations,
         oracle_queries,
@@ -297,7 +308,9 @@ pub fn render_report(
         );
     }
     for o in oracle_guided {
-        let verdict = if o.proved_exact {
+        let verdict = if o.inconsistent_oracle {
+            "inconsistent oracle, no key"
+        } else if o.proved_exact {
             "exact (UNSAT proof)"
         } else if o.functionally_correct {
             "approximate, verified correct"
@@ -411,6 +424,7 @@ mod tests {
             attack: "SAT".into(),
             recovered: vec![true, false],
             proved_exact: true,
+            inconsistent_oracle: false,
             functionally_correct: true,
             iterations: vec![
                 DipIteration {
@@ -455,7 +469,7 @@ mod tests {
             score_oracle_run(
                 "SAT".into(),
                 &target,
-                recovered,
+                Some(recovered),
                 true,
                 vec![],
                 0,

@@ -246,13 +246,14 @@ impl SatAttack {
         }
 
         // A candidate that survived validation is the answer; otherwise
-        // settle once against everything learnt so far.
-        let recovered = settled_candidate
-            .or_else(|| miter.settle_key())
-            .unwrap_or_else(|| vec![false; key_len]);
+        // settle once against everything learnt so far. Contradictory
+        // constraints admit no key: a "settled" miter then proves nothing.
+        let settled = settled_candidate.or_else(|| miter.settle_key());
+        let inconsistent_oracle = settled.is_none();
         let run = SatAttackRun {
-            recovered,
-            proved_exact,
+            recovered: settled.unwrap_or_default(),
+            proved_exact: proved_exact && !inconsistent_oracle,
+            inconsistent_oracle,
             iterations,
             oracle_queries: oracle.queries_served() - queries_at_start,
             runtime: started.elapsed(),
@@ -271,10 +272,15 @@ impl SatAttack {
 /// Raw result of [`SatAttack::run`] (unscored; no ground truth needed).
 #[derive(Clone, Debug)]
 pub struct SatAttackRun {
-    /// The recovered key bits.
+    /// The recovered key bits; empty when `inconsistent_oracle` is set.
     pub recovered: Vec<bool>,
-    /// True when the miter was proved UNSAT (exact recovery).
+    /// True when the miter was proved UNSAT (exact recovery) with at least
+    /// one key consistent with every oracle answer.
     pub proved_exact: bool,
+    /// True when no key agrees with every oracle answer: the oracle
+    /// contradicted itself (or is not the locked circuit's), so no key is
+    /// reported and nothing is proved.
+    pub inconsistent_oracle: bool,
     /// Per-iteration DIP log.
     pub iterations: Vec<DipIteration>,
     /// Oracle queries consumed.
@@ -364,7 +370,7 @@ impl OracleGuidedAttack for SatAttack {
         score_oracle_run(
             self.name().to_string(),
             target,
-            run.recovered,
+            (!run.inconsistent_oracle).then_some(run.recovered),
             run.proved_exact,
             run.iterations,
             run.oracle_queries,
@@ -402,6 +408,28 @@ mod tests {
             "recovered key must unlock the design"
         );
         assert!(run.oracle_queries >= run.iterations.len());
+    }
+
+    #[test]
+    fn an_inconsistent_oracle_is_never_reported_as_a_proof() {
+        let locked = crate::testutil::lock_with(&IscasBenchmark::C432.build(), &Rll::new(16), 7);
+        let liar = crate::testutil::AlternatingLiar::new(&locked);
+        let run = SatAttack::exact().run(
+            &locked.aig,
+            locked.key_input_start,
+            locked.key_size(),
+            &liar,
+        );
+        assert!(run.inconsistent_oracle, "the answers admit no key");
+        assert!(!run.proved_exact, "a contradiction proves nothing");
+        assert!(run.recovered.is_empty(), "no key is made up");
+        assert!(run.accounting_consistent());
+        let target = crate::report::AttackTarget::new(locked, Script::new());
+        let liar = crate::testutil::AlternatingLiar::new(&target.locked);
+        let outcome = SatAttack::exact().attack_with_oracle(&target, &liar);
+        assert!(outcome.inconsistent_oracle);
+        assert!(!outcome.proved_exact && !outcome.functionally_correct);
+        assert_eq!(outcome.accuracy, 0.0);
     }
 
     #[test]

@@ -10,9 +10,10 @@
 
 use crate::report::AttackTarget;
 use almost_aig::{Aig, Script};
-use almost_locking::{CircuitOracle, LockedCircuit, LockingScheme};
+use almost_locking::{BatchOracle, CircuitOracle, LockedCircuit, LockingScheme, Oracle};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::cell::Cell;
 
 /// Locks `design` with `scheme` under a deterministic seed.
 ///
@@ -51,3 +52,47 @@ pub fn locked_target(
     let oracle = CircuitOracle::from_locked(&locked);
     (AttackTarget::new(locked, recipe), oracle)
 }
+
+/// A faulty chip: answers like `inner`, but inverts every output of every
+/// second query, so its answers soon admit no key at all.
+pub struct AlternatingLiar {
+    inner: CircuitOracle,
+    answered: Cell<usize>,
+}
+
+impl AlternatingLiar {
+    /// Wraps the activated-chip oracle of `locked`.
+    pub fn new(locked: &LockedCircuit) -> Self {
+        AlternatingLiar {
+            inner: CircuitOracle::from_locked(locked),
+            answered: Cell::new(0),
+        }
+    }
+}
+
+impl Oracle for AlternatingLiar {
+    fn num_inputs(&self) -> usize {
+        self.inner.num_inputs()
+    }
+
+    fn num_outputs(&self) -> usize {
+        self.inner.num_outputs()
+    }
+
+    fn query(&self, pattern: &[bool]) -> Vec<bool> {
+        let n = self.answered.get() + 1;
+        self.answered.set(n);
+        let y = self.inner.query(pattern);
+        if n.is_multiple_of(2) {
+            y.into_iter().map(|b| !b).collect()
+        } else {
+            y
+        }
+    }
+
+    fn queries_served(&self) -> usize {
+        self.inner.queries_served()
+    }
+}
+
+impl BatchOracle for AlternatingLiar {}
