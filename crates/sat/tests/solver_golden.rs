@@ -10,6 +10,12 @@
 //! [`SolverStats`] of fixed attacks, plus the verdicts and models of an
 //! incremental 3-SAT corpus, and compares them to pinned digests.
 //!
+//! Every pinned key is also proved: the test CECs the unlocked circuit
+//! against the original design before it hashes anything, so a re-pinned
+//! digest always belongs to a correct key. (Double DIP recovers the base
+//! key only; its SARLock bits take their true values first, as in the
+//! benchmark.)
+//!
 //! The c1355 attack runs in release builds only (it is slow unoptimised),
 //! like the `solver_stats_envelope` test. A mismatch prints every digest,
 //! so a deliberate change of behaviour can re-pin the table in one edit.
@@ -17,10 +23,11 @@
 use almost_attacks::{DoubleDip, SatAttack};
 use almost_circuits::IscasBenchmark;
 use almost_locking::{
-    BatchOracle, CircuitOracle, LockedCircuit, LockingScheme, Oracle, Rll, SarLock, Stacked,
+    apply_key, BatchOracle, CircuitOracle, LockedCircuit, LockingScheme, Oracle, Rll, SarLock,
+    Stacked,
 };
 use almost_sat::solver::{SatLit, SatResult, SatVar, Solver};
-use almost_sat::SolverStats;
+use almost_sat::{check_equivalence, Equivalence, SolverStats};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cell::RefCell;
@@ -86,6 +93,16 @@ impl Oracle for RecordingOracle {
 
 impl BatchOracle for RecordingOracle {}
 
+/// Asserts that `key` unlocks `locked` to the function of `design`.
+fn assert_unlocks(case: &str, design: &almost_aig::Aig, locked: &LockedCircuit, key: &[bool]) {
+    let unlocked = apply_key(&locked.aig, locked.key_input_start, key);
+    assert_eq!(
+        check_equivalence(design, &unlocked),
+        Equivalence::Equivalent,
+        "{case}: the recovered key does not unlock the design"
+    );
+}
+
 /// One pinned row: `(case, what, digest)`.
 type Row = (String, &'static str, u64);
 
@@ -99,9 +116,8 @@ fn push_rows(rows: &mut Vec<Row>, case: &str, dips: u64, key: &[bool], stats: &S
 /// Exact SAT attack on `bench` locked with RLL-16 at `lock_seed`.
 fn exact_attack_rows(rows: &mut Vec<Row>, case: &str, bench: IscasBenchmark, lock_seed: u64) {
     let mut rng = StdRng::seed_from_u64(lock_seed);
-    let locked = Rll::new(16)
-        .lock(&bench.build(), &mut rng)
-        .expect("lockable");
+    let design = bench.build();
+    let locked = Rll::new(16).lock(&design, &mut rng).expect("lockable");
     let oracle = RecordingOracle::new(&locked);
     let run = SatAttack::exact().run(
         &locked.aig,
@@ -110,14 +126,17 @@ fn exact_attack_rows(rows: &mut Vec<Row>, case: &str, bench: IscasBenchmark, loc
         &oracle,
     );
     assert!(run.proved_exact, "{case}: exact mode must reach UNSAT");
+    assert_unlocks(case, &design, &locked, &run.recovered);
     push_rows(rows, case, oracle.digest(), &run.recovered, &run.solver);
 }
 
 /// Double DIP on c432 under a small SARLock-over-RLL compound lock.
 fn double_dip_rows(rows: &mut Vec<Row>) {
+    const BASE_BITS: usize = 8;
     let mut rng = StdRng::seed_from_u64(63);
-    let locked = Stacked::new(Rll::new(8), SarLock::new(6))
-        .lock(&IscasBenchmark::C432.build(), &mut rng)
+    let design = IscasBenchmark::C432.build();
+    let locked = Stacked::new(Rll::new(BASE_BITS), SarLock::new(6))
+        .lock(&design, &mut rng)
         .expect("lockable");
     let oracle = RecordingOracle::new(&locked);
     let run = DoubleDip::exact().run(
@@ -127,6 +146,9 @@ fn double_dip_rows(rows: &mut Vec<Row>) {
         &oracle,
     );
     assert!(run.two_dip_settled, "the 2-DIP loop must converge");
+    let mut key = run.recovered.clone();
+    key[BASE_BITS..].copy_from_slice(&locked.key.bits()[BASE_BITS..]);
+    assert_unlocks("c432_rll8_sar6_ddip", &design, &locked, &key);
     push_rows(
         rows,
         "c432_rll8_sar6_ddip",
@@ -195,15 +217,15 @@ fn incremental_corpus_rows(rows: &mut Vec<Row>) {
 /// `(case, what, digest)` for every case; the `c1355_rll16` rows are only
 /// checked in release builds.
 const GOLDEN: &[(&str, &str, u64)] = &[
-    ("c432_rll16", "dips", 0xa031e37bbae6d01b),
+    ("c432_rll16", "dips", 0x417814af167c8f8e),
     ("c432_rll16", "key", 0x013a67fb988fede4),
-    ("c432_rll16", "stats", 0x4ac02032c2ea6e53),
-    ("c1355_rll16", "dips", 0xf5d9d952de3e78cf),
+    ("c432_rll16", "stats", 0x0c800195b6f69333),
+    ("c1355_rll16", "dips", 0x248d1eab38d17446),
     ("c1355_rll16", "key", 0x406ddd1debda5753),
-    ("c1355_rll16", "stats", 0x626e0e45abbf7113),
-    ("c432_rll8_sar6_ddip", "dips", 0x853d8d7e9080d276),
-    ("c432_rll8_sar6_ddip", "key", 0xac9f6f165e248023),
-    ("c432_rll8_sar6_ddip", "stats", 0xdf44fa2ac9ca7c94),
+    ("c1355_rll16", "stats", 0xda5c01f4726ea740),
+    ("c432_rll8_sar6_ddip", "dips", 0x4ad2aa1d009ce879),
+    ("c432_rll8_sar6_ddip", "key", 0x3e66274556715619),
+    ("c432_rll8_sar6_ddip", "stats", 0xb07370e157fddf04),
     ("incremental_3sat", "models", 0x243bf63c2396be7c),
     ("incremental_3sat", "stats", 0x2f1895731a057be4),
 ];

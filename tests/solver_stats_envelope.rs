@@ -22,6 +22,10 @@ use rand::SeedableRng;
 
 /// Inclusive effort envelope; bounds are ~4x around the measured values so
 /// only order-of-magnitude regressions (or suspicious collapses) trip it.
+/// Measured on the hash-consed key miter, whose copies share their
+/// key-free logic: c432 took 9 DIPs, 1,760 decisions, 39,249
+/// propagations and 481 conflicts; c1355 took 4 DIPs, 2,521 decisions,
+/// 45,239 propagations and 500 conflicts.
 struct Envelope {
     bench: IscasBenchmark,
     lock_seed: u64,
@@ -68,17 +72,17 @@ fn exact_attack_effort_stays_inside_the_pinned_envelope() {
             bench: IscasBenchmark::C432,
             lock_seed: 0x432,
             dips: (2, 32),
-            decisions: (800, 13_000),
-            propagations: (20_000, 340_000),
-            conflicts: (220, 3_600),
+            decisions: (440, 7_100),
+            propagations: (9_800, 160_000),
+            conflicts: (120, 2_000),
         },
         Envelope {
             bench: IscasBenchmark::C1355,
             lock_seed: 0x1355,
             dips: (2, 48),
-            decisions: (2_300, 38_000),
-            propagations: (85_000, 1_400_000),
-            conflicts: (980, 16_000),
+            decisions: (630, 11_000),
+            propagations: (11_000, 190_000),
+            conflicts: (120, 2_000),
         },
     ];
     for e in envelopes {
