@@ -43,8 +43,8 @@
 //! probe binds `x` to constant literals, so only its key-dependent residue
 //! is encoded, reusing every residue gate encoded before.
 
-use crate::cnf::StrashEncoder;
-use crate::miter::splice_inputs;
+use crate::cnf::encode_xor;
+use crate::miter::KeyCopies;
 use crate::portfolio::{PortfolioSolver, PortfolioStats};
 use crate::solver::{SatLit, SatResult, SatVar};
 use almost_aig::Aig;
@@ -85,13 +85,9 @@ pub enum TwoDipSearch {
 /// ```
 pub struct DoubleDipMiter {
     solver: PortfolioSolver,
-    enc: StrashEncoder,
-    locked: Aig,
-    key_start: usize,
-    key_len: usize,
-    x_vars: Vec<SatVar>,
     /// Key copies `[K1, K2, K3, K4]`: pairs (K1, K2) and (K3, K4).
-    keys: [Vec<SatVar>; 4],
+    copies: KeyCopies,
+    x_vars: Vec<SatVar>,
     /// Guard for the pair-agreement/disagreement structure.
     act: SatLit,
     num_constraints: usize,
@@ -150,18 +146,9 @@ impl DoubleDipMiter {
         let mut solver = PortfolioSolver::new("double_dip_miter");
         let num_data = locked.num_inputs() - key_len;
         let x_vars: Vec<SatVar> = (0..num_data).map(|_| solver.new_var()).collect();
-        let keys: [Vec<SatVar>; 4] =
-            std::array::from_fn(|_| (0..key_len).map(|_| solver.new_var()).collect::<Vec<_>>());
-
-        let mut enc = StrashEncoder::new(&mut solver);
+        let mut copies = KeyCopies::new(&mut solver, locked, key_start, key_len, 4);
         let x_lits: Vec<SatLit> = x_vars.iter().map(|&v| SatLit::positive(v)).collect();
-        let outs: Vec<Vec<SatLit>> = keys
-            .iter()
-            .map(|key_vars| {
-                let inputs = splice_inputs(&x_lits, key_vars, key_start);
-                enc.encode(&mut solver, locked, &inputs)
-            })
-            .collect();
+        let outs = copies.encode(&mut solver, &x_lits);
 
         let act = SatLit::positive(solver.new_var());
         // act → the copies within each pair agree on every output.
@@ -171,7 +158,7 @@ impl DoubleDipMiter {
         // act → the pairs disagree on at least one output.
         let mut diff: Vec<SatLit> = vec![!act];
         for (&la, &lb) in outs[0].iter().zip(&outs[2]) {
-            diff.push(enc.xor(&mut solver, la, lb));
+            diff.push(copies.enc.xor(&mut solver, la, lb));
         }
         solver.add_clause(&diff);
         // act → the keys within each pair are bitwise distinct (otherwise
@@ -179,8 +166,9 @@ impl DoubleDipMiter {
         // guarantee collapses to the classical single-DIP bound).
         for (p, q) in [(0usize, 1usize), (2, 3)] {
             let mut distinct: Vec<SatLit> = vec![!act];
-            for (&vp, &vq) in keys[p].iter().zip(&keys[q]) {
-                distinct.push(enc.xor(&mut solver, SatLit::positive(vp), SatLit::positive(vq)));
+            for (&vp, &vq) in copies.keys[p].iter().zip(&copies.keys[q]) {
+                let (lp, lq) = (SatLit::positive(vp), SatLit::positive(vq));
+                distinct.push(encode_xor(&mut solver, lp, lq));
             }
             solver.add_clause(&distinct);
         }
@@ -188,14 +176,8 @@ impl DoubleDipMiter {
         // key residues; no oracle involvement).
         for probe in probes {
             assert_eq!(probe.len(), num_data, "probe arity mismatch");
-            let x: Vec<SatLit> = probe.iter().map(|&b| enc.constant(b)).collect();
-            let residues: Vec<Vec<SatLit>> = keys
-                .iter()
-                .map(|key_vars| {
-                    let inputs = splice_inputs(&x, key_vars, key_start);
-                    enc.encode(&mut solver, locked, &inputs)
-                })
-                .collect();
+            let x = copies.constants(probe);
+            let residues = copies.encode(&mut solver, &x);
             for (p, q) in [(0, 1), (2, 3)] {
                 agree_under(&mut solver, act, &residues[p], &residues[q]);
             }
@@ -203,12 +185,8 @@ impl DoubleDipMiter {
 
         DoubleDipMiter {
             solver,
-            enc,
-            locked: locked.clone(),
-            key_start,
-            key_len,
+            copies,
             x_vars,
-            keys,
             act,
             num_constraints: 0,
         }
@@ -249,19 +227,7 @@ impl DoubleDipMiter {
     /// Panics if `inputs` or `outputs` have the wrong arity.
     pub fn constrain_io(&mut self, inputs: &[bool], outputs: &[bool]) {
         assert_eq!(inputs.len(), self.x_vars.len(), "input arity mismatch");
-        assert_eq!(
-            outputs.len(),
-            self.locked.num_outputs(),
-            "output arity mismatch"
-        );
-        let x: Vec<SatLit> = inputs.iter().map(|&b| self.enc.constant(b)).collect();
-        for key_vars in &self.keys {
-            let inputs = splice_inputs(&x, key_vars, self.key_start);
-            let outs = self.enc.encode(&mut self.solver, &self.locked, &inputs);
-            for (&lit, &want) in outs.iter().zip(outputs) {
-                self.solver.add_clause(&[if want { lit } else { !lit }]);
-            }
-        }
+        self.copies.constrain(&mut self.solver, inputs, outputs);
         self.num_constraints += 1;
     }
 
@@ -288,7 +254,7 @@ impl DoubleDipMiter {
             }
             Ok(SatResult::Unsat) => None,
             Ok(SatResult::Sat) => Some(
-                self.keys[0]
+                self.copies.keys[0]
                     .iter()
                     .map(|&v| self.solver.value(v).unwrap_or(false))
                     .collect(),
@@ -308,7 +274,7 @@ impl DoubleDipMiter {
 
     /// Key width.
     pub fn key_len(&self) -> usize {
-        self.key_len
+        self.copies.keys[0].len()
     }
 
     /// Cumulative solver-effort statistics.
@@ -351,7 +317,8 @@ impl std::fmt::Debug for DoubleDipMiter {
         write!(
             f,
             "DoubleDipMiter {{ key_len: {}, constraints: {}, vars: {vars}, clauses: {clauses} }}",
-            self.key_len, self.num_constraints
+            self.key_len(),
+            self.num_constraints
         )
     }
 }

@@ -76,13 +76,9 @@ pub enum DipSearch {
 /// ```
 pub struct KeyMiter {
     solver: PortfolioSolver,
-    enc: StrashEncoder,
-    locked: Aig,
-    key_start: usize,
-    key_len: usize,
+    /// Key copies `[K1, K2]`.
+    copies: KeyCopies,
     x_vars: Vec<SatVar>,
-    key_a: Vec<SatVar>,
-    key_b: Vec<SatVar>,
     /// Guard literal for the output-difference clause: assumed positive to
     /// search DIPs, negative to settle a key.
     act: SatLit,
@@ -138,39 +134,22 @@ impl KeyMiter {
         let mut solver = PortfolioSolver::new("key_miter");
         let num_data = locked.num_inputs() - key_len;
         let x_vars: Vec<SatVar> = (0..num_data).map(|_| solver.new_var()).collect();
-        let key_a: Vec<SatVar> = (0..key_len).map(|_| solver.new_var()).collect();
-        let key_b: Vec<SatVar> = (0..key_len).map(|_| solver.new_var()).collect();
-
-        let mut enc = StrashEncoder::new(&mut solver);
+        let mut copies = KeyCopies::new(&mut solver, locked, key_start, key_len, 2);
         let x_lits: Vec<SatLit> = x_vars.iter().map(|&v| SatLit::positive(v)).collect();
-        let out_a = enc.encode(
-            &mut solver,
-            locked,
-            &splice_inputs(&x_lits, &key_a, key_start),
-        );
-        let out_b = enc.encode(
-            &mut solver,
-            locked,
-            &splice_inputs(&x_lits, &key_b, key_start),
-        );
+        let outs = copies.encode(&mut solver, &x_lits);
 
         // Difference clause, guarded: act → (some output pair differs).
         let act = SatLit::positive(solver.new_var());
         let mut clause: Vec<SatLit> = vec![!act];
-        for (&la, &lb) in out_a.iter().zip(&out_b) {
-            clause.push(enc.xor(&mut solver, la, lb));
+        for (&la, &lb) in outs[0].iter().zip(&outs[1]) {
+            clause.push(copies.enc.xor(&mut solver, la, lb));
         }
         solver.add_clause(&clause);
 
         KeyMiter {
             solver,
-            enc,
-            locked: locked.clone(),
-            key_start,
-            key_len,
+            copies,
             x_vars,
-            key_a,
-            key_b,
             act,
             num_constraints: 0,
         }
@@ -215,19 +194,7 @@ impl KeyMiter {
     /// Panics if `inputs` or `outputs` have the wrong arity.
     pub fn constrain_io(&mut self, inputs: &[bool], outputs: &[bool]) {
         assert_eq!(inputs.len(), self.x_vars.len(), "input arity mismatch");
-        assert_eq!(
-            outputs.len(),
-            self.locked.num_outputs(),
-            "output arity mismatch"
-        );
-        let x: Vec<SatLit> = inputs.iter().map(|&b| self.enc.constant(b)).collect();
-        for key_vars in [&self.key_a, &self.key_b] {
-            let inputs = splice_inputs(&x, key_vars, self.key_start);
-            let outs = self.enc.encode(&mut self.solver, &self.locked, &inputs);
-            for (&lit, &want) in outs.iter().zip(outputs) {
-                self.solver.add_clause(&[if want { lit } else { !lit }]);
-            }
-        }
+        self.copies.constrain(&mut self.solver, inputs, outputs);
         self.num_constraints += 1;
     }
 
@@ -253,7 +220,7 @@ impl KeyMiter {
             }
             Ok(SatResult::Unsat) => None,
             Ok(SatResult::Sat) => Some(
-                self.key_a
+                self.copies.keys[0]
                     .iter()
                     .map(|&v| self.solver.value(v).unwrap_or(false))
                     .collect(),
@@ -273,7 +240,7 @@ impl KeyMiter {
 
     /// Key width.
     pub fn key_len(&self) -> usize {
-        self.key_len
+        self.copies.keys[0].len()
     }
 
     /// Cumulative solver-effort statistics.
@@ -305,19 +272,99 @@ impl std::fmt::Debug for KeyMiter {
         write!(
             f,
             "KeyMiter {{ key_len: {}, constraints: {}, vars: {vars}, clauses: {clauses} }}",
-            self.key_len, self.num_constraints
+            self.key_len(),
+            self.num_constraints
         )
     }
 }
 
-/// Interleaves the shared data literals and one copy's key variables into
-/// the locked circuit's input order.
-pub(crate) fn splice_inputs(x: &[SatLit], key_vars: &[SatVar], key_start: usize) -> Vec<SatLit> {
-    let mut inputs = Vec::with_capacity(x.len() + key_vars.len());
-    inputs.extend_from_slice(&x[..key_start]);
-    inputs.extend(key_vars.iter().map(|&v| SatLit::positive(v)));
-    inputs.extend_from_slice(&x[key_start..]);
-    inputs
+/// The key copies of a miter: the locked circuit, one vector of key
+/// variables per copy, and the one encoder every copy and residue goes
+/// through.
+pub(crate) struct KeyCopies {
+    pub(crate) enc: StrashEncoder,
+    locked: Aig,
+    key_start: usize,
+    pub(crate) keys: Vec<Vec<SatVar>>,
+}
+
+impl KeyCopies {
+    /// Allocates `copies` vectors of `key_len` key variables, then the
+    /// encoder's constant.
+    pub(crate) fn new(
+        solver: &mut PortfolioSolver,
+        locked: &Aig,
+        key_start: usize,
+        key_len: usize,
+        copies: usize,
+    ) -> Self {
+        let keys = (0..copies)
+            .map(|_| (0..key_len).map(|_| solver.new_var()).collect())
+            .collect();
+        KeyCopies {
+            enc: StrashEncoder::new(solver),
+            locked: locked.clone(),
+            key_start,
+            keys,
+        }
+    }
+
+    /// Encodes copy `copy` with its data inputs bound to `x` and returns
+    /// its output literals.
+    fn encode_copy(
+        &mut self,
+        solver: &mut PortfolioSolver,
+        x: &[SatLit],
+        copy: usize,
+    ) -> Vec<SatLit> {
+        let key = &self.keys[copy];
+        let mut inputs = Vec::with_capacity(x.len() + key.len());
+        inputs.extend_from_slice(&x[..self.key_start]);
+        inputs.extend(key.iter().map(|&v| SatLit::positive(v)));
+        inputs.extend_from_slice(&x[self.key_start..]);
+        self.enc.encode(solver, &self.locked, &inputs)
+    }
+
+    /// Encodes every copy with its data inputs bound to `x`.
+    pub(crate) fn encode(
+        &mut self,
+        solver: &mut PortfolioSolver,
+        x: &[SatLit],
+    ) -> Vec<Vec<SatLit>> {
+        (0..self.keys.len())
+            .map(|copy| self.encode_copy(solver, x, copy))
+            .collect()
+    }
+
+    /// The constant literals of a data pattern.
+    pub(crate) fn constants(&self, data: &[bool]) -> Vec<SatLit> {
+        data.iter().map(|&b| self.enc.constant(b)).collect()
+    }
+
+    /// Constrains every copy to answer `outputs` on the data pattern
+    /// `inputs`: each copy adds only its key-dependent residue.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `outputs` has the wrong arity.
+    pub(crate) fn constrain(
+        &mut self,
+        solver: &mut PortfolioSolver,
+        inputs: &[bool],
+        outputs: &[bool],
+    ) {
+        assert_eq!(
+            outputs.len(),
+            self.locked.num_outputs(),
+            "output arity mismatch"
+        );
+        let x = self.constants(inputs);
+        for copy in 0..self.keys.len() {
+            for (lit, &want) in self.encode_copy(solver, &x, copy).into_iter().zip(outputs) {
+                solver.add_clause(&[if want { lit } else { !lit }]);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
