@@ -163,11 +163,6 @@ impl StrashEncoder {
         }
     }
 
-    /// Number of distinct AND gates encoded so far.
-    pub fn num_ands(&self) -> usize {
-        self.table.len()
-    }
-
     /// Returns a literal equivalent to `a ∧ b`.
     pub fn and<S: ClauseSink>(&mut self, sink: &mut S, a: SatLit, b: SatLit) -> SatLit {
         let f = self.const_false;
@@ -188,27 +183,6 @@ impl StrashEncoder {
             sink.add_clause(&[out, !a, !b]);
             out
         })
-    }
-
-    /// Returns a literal equivalent to `a ⊕ b`, folding constants and equal
-    /// or opposite operands; otherwise a fresh [`encode_xor`] gadget.
-    pub fn xor<S: ClauseSink>(&mut self, sink: &mut S, a: SatLit, b: SatLit) -> SatLit {
-        let f = self.const_false;
-        if a == b {
-            return f;
-        }
-        if a == !b {
-            return !f;
-        }
-        for (c, other) in [(a, b), (b, a)] {
-            if c == f {
-                return other;
-            }
-            if c == !f {
-                return !other;
-            }
-        }
-        encode_xor(sink, a, b)
     }
 
     /// Encodes `aig` with its inputs bound to `inputs` (constants allowed:
@@ -318,13 +292,10 @@ mod tests {
         assert_eq!(enc.and(&mut s, t, a), a);
         assert_eq!(enc.and(&mut s, a, a), a);
         assert_eq!(enc.and(&mut s, a, !a), f);
-        assert_eq!(enc.num_ands(), 0);
+        assert_eq!(s.num_vars(), 3, "folds allocate nothing");
         let ab = enc.and(&mut s, a, b);
         assert_eq!(enc.and(&mut s, b, a), ab, "fanin order is normalised");
         assert_ne!(enc.and(&mut s, a, !b), ab);
-        assert_eq!(enc.num_ands(), 2);
-        assert_eq!(enc.xor(&mut s, a, !a), t);
-        assert_eq!(enc.xor(&mut s, t, b), !b);
         assert_eq!(s.num_vars(), 5);
         // Two copies of one AIG over the same inputs share every gate.
         let aig = build_xor();

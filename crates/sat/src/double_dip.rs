@@ -38,10 +38,10 @@
 //! guarded by an activation literal (assumed to search, released to settle
 //! a key), and the solver is fully incremental across iterations. The
 //! four copies, every I/O constraint and every probe go through one
-//! [`StrashEncoder`]: gates no key input
-//! reaches get one variable shared by all four copies, and a constraint or
-//! probe binds `x` to constant literals, so only its key-dependent residue
-//! is encoded, reusing every residue gate encoded before.
+//! [`StrashEncoder`](crate::cnf::StrashEncoder): gates no key input reaches
+//! get one variable shared by all four copies, and a constraint or probe
+//! binds `x` to constant literals, so only its key-dependent residue is
+//! encoded, reusing every residue gate encoded before.
 
 use crate::cnf::encode_xor;
 use crate::miter::KeyCopies;
@@ -108,8 +108,9 @@ impl DoubleDipMiter {
     /// Like [`DoubleDipMiter::new`], but sweeps the locked circuit with
     /// [`almost_aig::fraig`] before encoding. The four-copy miter
     /// amplifies any reduction of key-dependent logic fourfold (every
-    /// copy — and every probe residue — encodes the swept network), which is why the 2-DIP
-    /// loop benefits even more from the pre-pass than the classic miter.
+    /// copy — and every probe residue — encodes the swept network), which
+    /// is why the 2-DIP loop benefits even more from the pre-pass than the
+    /// classic miter.
     /// Interface order and names are preserved; opt-in for the same
     /// reason as [`KeyMiter::with_fraig_prepass`](crate::KeyMiter::with_fraig_prepass).
     ///
@@ -158,7 +159,9 @@ impl DoubleDipMiter {
         // act → the pairs disagree on at least one output.
         let mut diff: Vec<SatLit> = vec![!act];
         for (&la, &lb) in outs[0].iter().zip(&outs[2]) {
-            diff.push(copies.enc.xor(&mut solver, la, lb));
+            if la != lb {
+                diff.push(encode_xor(&mut solver, la, lb));
+            }
         }
         solver.add_clause(&diff);
         // act → the keys within each pair are bitwise distinct (otherwise

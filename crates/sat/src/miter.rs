@@ -17,16 +17,16 @@
 //! same solver answers both the DIP query (assume the guard) and the key
 //! settlement (release it), keeping every learnt clause across iterations.
 //!
-//! Everything the miter encodes goes through one
-//! [`StrashEncoder`] it owns. The two copies
-//! therefore share one variable for every gate no key input reaches, and
-//! the solver never has to learn that they agree there. An I/O constraint
+//! Everything the miter encodes goes through one [`StrashEncoder`] it
+//! owns. The two copies therefore share one variable for every gate no key
+//! input reaches, and the solver never has to learn that they agree there.
+//! An I/O constraint
 //! encodes the locked circuit once more per key copy, with `x` bound to
 //! constant literals: the constants fold away, what remains is the
 //! key-dependent residue, and any residue gate an earlier DIP (or the
 //! other copy) already produced is reused rather than re-encoded.
 
-use crate::cnf::StrashEncoder;
+use crate::cnf::{encode_xor, StrashEncoder};
 use crate::portfolio::{PortfolioSolver, PortfolioStats};
 use crate::solver::{SatLit, SatResult, SatVar};
 use almost_aig::Aig;
@@ -101,8 +101,8 @@ impl KeyMiter {
     /// Like [`KeyMiter::new`], but sweeps the locked circuit with
     /// [`almost_aig::fraig`] before encoding. The sweep merges every
     /// internally equivalent node once, up front — both circuit copies
-    /// (and every later I/O residue) then encode the
-    /// reduced network, shrinking the CNF the DIP loop iterates on. The
+    /// (and every later I/O residue) then encode the reduced network,
+    /// shrinking the CNF the DIP loop iterates on. The
     /// interface (input order and names, output order) is preserved, so
     /// key positions are unaffected.
     ///
@@ -138,11 +138,15 @@ impl KeyMiter {
         let x_lits: Vec<SatLit> = x_vars.iter().map(|&v| SatLit::positive(v)).collect();
         let outs = copies.encode(&mut solver, &x_lits);
 
-        // Difference clause, guarded: act → (some output pair differs).
+        // Difference clause, guarded: act → (some output pair differs). An
+        // output no key input reaches is one literal in both copies and
+        // cannot differ.
         let act = SatLit::positive(solver.new_var());
         let mut clause: Vec<SatLit> = vec![!act];
         for (&la, &lb) in outs[0].iter().zip(&outs[1]) {
-            clause.push(copies.enc.xor(&mut solver, la, lb));
+            if la != lb {
+                clause.push(encode_xor(&mut solver, la, lb));
+            }
         }
         solver.add_clause(&clause);
 
@@ -282,7 +286,7 @@ impl std::fmt::Debug for KeyMiter {
 /// variables per copy, and the one encoder every copy and residue goes
 /// through.
 pub(crate) struct KeyCopies {
-    pub(crate) enc: StrashEncoder,
+    enc: StrashEncoder,
     locked: Aig,
     key_start: usize,
     pub(crate) keys: Vec<Vec<SatVar>>,
