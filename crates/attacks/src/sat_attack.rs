@@ -34,8 +34,11 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::time::Instant;
 
-/// Cap on counterexample constraints added per settlement round; each one
-/// encodes two key-conditioned circuit residues into the solver.
+/// Cap on counterexample constraints added per settlement round. Each one
+/// adds the key-dependent residue of the circuit under its input, once per
+/// key copy; the miter's encoder reuses residue gates earlier constraints
+/// already produced, but a half-wrong key fails about half of all queries,
+/// and the new gates of that many residues still bury the solver.
 const MAX_SETTLEMENT_CONSTRAINTS: usize = 8;
 
 /// Effort limits for [`SatAttack`].
@@ -204,10 +207,8 @@ impl SatAttack {
                     // Validate with one batched round of random queries —
                     // the oracle's batch path answers all of them in a
                     // handful of word-level sweeps — but cap the number of
-                    // counterexamples re-encoded as constraints: each one
-                    // adds two circuit residues to the solver, and an
-                    // unbounded round can bury it (a half-wrong key fails
-                    // ~half of all queries).
+                    // counterexamples re-encoded as constraints (see
+                    // `MAX_SETTLEMENT_CONSTRAINTS`).
                     let xs: Vec<Vec<bool>> = (0..queries)
                         .map(|_| {
                             (0..miter.num_data_inputs())
