@@ -197,7 +197,6 @@ impl KeyMiter {
     ///
     /// Panics if `inputs` or `outputs` have the wrong arity.
     pub fn constrain_io(&mut self, inputs: &[bool], outputs: &[bool]) {
-        assert_eq!(inputs.len(), self.x_vars.len(), "input arity mismatch");
         self.copies.constrain(&mut self.solver, inputs, outputs);
         self.num_constraints += 1;
     }
@@ -350,13 +349,18 @@ impl KeyCopies {
     ///
     /// # Panics
     ///
-    /// Panics if `outputs` has the wrong arity.
+    /// Panics if `inputs` or `outputs` have the wrong arity.
     pub(crate) fn constrain(
         &mut self,
         solver: &mut PortfolioSolver,
         inputs: &[bool],
         outputs: &[bool],
     ) {
+        assert_eq!(
+            inputs.len() + self.keys[0].len(),
+            self.locked.num_inputs(),
+            "input arity mismatch"
+        );
         assert_eq!(
             outputs.len(),
             self.locked.num_outputs(),
