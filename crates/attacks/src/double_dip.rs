@@ -4,7 +4,7 @@
 //! Point-function defences (SARLock, Anti-SAT) survive the classical SAT
 //! attack by making every distinguishing input pattern eliminate only one
 //! wrong key, forcing `2^k` oracle queries. Double DIP refuses to play:
-//! its miter ([`almost_sat::DoubleDipMiter`]) only accepts *2-DIPs* —
+//! its miter ([`almost_sat::KeyMiter::two_dip`]) only accepts *2-DIPs* —
 //! inputs whose oracle answer is guaranteed to kill at least two wrong
 //! keys, because two distinct agreeing keys sit on each side of the
 //! disagreement. One-key-per-input flips can never fill a pair, so the
@@ -23,7 +23,7 @@ use crate::report::{
 };
 use almost_aig::CompiledAig;
 use almost_locking::BatchOracle;
-use almost_sat::double_dip::{DoubleDipMiter, TwoDipSearch};
+use almost_sat::miter::{DipSearch, KeyMiter};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::time::Instant;
@@ -38,7 +38,7 @@ pub struct DoubleDipConfig {
     /// with the current candidate (the defence winning on solver effort).
     pub conflict_budget: Option<u64>,
     /// Random pair-agreement probes encoded into the miter (see
-    /// [`almost_sat::DoubleDipMiter::with_probes`]): they force pair
+    /// [`almost_sat::KeyMiter::two_dip`]): they force pair
     /// members to be near-equivalent keys, which keeps the loop killing
     /// wrong *base* keys instead of enumerating point-function flip
     /// cylinders. Structural only — no oracle queries.
@@ -99,12 +99,15 @@ impl DoubleDip {
             format!("double_dip k={key_len}")
         });
         let queries_at_start = oracle.queries_served();
-        let num_data = locked.num_inputs() - key_len;
+        let num_data = locked
+            .num_inputs()
+            .checked_sub(key_len)
+            .expect("key range out of bounds");
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let probes: Vec<Vec<bool>> = (0..self.config.probes)
             .map(|_| (0..num_data).map(|_| rng.random::<bool>()).collect())
             .collect();
-        let mut miter = DoubleDipMiter::with_probes(locked, key_start, key_len, &probes);
+        let mut miter = KeyMiter::two_dip(locked, key_start, key_len, &probes);
         assert_eq!(
             miter.num_data_inputs(),
             oracle.num_inputs(),
@@ -118,8 +121,8 @@ impl DoubleDip {
             if iterations.len() >= self.config.max_iterations {
                 break;
             }
-            match miter.find_2dip(self.config.conflict_budget) {
-                TwoDipSearch::Found(x) => {
+            match miter.find_dip(self.config.conflict_budget) {
+                DipSearch::Found(x) => {
                     let y = oracle.query(&x);
                     queries_issued += 1;
                     miter.constrain_io(&x, &y);
@@ -130,11 +133,11 @@ impl DoubleDip {
                         settlement_mismatches: None,
                     });
                 }
-                TwoDipSearch::Settled => {
+                DipSearch::Settled => {
                     two_dip_settled = true;
                     break;
                 }
-                TwoDipSearch::OutOfBudget => break,
+                DipSearch::OutOfBudget => break,
             }
         }
 
@@ -403,5 +406,13 @@ mod tests {
             almost_sat::Equivalence::Equivalent,
             "recovered base key + true overlay must unlock the design"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "key range out of bounds")]
+    fn an_out_of_range_key_is_rejected() {
+        let (locked, oracle) = locked_oracle(&IscasBenchmark::C432.build(), &Rll::new(8), 1);
+        let key_len = locked.aig.num_inputs() + 1;
+        DoubleDip::exact().run(&locked.aig, locked.key_input_start, key_len, &oracle);
     }
 }

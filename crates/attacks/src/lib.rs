@@ -20,12 +20,13 @@
 //! The crate also implements the *oracle-guided* threat model the paper's
 //! baselines are measured against in the wider literature:
 //!
-//! - [`SatAttack`] — the HOST'15 SAT attack: a DIP loop over
-//!   key-conditioned miters with an activated-IC oracle, plus an
-//!   AppSAT-style approximate mode with iteration/conflict budgets and
-//!   random-query settlement. It implements [`OracleGuidedAttack`], and
+//! - [`SatAttack`] — the HOST'15 SAT attack: a DIP loop over the
+//!   key-conditioned [`almost_sat::KeyMiter`] with an activated-IC
+//!   oracle, plus an AppSAT-style approximate mode with iteration/conflict
+//!   budgets and random-query settlement. It implements [`OracleGuidedAttack`], and
 //!   [`report::render_report`] shows both threat models side by side.
-//! - [`DoubleDip`] — the GLSVLSI'17 2-DIP attack that strips
+//! - [`DoubleDip`] — the GLSVLSI'17 2-DIP attack, over the same miter
+//!   built by [`almost_sat::KeyMiter::two_dip`], that strips
 //!   point-function defences (`almost_locking::SarLock`,
 //!   `almost_locking::AntiSat`): each accepted input is guaranteed to
 //!   eliminate at least two wrong keys, so one-key-per-input flips can

@@ -546,4 +546,12 @@ mod tests {
         let direct = locked.aig.eval(&expect);
         assert_eq!(full, direct);
     }
+
+    #[test]
+    #[should_panic(expected = "key range out of bounds")]
+    fn an_out_of_range_key_is_rejected() {
+        let (locked, oracle) = locked_oracle(&IscasBenchmark::C432.build(), &Rll::new(8), 1);
+        let key_len = locked.aig.num_inputs() + 1;
+        SatAttack::exact().run(&locked.aig, locked.key_input_start, key_len, &oracle);
+    }
 }

@@ -17,11 +17,12 @@
 //!
 //! [`miter`] builds *key-conditioned* miters over locked circuits, the
 //! substrate of the oracle-guided SAT attack implemented in
-//! `almost-attacks`; [`double_dip`] extends them to the four-copy 2-DIP
-//! miter that defeats point-function defences (SARLock, Anti-SAT). Both
-//! encode through one structurally hashed [`cnf::StrashEncoder`] each, so
-//! key copies share their key-free logic and I/O residues share gates;
-//! CEC and ATPG keep the plain per-copy [`cnf::encode_with_inputs`].
+//! `almost-attacks`, and [`miter::KeyMiter::two_dip`] builds the
+//! four-copy 2-DIP miter that defeats point-function defences (SARLock,
+//! Anti-SAT). Every miter encodes through one structurally hashed
+//! [`cnf::StrashEncoder`], so key copies share their key-free logic and
+//! I/O residues share gates; CEC and ATPG keep the plain per-copy
+//! [`cnf::encode_with_inputs`].
 //!
 //! # Example
 //!
@@ -39,7 +40,6 @@
 
 pub mod cnf;
 pub mod dimacs;
-pub mod double_dip;
 pub mod equiv;
 pub mod miter;
 
@@ -50,7 +50,6 @@ pub use almost_cdcl::heap;
 pub use almost_cdcl::portfolio;
 pub use almost_cdcl::solver;
 
-pub use double_dip::{DoubleDipMiter, TwoDipSearch};
 pub use equiv::{check_equivalence, check_equivalence_limited, test_stuck_at, Equivalence};
 pub use heap::ActivityHeap;
 pub use miter::{DipSearch, KeyMiter};

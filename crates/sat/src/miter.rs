@@ -18,32 +18,71 @@
 //! settlement (release it), keeping every learnt clause across iterations.
 //!
 //! Everything the miter encodes goes through one [`StrashEncoder`] it
-//! owns. The two copies therefore share one variable for every gate no key
+//! owns. The copies therefore share one variable for every gate no key
 //! input reaches, and the solver never has to learn that they agree there.
 //! An I/O constraint
 //! encodes the locked circuit once more per key copy, with `x` bound to
 //! constant literals: the constants fold away, what remains is the
-//! key-dependent residue, and any residue gate an earlier DIP (or the
-//! other copy) already produced is reused rather than re-encoded.
+//! key-dependent residue, and any residue gate an earlier DIP (or another
+//! copy) already produced is reused rather than re-encoded.
+//!
+//! # 2-DIP miter
+//!
+//! A classical DIP eliminates *at least one* wrong key per oracle query —
+//! which is exactly the guarantee point-function defences (SARLock,
+//! Anti-SAT) weaponise: they arrange for every input to incriminate at
+//! most one key, so the DIP loop degenerates into brute-force key
+//! enumeration.
+//!
+//! Double DIP [Shen & Zhou, GLSVLSI'17] asks for a *2-DIP* instead: an
+//! input pattern whose oracle answer is guaranteed to eliminate at least
+//! **two** wrong keys. [`KeyMiter::two_dip`] carries four key copies over
+//! one shared input vector `X` — two agreeing pairs that disagree with
+//! each other:
+//!
+//! ```text
+//! C(X, K1) = C(X, K2),  K1 ≠ K2        (pair A agrees)
+//! C(X, K3) = C(X, K4),  K3 ≠ K4        (pair B agrees)
+//! C(X, K1) ≠ C(X, K3)                  (the pairs disagree at X)
+//! ```
+//!
+//! Whichever pair the oracle contradicts contains two distinct wrong keys,
+//! both killed by the resulting I/O constraint. A SARLock flip is one-hot
+//! in the key — at any input at most one key class errs — so its wrong
+//! keys can never populate a full pair and the 2-DIP loop settles after
+//! resolving only the base scheme, stripping the point function.
+//!
+//! One refinement keeps the loop off the point function's turf: pair
+//! members must additionally agree on a batch of fixed random *probe*
+//! inputs. Without it, the solver can pair a point-residue key with an
+//! unrelated wrong base key that merely coincides at the chosen input, and
+//! the loop degenerates into flip-cylinder enumeration — exactly the brute
+//! force the defence wants. Probes force pair members to be
+//! near-equivalent keys (they may differ only where the probes don't
+//! look, i.e. on measure-`2^-k` flip cylinders), so each accepted query
+//! eliminates an entire wrong *base* key class. Probes are structural:
+//! they never query the oracle. Like the I/O constraints, each probe binds
+//! `x` to constant literals, so only its key-dependent residue is encoded.
 
 use crate::cnf::{encode_xor, StrashEncoder};
 use crate::portfolio::{PortfolioSolver, PortfolioStats};
 use crate::solver::{SatLit, SatResult, SatVar};
 use almost_aig::Aig;
-use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
 
-/// Outcome of one DIP query.
+/// Outcome of one DIP (or 2-DIP) query.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum DipSearch {
     /// A distinguishing input pattern over the functional inputs (in input
     /// order, key positions excluded).
     Found(Vec<bool>),
     /// No DIP exists: all keys consistent with the added I/O constraints
-    /// are functionally equivalent — the attack has converged.
+    /// are functionally equivalent — the attack has converged. For a
+    /// 2-DIP miter, no 2-DIP exists: every surviving wrong key corrupts
+    /// only inputs where it is the *only* dissenter — the point-function
+    /// residue. The settled key is then correct up to such one-key flips
+    /// (for SARLock/Anti-SAT overlays: the base key is recovered exactly).
     Settled,
-    /// The conflict budget ran out before the query concluded
-    /// (approximate/AppSAT mode only).
+    /// The conflict budget ran out before the query concluded.
     OutOfBudget,
 }
 
@@ -76,13 +115,16 @@ pub enum DipSearch {
 /// ```
 pub struct KeyMiter {
     solver: PortfolioSolver,
-    /// Key copies `[K1, K2]`.
+    /// Key copies: `[K1, K2]`, or `[K1, K2, K3, K4]` with pairs (K1, K2)
+    /// and (K3, K4) in a 2-DIP miter.
     copies: KeyCopies,
     x_vars: Vec<SatVar>,
-    /// Guard literal for the output-difference clause: assumed positive to
-    /// search DIPs, negative to settle a key.
+    /// Guard literal for the DIP structure: assumed positive to search
+    /// DIPs, negative to settle a key.
     act: SatLit,
     num_constraints: usize,
+    /// Engine label of the miter's telemetry events.
+    engine: &'static str,
 }
 
 impl KeyMiter {
@@ -95,71 +137,116 @@ impl KeyMiter {
     /// Panics if the key range exceeds the circuit's inputs or the circuit
     /// has no outputs.
     pub fn new(locked: &Aig, key_start: usize, key_len: usize) -> Self {
-        Self::build(locked, key_start, key_len, false)
+        let (mut miter, outs) = Self::build(locked, key_start, key_len, 2, "key_miter");
+        // act → some output pair differs.
+        differ_under(&mut miter.solver, miter.act, &outs[0], &outs[1]);
+        miter
     }
 
-    /// Like [`KeyMiter::new`], but sweeps the locked circuit with
-    /// [`almost_aig::fraig`] before encoding. The sweep merges every
-    /// internally equivalent node once, up front — both circuit copies
-    /// (and every later I/O residue) then encode the reduced network,
-    /// shrinking the CNF the DIP loop iterates on. The
-    /// interface (input order and names, output order) is preserved, so
-    /// key positions are unaffected.
-    ///
-    /// Opt-in: on netlists with little internal redundancy the sweep is
-    /// pure overhead, and attack-effort comparisons against published
-    /// SAT-attack numbers should keep the plain construction.
+    /// Builds the four-copy 2-DIP miter of the Double-DIP attack (see the
+    /// [module documentation](self#2-dip-miter)). On every probe input the
+    /// two keys of each pair must produce identical outputs. Probes are
+    /// encoded as constant-folded key residues (cheap) and consume no
+    /// oracle queries.
     ///
     /// # Panics
     ///
-    /// Panics if the key range exceeds the circuit's inputs or the circuit
-    /// has no outputs.
-    pub fn with_fraig_prepass(locked: &Aig, key_start: usize, key_len: usize) -> Self {
-        Self::build(locked, key_start, key_len, true)
-    }
-
-    fn build(locked: &Aig, key_start: usize, key_len: usize, fraig: bool) -> Self {
-        assert!(
-            key_start + key_len <= locked.num_inputs(),
-            "key range out of bounds"
-        );
-        let swept;
-        let locked = if fraig {
-            swept = almost_aig::fraig(locked);
-            &swept
-        } else {
-            locked
-        };
-        assert!(locked.num_outputs() > 0, "miter needs outputs to compare");
-        let mut solver = PortfolioSolver::new("key_miter");
-        let num_data = locked.num_inputs() - key_len;
-        let x_vars: Vec<SatVar> = (0..num_data).map(|_| solver.new_var()).collect();
-        let mut copies = KeyCopies::new(&mut solver, locked, key_start, key_len, 2);
-        let x_lits: Vec<SatLit> = x_vars.iter().map(|&v| SatLit::positive(v)).collect();
-        let outs = copies.encode(&mut solver, &x_lits);
-
-        // Difference clause, guarded: act → (some output pair differs). An
-        // output no key input reaches is one literal in both copies and
-        // cannot differ.
-        let act = SatLit::positive(solver.new_var());
-        let mut clause: Vec<SatLit> = vec![!act];
-        for (&la, &lb) in outs[0].iter().zip(&outs[1]) {
-            if la != lb {
-                clause.push(encode_xor(&mut solver, la, lb));
+    /// Panics if the key range exceeds the circuit's inputs, the circuit
+    /// has no outputs, or a probe has the wrong arity.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use almost_aig::Aig;
+    /// use almost_sat::miter::{DipSearch, KeyMiter};
+    ///
+    /// // f = a ⊕ k: both wrong-key classes err on every input, so a 2-DIP
+    /// // never exists (a pair would need two distinct agreeing keys).
+    /// let mut locked = Aig::new();
+    /// let a = locked.add_input();
+    /// let k = locked.add_named_input("keyinput0");
+    /// let f = locked.xor(a, k);
+    /// locked.add_output(f);
+    /// let mut miter = KeyMiter::two_dip(&locked, 1, 1, &[]);
+    /// assert_eq!(miter.find_dip(None), DipSearch::Settled);
+    /// ```
+    pub fn two_dip(locked: &Aig, key_start: usize, key_len: usize, probes: &[Vec<bool>]) -> Self {
+        let (mut miter, outs) = Self::build(locked, key_start, key_len, 4, "double_dip_miter");
+        let KeyMiter {
+            solver,
+            copies,
+            x_vars,
+            act,
+            ..
+        } = &mut miter;
+        let act = *act;
+        // act → the copies within each pair agree on every output.
+        for (p, q) in [(0, 1), (2, 3)] {
+            agree_under(solver, act, &outs[p], &outs[q]);
+        }
+        // act → the pairs disagree on at least one output.
+        differ_under(solver, act, &outs[0], &outs[2]);
+        // act → the keys within each pair are bitwise distinct (otherwise
+        // a pair could be one key counted twice and the 2-elimination
+        // guarantee collapses to the classical single-DIP bound).
+        let keys: Vec<Vec<SatLit>> = copies
+            .keys
+            .iter()
+            .map(|key| key.iter().map(|&v| SatLit::positive(v)).collect())
+            .collect();
+        for (p, q) in [(0, 1), (2, 3)] {
+            differ_under(solver, act, &keys[p], &keys[q]);
+        }
+        // act → pair members agree on every probe input (constant-folded
+        // key residues; no oracle involvement).
+        for probe in probes {
+            assert_eq!(probe.len(), x_vars.len(), "probe arity mismatch");
+            let x = copies.constants(probe);
+            let residues = copies.encode(solver, &x);
+            for (p, q) in [(0, 1), (2, 3)] {
+                agree_under(solver, act, &residues[p], &residues[q]);
             }
         }
-        solver.add_clause(&clause);
+        miter
+    }
 
-        KeyMiter {
+    /// Creates the solver, the data variables and `copies` key copies,
+    /// encodes every copy over the data variables and allocates the
+    /// guard. Returns the miter and each copy's output literals.
+    fn build(
+        locked: &Aig,
+        key_start: usize,
+        key_len: usize,
+        copies: usize,
+        engine: &'static str,
+    ) -> (Self, Vec<Vec<SatLit>>) {
+        assert!(
+            key_start
+                .checked_add(key_len)
+                .is_some_and(|end| end <= locked.num_inputs()),
+            "key range out of bounds"
+        );
+        assert!(locked.num_outputs() > 0, "miter needs outputs to compare");
+        let mut solver = PortfolioSolver::new(engine);
+        let num_data = locked.num_inputs() - key_len;
+        let x_vars: Vec<SatVar> = (0..num_data).map(|_| solver.new_var()).collect();
+        let mut copies = KeyCopies::new(&mut solver, locked, key_start, key_len, copies);
+        let x_lits: Vec<SatLit> = x_vars.iter().map(|&v| SatLit::positive(v)).collect();
+        let outs = copies.encode(&mut solver, &x_lits);
+        let act = SatLit::positive(solver.new_var());
+        let miter = KeyMiter {
             solver,
             copies,
             x_vars,
             act,
             num_constraints: 0,
-        }
+            engine,
+        };
+        (miter, outs)
     }
 
-    /// Searches for a distinguishing input pattern.
+    /// Searches for a distinguishing input pattern (a 2-DIP in a
+    /// [`KeyMiter::two_dip`] miter).
     ///
     /// With `max_conflicts = None` the query runs to completion; with a
     /// budget it may return [`DipSearch::OutOfBudget`].
@@ -168,7 +255,7 @@ impl KeyMiter {
             Err(interrupt) => {
                 let budget = max_conflicts.unwrap_or(0);
                 almost_telemetry::trace(|| almost_telemetry::EventKind::BudgetExhausted {
-                    engine: "key_miter",
+                    engine: self.engine,
                     budget,
                     conflicts: self.solver.stats().conflicts,
                     cause: interrupt.cause(),
@@ -186,7 +273,7 @@ impl KeyMiter {
     }
 
     /// Adds the oracle response `outputs = C*(inputs)` as a constraint on
-    /// both key copies.
+    /// every key copy.
     ///
     /// The locked circuit is encoded with `inputs` as constant literals, so
     /// only the key-dependent residue reaches the solver — typically a
@@ -203,26 +290,17 @@ impl KeyMiter {
 
     /// Extracts a key consistent with every added I/O constraint (the
     /// correct key once [`DipSearch::Settled`] has been observed; the best
-    /// current candidate in approximate mode).
+    /// current candidate in approximate mode). After a 2-DIP miter
+    /// settles, the key is correct on every input where more than one key
+    /// class could err — the base scheme of a stacked point-function lock
+    /// is recovered exactly.
     ///
     /// Returns `None` only if the constraints are contradictory, which
     /// indicates an inconsistent oracle.
     pub fn settle_key(&mut self) -> Option<Vec<bool>> {
-        match self.solver.try_solve(&[!self.act], None) {
-            Err(interrupt) => {
-                // Only an external cancellation can interrupt an
-                // unlimited query; report it like a budget exhaustion and
-                // yield no key.
-                almost_telemetry::trace(|| almost_telemetry::EventKind::BudgetExhausted {
-                    engine: "key_miter",
-                    budget: 0,
-                    conflicts: self.solver.stats().conflicts,
-                    cause: interrupt.cause(),
-                });
-                None
-            }
-            Ok(SatResult::Unsat) => None,
-            Ok(SatResult::Sat) => Some(
+        match self.solver.solve(&[!self.act]) {
+            SatResult::Unsat => None,
+            SatResult::Sat => Some(
                 self.copies.keys[0]
                     .iter()
                     .map(|&v| self.solver.value(v).unwrap_or(false))
@@ -260,13 +338,6 @@ impl KeyMiter {
     pub fn portfolio_stats(&self) -> PortfolioStats {
         self.solver.portfolio_stats()
     }
-
-    /// Installs an external cancellation flag: raising it makes every
-    /// subsequent query return [`DipSearch::OutOfBudget`] (reported with
-    /// `cause: "cancelled"` in telemetry).
-    pub fn set_stop_flag(&mut self, flag: Arc<AtomicBool>) {
-        self.solver.set_stop_flag(flag);
-    }
 }
 
 impl std::fmt::Debug for KeyMiter {
@@ -274,27 +345,51 @@ impl std::fmt::Debug for KeyMiter {
         let (vars, clauses) = self.solver_size();
         write!(
             f,
-            "KeyMiter {{ key_len: {}, constraints: {}, vars: {vars}, clauses: {clauses} }}",
+            "KeyMiter {{ engine: {}, key_len: {}, constraints: {}, vars: {vars}, clauses: {clauses} }}",
+            self.engine,
             self.key_len(),
             self.num_constraints
         )
     }
 }
 
+/// Adds `act → (some a ≠ b)`, skipping pairs the encoder already mapped to
+/// one literal (they cannot differ).
+fn differ_under(solver: &mut PortfolioSolver, act: SatLit, a: &[SatLit], b: &[SatLit]) {
+    let mut clause: Vec<SatLit> = vec![!act];
+    for (&la, &lb) in a.iter().zip(b) {
+        if la != lb {
+            clause.push(encode_xor(solver, la, lb));
+        }
+    }
+    solver.add_clause(&clause);
+}
+
+/// Adds `act → (a = b)` output by output, skipping pairs the encoder
+/// already mapped to one literal.
+fn agree_under(solver: &mut PortfolioSolver, act: SatLit, a: &[SatLit], b: &[SatLit]) {
+    for (&la, &lb) in a.iter().zip(b) {
+        if la != lb {
+            solver.add_clause(&[!act, !la, lb]);
+            solver.add_clause(&[!act, la, !lb]);
+        }
+    }
+}
+
 /// The key copies of a miter: the locked circuit, one vector of key
 /// variables per copy, and the one encoder every copy and residue goes
 /// through.
-pub(crate) struct KeyCopies {
+struct KeyCopies {
     enc: StrashEncoder,
     locked: Aig,
     key_start: usize,
-    pub(crate) keys: Vec<Vec<SatVar>>,
+    keys: Vec<Vec<SatVar>>,
 }
 
 impl KeyCopies {
     /// Allocates `copies` vectors of `key_len` key variables, then the
     /// encoder's constant.
-    pub(crate) fn new(
+    fn new(
         solver: &mut PortfolioSolver,
         locked: &Aig,
         key_start: usize,
@@ -329,18 +424,14 @@ impl KeyCopies {
     }
 
     /// Encodes every copy with its data inputs bound to `x`.
-    pub(crate) fn encode(
-        &mut self,
-        solver: &mut PortfolioSolver,
-        x: &[SatLit],
-    ) -> Vec<Vec<SatLit>> {
+    fn encode(&mut self, solver: &mut PortfolioSolver, x: &[SatLit]) -> Vec<Vec<SatLit>> {
         (0..self.keys.len())
             .map(|copy| self.encode_copy(solver, x, copy))
             .collect()
     }
 
     /// The constant literals of a data pattern.
-    pub(crate) fn constants(&self, data: &[bool]) -> Vec<SatLit> {
+    fn constants(&self, data: &[bool]) -> Vec<SatLit> {
         data.iter().map(|&b| self.enc.constant(b)).collect()
     }
 
@@ -350,12 +441,7 @@ impl KeyCopies {
     /// # Panics
     ///
     /// Panics if `inputs` or `outputs` have the wrong arity.
-    pub(crate) fn constrain(
-        &mut self,
-        solver: &mut PortfolioSolver,
-        inputs: &[bool],
-        outputs: &[bool],
-    ) {
+    fn constrain(&mut self, solver: &mut PortfolioSolver, inputs: &[bool], outputs: &[bool]) {
         assert_eq!(
             inputs.len() + self.keys[0].len(),
             self.locked.num_inputs(),
@@ -469,39 +555,6 @@ mod tests {
             crate::equiv::check_equivalence(&plain, &restored),
             crate::equiv::Equivalence::Equivalent
         );
-    }
-
-    #[test]
-    fn fraig_prepass_recovers_the_same_key() {
-        // Pad the locked circuit with redundant structure the sweep can
-        // merge; the pre-passed miter must still recover the exact key.
-        let (plain, mut locked) = two_bit_locked();
-        let a = Lit::positive(locked.inputs()[0]);
-        let b = Lit::positive(locked.inputs()[1]);
-        let ab = locked.and(a, b);
-        let u = locked.or(b, ab); // ≡ b (absorption)
-        let redundant = locked.and(a, u); // ≡ a ∧ b, duplicated cone
-        let y = locked.outputs()[0];
-        let t = locked.and(y, redundant);
-        let s = locked.and(y, !redundant);
-        let y2 = locked.or(s, t); // (y ∧ r) ∨ (y ∧ ¬r) ≡ y
-        locked.set_output(0, y2);
-
-        let mut miter = KeyMiter::with_fraig_prepass(&locked, 2, 2);
-        let mut iterations = 0;
-        loop {
-            match miter.find_dip(None) {
-                DipSearch::Found(x) => {
-                    let y = plain.eval(&x);
-                    miter.constrain_io(&x, &y);
-                }
-                DipSearch::Settled => break,
-                DipSearch::OutOfBudget => unreachable!("no budget was set"),
-            }
-            iterations += 1;
-            assert!(iterations <= 64, "DIP loop diverged");
-        }
-        assert_eq!(miter.settle_key(), Some(vec![false, true]));
     }
 
     #[test]
@@ -620,5 +673,114 @@ mod tests {
         miter.constrain_io(&[true, false], &[true, false]);
         assert_eq!(miter.solver_size().0, vars);
         assert_eq!(miter.settle_key(), Some(vec![true, false]));
+    }
+
+    #[test]
+    fn two_dip_key_free_ands_are_encoded_once() {
+        let (locked, key_free) = shared_logic_lock();
+        let ands = locked.num_ands();
+        let miter = KeyMiter::two_dip(&locked, 3, 2, &[]);
+        // x, four key copies and the constant; copy 1 in full, copies 2-4
+        // only their key-dependent ANDs; the guard; one XOR per
+        // key-dependent output between the pairs; one XOR per key bit and
+        // pair for key distinctness.
+        let expected = 3 + 4 * 2 + 1 + ands + 3 * (ands - key_free) + 1 + 2 + 2 * 2;
+        assert_eq!(miter.solver_size().0, expected);
+    }
+
+    /// A 2-bit toy where wrong keys come in agreeing groups: f = a ⊕ (k₀ ∧
+    /// k₁). Correct keys {00, 01, 10} all yield f = a; key 11 yields ¬a.
+    fn group_locked() -> Aig {
+        let mut locked = Aig::new();
+        let a = locked.add_input();
+        let k0 = locked.add_named_input("keyinput0");
+        let k1 = locked.add_named_input("keyinput1");
+        let t = locked.and(k0, k1);
+        let f = locked.xor(a, t);
+        locked.add_output(f);
+        locked
+    }
+
+    #[test]
+    fn two_dip_exists_when_two_keys_err_together() {
+        // Pair A = two of {00, 01, 10}, pair B needs two distinct agreeing
+        // keys too — but the dissenting class {11} is a single key, so no
+        // 2-DIP exists even though a classical DIP does.
+        let mut miter = KeyMiter::two_dip(&group_locked(), 1, 2, &[]);
+        assert_eq!(miter.find_dip(None), DipSearch::Settled);
+
+        // Widen the dissenting class to two keys: f = a ⊕ k₀ makes {1x}
+        // a two-key agreeing wrong class. Now a 2-DIP must exist.
+        let mut locked = Aig::new();
+        let a = locked.add_input();
+        let k0 = locked.add_named_input("keyinput0");
+        let _k1 = locked.add_named_input("keyinput1");
+        let f = locked.xor(a, k0);
+        locked.add_output(f);
+        let mut miter = KeyMiter::two_dip(&locked, 1, 2, &[]);
+        match miter.find_dip(None) {
+            DipSearch::Found(x) => {
+                // Oracle: correct key has k₀ = 0, so y = a.
+                miter.constrain_io(&x, &x);
+            }
+            other => panic!("a 2-DIP must exist, got {other:?}"),
+        }
+        assert_eq!(miter.find_dip(None), DipSearch::Settled);
+        let key = miter.settle_key().expect("consistent");
+        assert!(!key[0], "k₀ = 0 is pinned by the 2-DIP constraint");
+    }
+
+    #[test]
+    fn settled_key_is_consistent_with_constraints() {
+        let locked = group_locked();
+        let mut miter = KeyMiter::two_dip(&locked, 1, 2, &[]);
+        // Constrain with the correct oracle (f = a) on both input values.
+        miter.constrain_io(&[false], &[false]);
+        miter.constrain_io(&[true], &[true]);
+        let key = miter.settle_key().expect("consistent");
+        assert!(!(key[0] && key[1]), "key 11 contradicts the constraints");
+        assert_eq!(miter.num_constraints(), 2);
+    }
+
+    #[test]
+    fn two_dip_inconsistent_oracle_is_detected() {
+        let locked = group_locked();
+        let mut miter = KeyMiter::two_dip(&locked, 1, 2, &[]);
+        miter.constrain_io(&[true], &[true]);
+        miter.constrain_io(&[true], &[false]);
+        assert_eq!(miter.settle_key(), None);
+    }
+
+    #[test]
+    fn two_dip_budgeted_search_reports_exhaustion_without_corruption() {
+        let mut locked = Aig::new();
+        let a = locked.add_input();
+        let k0 = locked.add_named_input("keyinput0");
+        let _k1 = locked.add_named_input("keyinput1");
+        let f = locked.xor(a, k0);
+        locked.add_output(f);
+        let mut miter = KeyMiter::two_dip(&locked, 1, 2, &[]);
+        let mut iterations = 0;
+        loop {
+            match miter.find_dip(Some(1)) {
+                DipSearch::Found(x) => miter.constrain_io(&x, &x),
+                DipSearch::Settled => break,
+                DipSearch::OutOfBudget => match miter.find_dip(None) {
+                    DipSearch::Found(x) => miter.constrain_io(&x, &x),
+                    DipSearch::Settled => break,
+                    DipSearch::OutOfBudget => unreachable!("unlimited retry"),
+                },
+            }
+            iterations += 1;
+            assert!(iterations <= 16, "2-DIP loop diverged");
+        }
+        assert!(miter.settle_key().is_some());
+    }
+
+    #[test]
+    #[should_panic(expected = "key range out of bounds")]
+    fn key_range_past_usize_max_is_rejected() {
+        let (_plain, locked) = two_bit_locked();
+        KeyMiter::new(&locked, usize::MAX, 2);
     }
 }

@@ -7,9 +7,9 @@
 //! - [`KeyMiter::find_dip`] returns `Settled` exactly when no two keys
 //!   consistent with the I/O constraints disagree on any input, and every
 //!   `Found(x)` is such a disagreement;
-//! - [`DoubleDipMiter::find_2dip`] returns `Settled` exactly when no input
-//!   has two distinct output values each produced by a pair of distinct,
-//!   probe-agreeing consistent keys, and every `Found(x)` is one;
+//! - [`KeyMiter::two_dip`]'s `find_dip` returns `Settled` exactly when no
+//!   input has two distinct output values each produced by a pair of
+//!   distinct, probe-agreeing consistent keys, and every `Found(x)` is one;
 //! - after a full DIP loop against a consistent oracle, the settled key
 //!   computes the oracle's function, and contradictory constraints settle
 //!   no key at all.
@@ -19,7 +19,7 @@
 //! constraint and some residue gates repeat across constraints.
 
 use almost_aig::{Aig, Lit};
-use almost_sat::{DipSearch, DoubleDipMiter, KeyMiter, TwoDipSearch};
+use almost_sat::{DipSearch, KeyMiter};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -195,21 +195,21 @@ proptest! {
             .map(|_| Lock::bits(rng.random_range(0..1usize << lock.num_data), lock.num_data))
             .collect();
         let mut miter =
-            DoubleDipMiter::with_probes(&lock.aig, lock.key_start, lock.key_len, &probes);
+            KeyMiter::two_dip(&lock.aig, lock.key_start, lock.key_len, &probes);
         for (x, y) in &constraints {
             miter.constrain_io(x, y);
         }
         for _ in 0..=1usize << lock.key_len {
             let keys = lock.consistent_keys(&constraints);
             let any = lock.inputs().iter().any(|x| lock.is_two_dip(&keys, &probes, x));
-            match miter.find_2dip(None) {
-                TwoDipSearch::Found(x) => {
+            match miter.find_dip(None) {
+                DipSearch::Found(x) => {
                     prop_assert!(lock.is_two_dip(&keys, &probes, &x), "not a 2-DIP: {x:?}");
                     let y = lock.eval(&x, &hidden);
                     miter.constrain_io(&x, &y);
                     constraints.push((x, y));
                 }
-                TwoDipSearch::Settled => {
+                DipSearch::Settled => {
                     prop_assert!(!any, "settled while a 2-DIP exists");
                     match miter.settle_key() {
                         None => prop_assert!(keys.is_empty(), "consistent keys exist"),
@@ -217,7 +217,7 @@ proptest! {
                     }
                     return Ok(());
                 }
-                TwoDipSearch::OutOfBudget => prop_assert!(false, "no budget was set"),
+                DipSearch::OutOfBudget => prop_assert!(false, "no budget was set"),
             }
         }
         prop_assert!(false, "the 2-DIP loop outlived the key space");
