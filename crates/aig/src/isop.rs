@@ -3,16 +3,19 @@
 //!
 //! Given a truth table, [`isop`] computes an irredundant cube cover, and
 //! [`build_sop`] / [`build_from_tt`] turn covers back into AIG structure.
-//! [`Resynth`] is the same engine with a memo, so a pass derives each
-//! distinct function's candidate structures once; its documentation gives
-//! the memo and probe order. This is the re-synthesis engine behind the
-//! `rewrite` and `refactor` passes. Tables have at most 8 variables and
+//! [`Resynth`] is the same engine with a memo of candidate structures
+//! (plans); its documentation gives the memo and probe order. This is the
+//! re-synthesis engine behind the `rewrite` and `refactor` passes, which
+//! share one plan library per thread, so a function planned in one pass
+//! call is not planned again in the next (see [`Resynth`] for its scope
+//! and why no output depends on it). Tables have at most 8 variables and
 //! are computed on the stack ([`Tt8`]); the ISOP recursion drops to a
 //! single `u64` word once the variables left are below 6.
 
 use crate::aig::{Aig, Lit};
 use crate::hash::FastBuild;
 use crate::truth::{word, Tt, Tt8};
+use std::cell::Cell;
 use std::collections::HashMap;
 
 /// A product term over the variables of a truth table.
@@ -217,25 +220,38 @@ pub fn build_sop(dest: &mut Aig, cubes: &[Cube], leaves: &[Lit], budget: usize) 
         }
         over
     };
-    let mut terms = Vec::with_capacity(cubes.len());
-    let mut lits = Vec::with_capacity(leaves.len());
-    for cube in cubes {
-        lits.clear();
-        for (v, &leaf) in leaves.iter().enumerate() {
-            if cube.pos >> v & 1 != 0 {
-                lits.push(leaf);
-            } else if cube.neg >> v & 1 != 0 {
-                lits.push(!leaf);
-            }
+    // The terms sit on the stack unless the cover is wider than the
+    // buffer; a cube's literals always fit, its masks having 32 bits.
+    let mut stack = [Lit::FALSE; TERMS_ON_STACK];
+    let mut heap = Vec::new();
+    let terms = if cubes.len() <= TERMS_ON_STACK {
+        &mut stack[..cubes.len()]
+    } else {
+        heap.resize(cubes.len(), Lit::FALSE);
+        &mut heap[..]
+    };
+    let mut lits = [Lit::FALSE; 32];
+    for (term, cube) in terms.iter_mut().zip(cubes) {
+        let mut len = 0;
+        let mut mask = cube.pos | cube.neg;
+        while mask != 0 {
+            let v = mask.trailing_zeros() as usize;
+            lits[len] = leaves[v].xor_complement(cube.pos >> v & 1 == 0);
+            len += 1;
+            mask &= mask - 1;
         }
-        terms.push(dest.and_many(&lits));
+        *term = dest.and_many(&lits[..len]);
         if over(dest) {
             return None;
         }
     }
-    let lit = dest.or_many(&terms);
+    let lit = dest.or_many(terms);
     (!over(dest)).then_some(lit)
 }
+
+/// Covers of at most this many cubes gather their terms on the stack in
+/// [`build_sop`].
+const TERMS_ON_STACK: usize = 32;
 
 /// Builds an AIG computing the truth table `tt` over `leaves`, choosing the
 /// cheaper of: ISOP of `tt`, ISOP of `!tt` (complemented), or top-variable
@@ -243,8 +259,9 @@ pub fn build_sop(dest: &mut Aig, cubes: &[Cube], leaves: &[Lit], budget: usize) 
 ///
 /// Speculative candidates are constructed and rolled back via
 /// [`Aig::checkpoint`]/[`Aig::rollback`], so only the winner remains. This
-/// is a one-shot [`Resynth`]; passes that resynthesise many functions keep
-/// one context so each function's candidates are derived once.
+/// is a one-shot [`Resynth`]; the passes, which resynthesise many
+/// functions, share their thread's plan library instead, so each
+/// function's candidates are derived once.
 ///
 /// # Panics
 ///
@@ -342,13 +359,55 @@ struct Shannon {
 /// Because the construction order never changes and rollback restores the
 /// exact graph, every result is node-for-node the one a fresh, unbounded
 /// build from the same state produces.
+///
+/// # The per-thread library
+///
+/// `rewrite` and `refactor` do not own a context: they borrow their
+/// thread's plan library (`Resynth::with_library`) for the length of one
+/// call, so plans derived in one call are replayed in the next. The
+/// library is taken out of its thread-local slot at entry and put back at
+/// exit; a nested call on the same thread finds the slot empty and works
+/// on a fresh context. At entry, a library holding more than
+/// `LIBRARY_CAP` (2^15) plans is emptied first, which bounds its memory
+/// to the cap plus what one pass call adds. Pool batch threads are scoped
+/// to one batch, so each starts with an empty library; the serial paths
+/// (a recipe applied pass by pass, sample generation, a one-proposal
+/// search) keep theirs warm.
+///
+/// No output can depend on the library's state. A plan is a function of
+/// the variable count and the truth table alone, whichever call derived
+/// it, and the build replays it in the fixed probe order above against
+/// the live graph. An empty library and a warm one therefore give the
+/// same literal and the same nodes.
 #[derive(Default)]
 pub struct Resynth {
     index: HashMap<(usize, Tt8), PlanId, FastBuild>,
     plans: Vec<Plan>,
 }
 
+/// A thread's plan library holding more plans than this is emptied the
+/// next time a pass takes it.
+const LIBRARY_CAP: usize = 1 << 15;
+
+thread_local! {
+    /// The plan library of this thread; empty while a pass has taken it.
+    static LIBRARY: Cell<Resynth> = Cell::default();
+}
+
 impl Resynth {
+    /// Runs `f` on this thread's plan library, emptied first if it holds
+    /// more than [`LIBRARY_CAP`] plans, and keeps what `f` adds for the
+    /// next call. A call nested inside `f` gets a fresh, empty context.
+    pub(crate) fn with_library<R>(f: impl FnOnce(&mut Resynth) -> R) -> R {
+        let mut library = LIBRARY.take();
+        if library.plans.len() > LIBRARY_CAP {
+            library = Resynth::default();
+        }
+        let out = f(&mut library);
+        LIBRARY.set(library);
+        out
+    }
+
     /// Builds `tt` (a function of the first `leaves.len()` variables) over
     /// `leaves` into `dest`; see [`build_from_tt`].
     pub fn build(&mut self, dest: &mut Aig, tt: Tt8, leaves: &[Lit]) -> Lit {
@@ -629,6 +688,113 @@ mod tests {
             !leaves[2]
         );
         assert_eq!(aig.num_ands(), 0);
+    }
+
+    /// The number of plans in this thread's library.
+    fn library_len() -> usize {
+        Resynth::with_library(|library| library.plans.len())
+    }
+
+    /// A library holding `n` placeholder plans.
+    fn library_of(n: usize) -> Resynth {
+        let mut library = Resynth::default();
+        library
+            .plans
+            .extend((0..n).map(|_| Plan::Const(Lit::FALSE)));
+        library
+    }
+
+    /// The AIGER text of `rewrite`, `rewrite -z`, `refactor` and
+    /// `refactor -z` on each of `inputs`, on the calling thread.
+    fn pass_outputs(inputs: &[Aig]) -> Vec<String> {
+        use crate::passes::{refactor, rewrite};
+        inputs
+            .iter()
+            .flat_map(|aig| {
+                [
+                    rewrite(aig, false),
+                    rewrite(aig, true),
+                    refactor(aig, false),
+                    refactor(aig, true),
+                ]
+            })
+            .map(|out| crate::aiger::write_aag(&out))
+            .collect()
+    }
+
+    fn on_new_thread(inputs: &[Aig]) -> Vec<String> {
+        std::thread::scope(|s| s.spawn(|| pass_outputs(inputs)).join().unwrap())
+    }
+
+    #[test]
+    fn pass_outputs_do_not_depend_on_the_library() {
+        use crate::passes::tests::random_aig;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        // The locking crate builds on its own copy of this crate, so its
+        // graphs are copied over node by node.
+        let rll64 = |bench: almost_circuits::IscasBenchmark, seed| {
+            use almost_locking::{LockingScheme, Rll};
+            let locked = Rll::new(64)
+                .lock(&bench.build(), &mut StdRng::seed_from_u64(seed))
+                .expect("benchmark takes 64 key gates")
+                .aig;
+            let mut aig = Aig::new();
+            let mut map = vec![Lit::FALSE; locked.num_nodes()];
+            for &v in locked.inputs() {
+                map[v as usize] = aig.add_input();
+            }
+            for v in locked.iter_ands() {
+                let (a, b) = locked.and_fanins(v).unwrap();
+                let [a, b] =
+                    [a, b].map(|l| map[l.var() as usize].xor_complement(l.is_complement()));
+                map[v as usize] = aig.and(a, b);
+            }
+            for &o in locked.outputs() {
+                aig.add_output(map[o.var() as usize].xor_complement(o.is_complement()));
+            }
+            aig
+        };
+        let inputs = [
+            rll64(almost_circuits::IscasBenchmark::C1908, 1908),
+            rll64(almost_circuits::IscasBenchmark::C3540, 3540),
+            random_aig(24, 300, 11),
+            random_aig(8, 400, 12),
+        ];
+        let cold: Vec<Vec<String>> = inputs
+            .iter()
+            .map(|aig| on_new_thread(std::slice::from_ref(aig)))
+            .collect();
+        for (i, aig) in inputs.iter().enumerate() {
+            for (j, other) in inputs.iter().enumerate() {
+                if j != i {
+                    pass_outputs(std::slice::from_ref(other));
+                }
+            }
+            assert!(library_len() > 0, "input {i}: the library is warm");
+            assert_eq!(
+                pass_outputs(std::slice::from_ref(aig)),
+                cold[i],
+                "input {i} on a warm library"
+            );
+        }
+        assert_eq!(on_new_thread(&inputs), cold.concat(), "a second thread");
+    }
+
+    #[test]
+    fn a_library_past_the_cap_is_emptied_at_entry() {
+        LIBRARY.set(library_of(LIBRARY_CAP));
+        assert_eq!(library_len(), LIBRARY_CAP, "at the cap it is kept");
+        LIBRARY.set(library_of(LIBRARY_CAP + 1));
+        assert_eq!(library_len(), 0, "past the cap it is emptied");
+        crate::passes::rewrite(&crate::passes::tests::random_aig(8, 80, 3), false);
+        let planned = library_len();
+        assert!(planned > 0, "the pass's plans are kept");
+        Resynth::with_library(|outer| {
+            assert_eq!(outer.plans.len(), planned);
+            assert_eq!(library_len(), 0, "a nested call starts empty");
+        });
+        assert_eq!(library_len(), planned, "the outer library is put back");
     }
 
     #[test]

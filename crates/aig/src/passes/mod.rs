@@ -36,18 +36,25 @@
 //!   ([`WindowLeaves`]), and the window's tables and volume, the mapped
 //!   leaf literals of `rewrite` and `refactor`, and `resub`'s MFFC,
 //!   divisor and host buffers are cleared and refilled from node to node;
-//! - `rewrite` and `refactor` own one [`crate::isop::Resynth`] per call,
-//!   which derives each distinct function's candidate structures (ISOP
-//!   covers, Shannon pivot, cofactor plans) once and replays them against
-//!   the live graph in a fixed probe order (documented there), under a node
-//!   budget: a cover or Shannon build stops and is rolled back once it
-//!   adds more nodes than the pass could accept, so no candidate is costed
-//!   past that point;
+//! - `rewrite` and `refactor` borrow their thread's plan library, one
+//!   [`crate::isop::Resynth`], which derives each distinct function's
+//!   candidate structures (ISOP covers, Shannon pivot, cofactor plans) once
+//!   and replays them against the live graph in a fixed probe order
+//!   (documented there), under a node budget: a cover or Shannon build
+//!   stops and is rolled back once it adds more nodes than the pass could
+//!   accept, so no candidate is costed past that point;
 //! - an accepted candidate is kept as built, never rolled back and rebuilt.
 //!
-//! All memos live for one pass call; there is no global or thread-local
-//! state. Because the probe order is fixed and rollback restores the exact
-//! graph, each pass produces byte-for-byte the graph the plain
+//! The plan library is the one piece of state that outlives a pass call.
+//! It is thread-local: a pass takes it at entry and puts it back at exit
+//! (a nested call gets an empty one), and it is emptied at entry once it
+//! holds more than 2^15 plans. Pool batch threads live for one batch, so
+//! they start with an empty library; serial callers (a recipe applied pass
+//! by pass, sample generation, a one-proposal search) reuse a warm one.
+//! All other memos live for one pass call. A plan depends only on the
+//! truth table and its variable count, so no output depends on what the
+//! library holds. Because the probe order is fixed and rollback restores
+//! the exact graph, each pass produces byte-for-byte the graph the plain
 //! probe-everything algorithm would (pinned by the `synthesis_golden`
 //! suite), so recipe choices and trie contents do not depend on these
 //! optimisations.

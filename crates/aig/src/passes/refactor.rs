@@ -16,9 +16,12 @@ const MAX_LEAVES: usize = 8;
 
 /// Refactors the AIG; `zero_cost` enables `-z` semantics.
 pub fn refactor(aig: &Aig, zero_cost: bool) -> Aig {
+    Resynth::with_library(|resynth| refactor_with(aig, zero_cost, resynth))
+}
+
+fn refactor_with(aig: &Aig, zero_cost: bool, resynth: &mut Resynth) -> Aig {
     let mut refs = aig.fanout_counts();
     let mut window = Window::new(aig.num_nodes());
-    let mut resynth = Resynth::default();
     let mut new = Aig::new();
     let mut map: Vec<Lit> = vec![Lit::FALSE; aig.num_nodes()];
     for i in 0..aig.num_inputs() {

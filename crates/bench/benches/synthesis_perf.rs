@@ -11,6 +11,13 @@
 //! lookalikes that only counterexample feedback splits, which the raw
 //! locked netlists never show.
 //!
+//! `rewrite` and `refactor` keep their resynthesis plans in a per-thread
+//! library that outlives a pass call, so repeated iterations on one thread
+//! replay plans derived earlier. Each of those passes, and `resyn2`, is
+//! therefore timed twice: warm (every iteration on the benchmark thread)
+//! and cold (`_cold`: every iteration on a fresh thread, whose library
+//! starts empty, as a pool batch thread's does).
+//!
 //! The cut layer also runs on its own on c5315 RLL-128: priority-cut
 //! enumeration at the pass's and the extreme-opt mapper's caps, and a
 //! reconvergence cut plus window load for every AND, the per-node set-up
@@ -26,6 +33,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
+use std::thread;
 
 /// `bench` with 128 RLL key gates, locked at a fixed seed.
 fn rll128(bench: IscasBenchmark, seed: u64) -> Aig {
@@ -34,6 +42,11 @@ fn rll128(bench: IscasBenchmark, seed: u64) -> Aig {
         .lock(&bench.build(), &mut rng)
         .expect("takes 128 key gates")
         .aig
+}
+
+/// Runs `f` on a fresh thread, so it starts with an empty plan library.
+fn cold<R: Send>(f: impl FnOnce() -> R + Send) -> R {
+    thread::scope(|s| s.spawn(f).join().expect("benchmark thread"))
 }
 
 fn inputs() -> [(&'static str, Aig); 2] {
@@ -54,9 +67,16 @@ fn bench_passes(c: &mut Criterion) {
         let mut group = c.benchmark_group(format!("passes_{name}"));
         group.sample_size(10);
         for pass in Pass::ALL {
-            group.bench_function(pass.command().replace(' ', "_"), |b| {
-                b.iter(|| black_box(pass.apply(black_box(&aig))))
-            });
+            let name = pass.command().replace(' ', "_");
+            group.bench_function(&name, |b| b.iter(|| black_box(pass.apply(black_box(&aig)))));
+            if matches!(
+                pass,
+                Pass::Rewrite | Pass::RewriteZ | Pass::Refactor | Pass::RefactorZ
+            ) {
+                group.bench_function(format!("{name}_cold"), |b| {
+                    b.iter(|| black_box(cold(|| pass.apply(black_box(&aig)))))
+                });
+            }
         }
         group.finish();
     }
@@ -69,6 +89,9 @@ fn bench_resyn2(c: &mut Criterion) {
         let aig = bench.build();
         group.bench_function(bench.name(), |b| {
             b.iter(|| black_box(Script::resyn2().apply(black_box(&aig))))
+        });
+        group.bench_function(format!("{}_cold", bench.name()), |b| {
+            b.iter(|| black_box(cold(|| Script::resyn2().apply(black_box(&aig)))))
         });
     }
     group.finish();
