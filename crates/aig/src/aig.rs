@@ -11,6 +11,7 @@
 //! same literal.
 
 use crate::hash::FastBuild;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -166,6 +167,15 @@ impl Aig {
         }
     }
 
+    /// Creates an empty AIG with room for `nodes` nodes (the constant
+    /// included) before its node array or structural hash reallocates.
+    pub fn with_capacity(nodes: usize) -> Self {
+        let mut aig = Aig::new();
+        aig.nodes.reserve(nodes.saturating_sub(1));
+        aig.strash.reserve(nodes);
+        aig
+    }
+
     /// Adds a primary input with an auto-generated name (`i<k>`).
     pub fn add_input(&mut self) -> Lit {
         let name = format!("i{}", self.inputs.len());
@@ -218,6 +228,14 @@ impl Aig {
     /// Applies constant folding, the idempotence/complement rules and
     /// structural hashing, so the returned literal may refer to an existing
     /// node.
+    ///
+    /// The structural hash is probed once. Its keys may be stale:
+    /// [`Aig::rollback`] truncates the node array without removing the
+    /// keys of the nodes it drops. A key `(a, b) -> var` counts as live only
+    /// while `nodes[var]` is `And(a, b)`, and every hit is checked against
+    /// the node array, so a stale key is never returned; the new node just
+    /// takes its slot. Every live AND node's key is in the table, because
+    /// only this method creates AND nodes.
     pub fn and(&mut self, a: Lit, b: Lit) -> Lit {
         // One-level simplification rules.
         if a == Lit::FALSE || b == Lit::FALSE || a == !b {
@@ -230,12 +248,21 @@ impl Aig {
             return a;
         }
         let (a, b) = if a <= b { (a, b) } else { (b, a) };
-        if let Some(&var) = self.strash.get(&(a, b)) {
-            return Lit::positive(var);
-        }
+        let node = NodeKind::And(a, b);
         let var = self.nodes.len() as Var;
-        self.nodes.push(NodeKind::And(a, b));
-        self.strash.insert((a, b), var);
+        match self.strash.entry((a, b)) {
+            Entry::Occupied(mut slot) => {
+                let old = *slot.get();
+                if self.nodes.get(old as usize) == Some(&node) {
+                    return Lit::positive(old);
+                }
+                slot.insert(var); // a key left behind by a rollback
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(var);
+            }
+        }
+        self.nodes.push(node);
         self.num_ands += 1;
         Lit::positive(var)
     }
@@ -505,23 +532,24 @@ impl Aig {
     /// for nodes created speculatively since construction is append-only and
     /// outputs are registered separately.
     ///
+    /// The node array is truncated; the structural hash is not touched.
+    /// The keys of the dropped nodes stay behind as stale entries, which
+    /// are harmless because [`Aig::and`] checks every hit against the node
+    /// array.
+    ///
     /// # Panics
     ///
     /// Panics if an input was added after the checkpoint (inputs cannot be
     /// rolled back) or if a registered output references a rolled-back node.
     pub fn rollback(&mut self, checkpoint: usize) {
         assert!(checkpoint >= 1, "cannot roll back the constant node");
-        while self.nodes.len() > checkpoint {
-            let node = self.nodes.pop().expect("non-empty");
-            match node {
-                NodeKind::And(a, b) => {
-                    self.strash.remove(&(a, b));
-                    self.num_ands -= 1;
-                }
-                NodeKind::Input(_) => panic!("cannot roll back an input"),
-                NodeKind::Const0 => unreachable!(),
-            }
-        }
+        let dropped = self.nodes.get(checkpoint..).unwrap_or_default();
+        assert!(
+            dropped.iter().all(|n| matches!(n, NodeKind::And(..))),
+            "cannot roll back an input"
+        );
+        self.num_ands -= dropped.len();
+        self.nodes.truncate(checkpoint);
         for out in &self.outputs {
             assert!(
                 (out.var() as usize) < self.nodes.len(),
@@ -537,13 +565,9 @@ impl Aig {
     /// Names are preserved. This is the standard "cleanup" at the end of a
     /// synthesis pass.
     pub fn compact(&self) -> Aig {
-        let mut new = Aig::new();
-        let mut map: Vec<Lit> = vec![Lit::FALSE; self.nodes.len()];
-        for (i, &var) in self.inputs.iter().enumerate() {
-            map[var as usize] = new.add_named_input(self.input_names[i].clone());
-        }
         // Mark reachable nodes with a DFS from the outputs.
         let mut reachable = vec![false; self.nodes.len()];
+        let mut reachable_ands = 0;
         let mut stack: Vec<Var> = self.outputs.iter().map(|l| l.var()).collect();
         while let Some(v) = stack.pop() {
             if reachable[v as usize] {
@@ -551,9 +575,15 @@ impl Aig {
             }
             reachable[v as usize] = true;
             if let NodeKind::And(a, b) = self.nodes[v as usize] {
+                reachable_ands += 1;
                 stack.push(a.var());
                 stack.push(b.var());
             }
+        }
+        let mut new = Aig::with_capacity(1 + self.inputs.len() + reachable_ands);
+        let mut map: Vec<Lit> = vec![Lit::FALSE; self.nodes.len()];
+        for (i, &var) in self.inputs.iter().enumerate() {
+            map[var as usize] = new.add_named_input(self.input_names[i].clone());
         }
         for v in 0..self.nodes.len() {
             if !reachable[v] {

@@ -274,7 +274,7 @@ impl<'a> Sweeper<'a> {
     fn new(src: &'a Aig, config: &'a FraigConfig) -> Self {
         let num_words = config.sim_words.max(1);
         let mut rng = StdRng::seed_from_u64(config.seed);
-        let mut out = Aig::new();
+        let mut out = Aig::with_capacity(src.num_nodes());
         let mut solver = Solver::new();
 
         // Node 0: constant false, in both worlds. Its SAT literal is a

@@ -13,7 +13,7 @@ use std::collections::BinaryHeap;
 /// Balances the AIG to reduce depth; the result computes the same functions.
 pub fn balance(aig: &Aig) -> Aig {
     let refs = aig.fanout_counts();
-    let mut new = Aig::new();
+    let mut new = Aig::with_capacity(aig.num_nodes());
     // Level of each node in the NEW graph (grown lazily).
     let mut new_levels: Vec<u32> = vec![0];
     let mut map: Vec<Lit> = vec![Lit::FALSE; aig.num_nodes()];

@@ -29,13 +29,26 @@
 //!   merge, so `rewrite` never simulates a cone; all nodes' cuts share one
 //!   arena and one merge buffer, and a table is derived only for a cut
 //!   the per-node cap keeps;
-//! - `refactor` and `resub` load each reconvergence window once into
-//!   8-variable tables ([`Window`]), in topological order, and read the
-//!   root's and every divisor's function from there;
+//! - `refactor` and `resub` grow each reconvergence cut and load its
+//!   window once into 8-variable tables ([`Window`]), in topological
+//!   order, and read the root's and every divisor's function from there;
+//!   the window tests leaf and volume membership with one stamp read per
+//!   node (a per-node epoch array, never cleared), and `resub` tests MFFC
+//!   membership the same way;
+//! - `resub`'s pair search visits only the divisor pairs that can match
+//!   a gate, in the all-pairs order: host classes are `u64` masks and
+//!   XOR partners one sorted lookup per divisor (see the `resub` module);
 //! - nothing is allocated per node: a reconvergence cut's leaves sit inline
 //!   ([`WindowLeaves`]), and the window's tables and volume, the mapped
 //!   leaf literals of `rewrite` and `refactor`, and `resub`'s MFFC,
-//!   divisor and host buffers are cleared and refilled from node to node;
+//!   divisor and pair-filter buffers are cleared and refilled from node to
+//!   node;
+//! - the graph a pass builds probes its structural hash once per
+//!   [`Aig::and`] and is sized for the input graph up front
+//!   ([`Aig::with_capacity`], as is [`Aig::compact`]'s copy), and a
+//!   rolled-back candidate costs a truncation of the node array: the
+//!   hash keeps the dropped nodes' keys, which are stale and ignored
+//!   because every hit is checked against the node array;
 //! - `rewrite` and `refactor` borrow their thread's plan library, one
 //!   [`crate::isop::Resynth`], which derives each distinct function's
 //!   candidate structures (ISOP covers, Shannon pivot, cofactor plans) once
@@ -53,11 +66,12 @@
 //! by pass, sample generation, a one-proposal search) reuse a warm one.
 //! All other memos live for one pass call. A plan depends only on the
 //! truth table and its variable count, so no output depends on what the
-//! library holds. Because the probe order is fixed and rollback restores
-//! the exact graph, each pass produces byte-for-byte the graph the plain
-//! probe-everything algorithm would (pinned by the `synthesis_golden`
-//! suite), so recipe choices and trie contents do not depend on these
-//! optimisations.
+//! library holds. Because the probe order is fixed, the pair filter drops
+//! only pairs no gate can match, and rollback restores the exact node
+//! array (a stale hash key never answers a lookup), each pass produces
+//! byte-for-byte the graph the plain probe-everything algorithm would
+//! (pinned by the `synthesis_golden` suite), so recipe choices and trie
+//! contents do not depend on these optimisations.
 
 mod balance;
 mod refactor;
@@ -69,7 +83,7 @@ pub use balance::balance;
 pub use refactor::refactor;
 pub use resub::resub;
 pub use rewrite::rewrite;
-pub use window::{reconvergence_cut, Window, WindowLeaves, MAX_WINDOW_LEAVES};
+pub use window::{Window, WindowLeaves, MAX_WINDOW_LEAVES};
 
 use crate::aig::Aig;
 use std::fmt;

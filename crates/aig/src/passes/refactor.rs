@@ -9,7 +9,7 @@
 use crate::aig::{Aig, Lit};
 use crate::isop::Resynth;
 use crate::mffc::mffc_size;
-use crate::passes::window::{reconvergence_cut, Window};
+use crate::passes::window::Window;
 
 /// Maximum cut width for refactoring (truth tables of 2^8 bits).
 const MAX_LEAVES: usize = 8;
@@ -22,7 +22,7 @@ pub fn refactor(aig: &Aig, zero_cost: bool) -> Aig {
 fn refactor_with(aig: &Aig, zero_cost: bool, resynth: &mut Resynth) -> Aig {
     let mut refs = aig.fanout_counts();
     let mut window = Window::new(aig.num_nodes());
-    let mut new = Aig::new();
+    let mut new = Aig::with_capacity(aig.num_nodes());
     let mut map: Vec<Lit> = vec![Lit::FALSE; aig.num_nodes()];
     for i in 0..aig.num_inputs() {
         map[aig.inputs()[i] as usize] = new.add_named_input(aig.input_name(i).to_string());
@@ -36,7 +36,7 @@ fn refactor_with(aig: &Aig, zero_cost: bool, resynth: &mut Resynth) -> Aig {
         let default = new.and(fa, fb);
         map[v as usize] = default;
 
-        let leaves = reconvergence_cut(aig, v, MAX_LEAVES);
+        let leaves = window.reconvergence_cut(aig, v, MAX_LEAVES);
         if leaves.len() < 3 {
             continue; // too small to beat plain copying
         }

@@ -46,7 +46,7 @@ pub fn rewrite(aig: &Aig, zero_cost: bool) -> Aig {
 fn rewrite_with(aig: &Aig, zero_cost: bool, resynth: &mut Resynth) -> Aig {
     let cuts = CutSet::compute(aig, CutConfig { max_cuts: 8 });
     let mut refs = aig.fanout_counts();
-    let mut new = Aig::new();
+    let mut new = Aig::with_capacity(aig.num_nodes());
     let mut map: Vec<Lit> = vec![Lit::FALSE; aig.num_nodes()];
     for i in 0..aig.num_inputs() {
         map[aig.inputs()[i] as usize] = new.add_named_input(aig.input_name(i).to_string());

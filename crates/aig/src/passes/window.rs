@@ -39,84 +39,18 @@ impl Deref for WindowLeaves {
     }
 }
 
-/// Grows a reconvergence-driven cut of `root` with at most `max_leaves`
-/// leaves.
+/// The window kernel shared by `refactor` and `resub`: grows a
+/// reconvergence-driven cut of a node, collects the cut's interior
+/// "volume" and simulates it into 8-variable truth tables, reusing its
+/// buffers from one window to the next.
 ///
-/// Starting from the fanins of `root`, the leaf whose expansion increases
-/// the leaf count least (reconvergent leaves may even *decrease* it) is
-/// expanded repeatedly until no expansion fits within `max_leaves`; ties go
-/// to the first such leaf in the working order, which an expansion changes
-/// by moving the last leaf into the expanded one's place.
-///
-/// Returns the sorted leaf variables. An expansion never takes the cut past
-/// `max_leaves`, so the leaves fit inline and nothing is allocated.
-///
-/// # Panics
-///
-/// Panics if `root` is not an AND node or `max_leaves` exceeds
-/// [`MAX_WINDOW_LEAVES`].
-pub fn reconvergence_cut(aig: &Aig, root: Var, max_leaves: usize) -> WindowLeaves {
-    assert!(
-        max_leaves <= MAX_WINDOW_LEAVES,
-        "a window has at most {MAX_WINDOW_LEAVES} leaves"
-    );
-    let (a, b) = aig
-        .and_fanins(root)
-        .expect("reconvergence cut root must be an AND node");
-    let mut leaves = WindowLeaves {
-        vars: [0; MAX_WINDOW_LEAVES],
-        len: 0,
-    };
-    leaves.push(a.var());
-    if b.var() != a.var() {
-        leaves.push(b.var());
-    }
-
-    loop {
-        let mut best: Option<(isize, usize)> = None; // (cost, leaf index)
-        for (i, &leaf) in leaves.iter().enumerate() {
-            let Some((fa, fb)) = aig.and_fanins(leaf) else {
-                continue; // inputs / constant cannot be expanded
-            };
-            let mut added = 0isize;
-            for f in [fa.var(), fb.var()] {
-                if !leaves.contains(&f) {
-                    added += 1;
-                }
-            }
-            if fa.var() == fb.var() {
-                added = added.min(1);
-            }
-            let cost = added - 1; // we remove the expanded leaf itself
-            let new_total = leaves.len() as isize + cost;
-            if new_total as usize > max_leaves {
-                continue;
-            }
-            if best.is_none_or(|(bc, _)| cost < bc) {
-                best = Some((cost, i));
-            }
-        }
-        let Some((_, idx)) = best else {
-            break;
-        };
-        let leaf = leaves.swap_remove(idx);
-        let (fa, fb) = aig.and_fanins(leaf).expect("expandable leaf is an AND");
-        for f in [fa.var(), fb.var()] {
-            if !leaves.contains(&f) {
-                leaves.push(f);
-            }
-        }
-    }
-    leaves.vars[..leaves.len].sort_unstable();
-    leaves
-}
-
-/// The window kernel shared by `refactor` and `resub`: collects the
-/// interior "volume" of a cut and simulates it into 8-variable truth
-/// tables, reusing its buffers from one window to the next.
+/// Leaf membership is one array read: `stamp[v] == epoch` iff `v` is a
+/// leaf of the cut being grown or, during [`Window::load`], a leaf or an
+/// already collected volume node. Each cut and each load starts a new
+/// epoch (from 1), so no stamp is cleared between windows; an expanded
+/// leaf's stamp is reset to 0, which no epoch equals.
 pub struct Window {
-    /// `mark[v] == epoch` iff `v` is in the current volume.
-    mark: Vec<u32>,
+    stamp: Vec<u32>,
     epoch: u32,
     volume: Vec<Var>,
     /// Per-node tables, valid for the current leaves and volume.
@@ -127,11 +61,96 @@ impl Window {
     /// An empty window over a graph of `num_nodes` nodes.
     pub fn new(num_nodes: usize) -> Self {
         Window {
-            mark: vec![0; num_nodes],
+            stamp: vec![0; num_nodes],
             epoch: 0,
             volume: Vec::new(),
             tables: vec![Tt8::ZERO; num_nodes],
         }
+    }
+
+    /// Starts a new epoch, so no node carries a current stamp.
+    fn next_epoch(&mut self) -> u32 {
+        self.epoch += 1;
+        self.epoch
+    }
+
+    /// Grows a reconvergence-driven cut of `root` with at most
+    /// `max_leaves` leaves.
+    ///
+    /// Starting from the fanins of `root`, the leaf whose expansion
+    /// increases the leaf count least (reconvergent leaves may even
+    /// *decrease* it) is expanded repeatedly until no expansion fits within
+    /// `max_leaves`; ties go to the first such leaf in the working order,
+    /// which an expansion changes by moving the last leaf into the expanded
+    /// one's place.
+    ///
+    /// Returns the sorted leaf variables. An expansion never takes the cut
+    /// past `max_leaves`, so the leaves fit inline and nothing is
+    /// allocated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `root` is not an AND node or `max_leaves` exceeds
+    /// [`MAX_WINDOW_LEAVES`].
+    pub fn reconvergence_cut(&mut self, aig: &Aig, root: Var, max_leaves: usize) -> WindowLeaves {
+        assert!(
+            max_leaves <= MAX_WINDOW_LEAVES,
+            "a window has at most {MAX_WINDOW_LEAVES} leaves"
+        );
+        let (a, b) = aig
+            .and_fanins(root)
+            .expect("reconvergence cut root must be an AND node");
+        let epoch = self.next_epoch();
+        let mut leaves = WindowLeaves {
+            vars: [0; MAX_WINDOW_LEAVES],
+            len: 0,
+        };
+        for f in [a.var(), b.var()] {
+            if self.stamp[f as usize] != epoch {
+                self.stamp[f as usize] = epoch;
+                leaves.push(f);
+            }
+        }
+
+        loop {
+            let mut best: Option<(isize, usize)> = None; // (cost, leaf index)
+            for (i, &leaf) in leaves.iter().enumerate() {
+                let Some((fa, fb)) = aig.and_fanins(leaf) else {
+                    continue; // inputs / constant cannot be expanded
+                };
+                let mut added = 0isize;
+                for f in [fa.var(), fb.var()] {
+                    if self.stamp[f as usize] != epoch {
+                        added += 1;
+                    }
+                }
+                if fa.var() == fb.var() {
+                    added = added.min(1);
+                }
+                let cost = added - 1; // we remove the expanded leaf itself
+                let new_total = leaves.len() as isize + cost;
+                if new_total as usize > max_leaves {
+                    continue;
+                }
+                if best.is_none_or(|(bc, _)| cost < bc) {
+                    best = Some((cost, i));
+                }
+            }
+            let Some((_, idx)) = best else {
+                break;
+            };
+            let leaf = leaves.swap_remove(idx);
+            self.stamp[leaf as usize] = 0;
+            let (fa, fb) = aig.and_fanins(leaf).expect("expandable leaf is an AND");
+            for f in [fa.var(), fb.var()] {
+                if self.stamp[f as usize] != epoch {
+                    self.stamp[f as usize] = epoch;
+                    leaves.push(f);
+                }
+            }
+        }
+        leaves.vars[..leaves.len].sort_unstable();
+        leaves
     }
 
     /// Loads the window of `root` over `leaves` (a cut of `root`, at most 8
@@ -144,9 +163,12 @@ impl Window {
     ///
     /// Panics if `leaves` has more than 8 entries.
     pub fn load(&mut self, aig: &Aig, root: Var, leaves: &[Var]) {
-        self.epoch += 1;
+        let epoch = self.next_epoch();
         self.volume.clear();
-        self.collect(aig, root, leaves);
+        for &leaf in leaves {
+            self.stamp[leaf as usize] = epoch;
+        }
+        self.collect(aig, root);
         self.tables[0] = Tt8::ZERO;
         for (i, &leaf) in leaves.iter().enumerate() {
             self.tables[leaf as usize] = Tt8::var(i);
@@ -160,18 +182,19 @@ impl Window {
     }
 
     /// Depth-first collection in topological order (fanin 0 before
-    /// fanin 1 before the node).
-    fn collect(&mut self, aig: &Aig, v: Var, leaves: &[Var]) {
-        if leaves.contains(&v) || self.mark[v as usize] == self.epoch {
+    /// fanin 1 before the node), stopping at stamped nodes: the leaves and
+    /// the volume collected so far.
+    fn collect(&mut self, aig: &Aig, v: Var) {
+        if self.stamp[v as usize] == self.epoch {
             return;
         }
         let Some((a, b)) = aig.and_fanins(v) else {
             debug_assert_eq!(v, 0, "leaves must cut every input of the cone");
             return;
         };
-        self.mark[v as usize] = self.epoch;
-        self.collect(aig, a.var(), leaves);
-        self.collect(aig, b.var(), leaves);
+        self.stamp[v as usize] = self.epoch;
+        self.collect(aig, a.var());
+        self.collect(aig, b.var());
         self.volume.push(v);
     }
 
@@ -200,7 +223,7 @@ mod tests {
         let y = aig.and(ins[2], ins[3]);
         let z = aig.and(x, y);
         aig.add_output(z);
-        let cut = reconvergence_cut(&aig, z.var(), 8);
+        let cut = Window::new(aig.num_nodes()).reconvergence_cut(&aig, z.var(), 8);
         let mut want: Vec<Var> = ins.iter().map(|l| l.var()).collect();
         want.sort_unstable();
         assert_eq!(&cut[..], &want[..]);
@@ -212,7 +235,7 @@ mod tests {
         let ins: Vec<_> = (0..16).map(|_| aig.add_input()).collect();
         let f = aig.and_many(&ins);
         aig.add_output(f);
-        let cut = reconvergence_cut(&aig, f.var(), 6);
+        let cut = Window::new(aig.num_nodes()).reconvergence_cut(&aig, f.var(), 6);
         assert!(cut.len() <= 6);
     }
 
@@ -227,7 +250,7 @@ mod tests {
         let ac = aig.and(a, c);
         let f = aig.and(ab, ac);
         aig.add_output(f);
-        let cut = reconvergence_cut(&aig, f.var(), 8);
+        let cut = Window::new(aig.num_nodes()).reconvergence_cut(&aig, f.var(), 8);
         let mut want = [a.var(), b.var(), c.var()];
         want.sort_unstable();
         assert_eq!(&cut[..], &want[..]);

@@ -3,12 +3,13 @@
 use almost_aig::cut::{cut_function, CutConfig, CutSet};
 use almost_aig::isop::{build_from_tt, isop, Cube, Resynth};
 use almost_aig::npn::canonize;
-use almost_aig::passes::{balance, reconvergence_cut, Window};
+use almost_aig::passes::{balance, Window};
 use almost_aig::sim::{probably_equivalent, SimVectors};
 use almost_aig::{Aig, Lit, NodeKind, Pass, Tt, Tt8, Var};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::collections::HashMap;
 
 fn random_aig(num_inputs: usize, num_ands: usize, seed: u64) -> Aig {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -161,8 +162,9 @@ fn assert_cuts_match_reference(aig: &Aig, max_cuts: usize) {
     }
 }
 
-/// The `Vec`-based reconvergence cut the inline [`reconvergence_cut`]
-/// replaced, kept as its differential reference.
+/// The `Vec`-based reconvergence cut that [`Window::reconvergence_cut`]
+/// replaced (it scans the leaf list for membership where the window reads
+/// a stamp), kept as its differential reference.
 fn reference_reconvergence_cut(aig: &Aig, root: Var, max_leaves: usize) -> Vec<Var> {
     let (a, b) = aig.and_fanins(root).expect("AND root");
     let mut leaves: Vec<Var> = vec![a.var(), b.var()];
@@ -221,9 +223,10 @@ fn arena_cuts_match_the_reference_on_locked_circuits() {
             for max_cuts in [8, 12] {
                 assert_cuts_match_reference(aig, max_cuts);
             }
+            let mut window = Window::new(aig.num_nodes());
             for v in aig.iter_ands() {
                 assert_eq!(
-                    &reconvergence_cut(aig, v, 8)[..],
+                    &window.reconvergence_cut(aig, v, 8)[..],
                     &reference_reconvergence_cut(aig, v, 8)[..]
                 );
             }
@@ -235,8 +238,101 @@ fn nodes(aig: &Aig) -> Vec<NodeKind> {
     (0..aig.num_nodes() as Var).map(|v| aig.node(v)).collect()
 }
 
+/// A structural hash that removes a node's key when a rollback drops the
+/// node, the reference for [`Aig::and`] and [`Aig::rollback`], which leave
+/// stale keys behind.
+struct ReferenceStrash {
+    nodes: Vec<NodeKind>,
+    table: HashMap<(Lit, Lit), Var>,
+}
+
+impl ReferenceStrash {
+    fn new(num_inputs: usize) -> Self {
+        let mut nodes = vec![NodeKind::Const0];
+        nodes.extend((0..num_inputs as u32).map(NodeKind::Input));
+        ReferenceStrash {
+            nodes,
+            table: HashMap::new(),
+        }
+    }
+
+    fn and(&mut self, a: Lit, b: Lit) -> Lit {
+        if a == Lit::FALSE || b == Lit::FALSE || a == !b {
+            return Lit::FALSE;
+        }
+        if a == Lit::TRUE {
+            return b;
+        }
+        if b == Lit::TRUE || a == b {
+            return a;
+        }
+        let (a, b) = if a <= b { (a, b) } else { (b, a) };
+        if let Some(&var) = self.table.get(&(a, b)) {
+            return Lit::positive(var);
+        }
+        let var = self.nodes.len() as Var;
+        self.nodes.push(NodeKind::And(a, b));
+        self.table.insert((a, b), var);
+        Lit::positive(var)
+    }
+
+    fn rollback(&mut self, checkpoint: usize) {
+        while self.nodes.len() > checkpoint {
+            if let Some(NodeKind::And(a, b)) = self.nodes.pop() {
+                self.table.remove(&(a, b));
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn strash_with_stale_keys_matches_the_removing_reference(seed in 0u64..100_000) {
+        // Random interleavings of `and`, `checkpoint` and `rollback` over a
+        // few inputs, so rolled-back pairs are asked for again: both while
+        // their stale key points past the end of the graph and after a
+        // different node has taken their slot.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let num_inputs = rng.random_range(2..5usize);
+        let mut aig = Aig::new();
+        let mut pool: Vec<Lit> = (0..num_inputs).map(|_| aig.add_input()).collect();
+        let mut reference = ReferenceStrash::new(num_inputs);
+        let mut checkpoints: Vec<usize> = Vec::new();
+        let mut asked: Vec<(Lit, Lit)> = Vec::new();
+        for _ in 0..rng.random_range(20..200) {
+            match rng.random_range(0..10) {
+                0 | 1 => checkpoints.push(aig.checkpoint()),
+                2 | 3 => {
+                    let Some(cp) = checkpoints.pop() else { continue };
+                    aig.rollback(cp);
+                    reference.rollback(cp);
+                    pool.retain(|l| (l.var() as usize) < cp);
+                }
+                op => {
+                    let live = |l: &Lit| (l.var() as usize) < aig.num_nodes();
+                    let (a, b) = match asked.get(rng.random_range(0..asked.len().max(1))) {
+                        Some(&(a, b)) if op < 6 && live(&a) && live(&b) => (a, b),
+                        _ => {
+                            let a = pool[rng.random_range(0..pool.len())];
+                            let b = pool[rng.random_range(0..pool.len())];
+                            (a.xor_complement(rng.random()), b.xor_complement(rng.random()))
+                        }
+                    };
+                    let got = aig.and(a, b);
+                    prop_assert_eq!(got, reference.and(a, b));
+                    asked.push((a, b));
+                    if !got.is_const() && !pool.contains(&Lit::positive(got.var())) {
+                        pool.push(Lit::positive(got.var()));
+                    }
+                }
+            }
+            prop_assert_eq!(nodes(&aig), reference.nodes.clone());
+            let ands = reference.nodes.iter().filter(|n| matches!(n, NodeKind::And(..))).count();
+            prop_assert_eq!(aig.num_ands(), ands);
+        }
+    }
 
     #[test]
     fn build_within_keeps_its_budget_contract(seed in 0u64..100_000) {
@@ -415,9 +511,10 @@ proptest! {
         max_leaves in 2usize..9,
     ) {
         let aig = random_aig(8, 90, seed);
+        let mut window = Window::new(aig.num_nodes());
         for v in aig.iter_ands() {
             prop_assert_eq!(
-                &reconvergence_cut(&aig, v, max_leaves)[..],
+                &window.reconvergence_cut(&aig, v, max_leaves)[..],
                 &reference_reconvergence_cut(&aig, v, max_leaves)[..]
             );
         }
@@ -434,11 +531,11 @@ proptest! {
         let Some(v) = aig.iter_ands().last() else {
             return Ok(());
         };
-        let leaves = reconvergence_cut(&aig, v, 8);
+        let mut window = Window::new(aig.num_nodes());
+        let leaves = window.reconvergence_cut(&aig, v, 8);
         prop_assert!(leaves.len() <= 8);
         let tt = cut_function(&aig, v, &leaves); // would panic if not a cut
         prop_assert!(tt.nvars() == leaves.len());
-        let mut window = Window::new(aig.num_nodes());
         window.load(&aig, v, &leaves);
         prop_assert_eq!(window.volume().last(), Some(&v));
         prop_assert_eq!(window.table(v).to_tt(leaves.len()), tt);
@@ -451,7 +548,7 @@ proptest! {
         let aig = random_aig(8, 70, seed);
         let mut window = Window::new(aig.num_nodes());
         for v in aig.iter_ands() {
-            let leaves = reconvergence_cut(&aig, v, 8);
+            let leaves = window.reconvergence_cut(&aig, v, 8);
             window.load(&aig, v, &leaves);
             for &w in window.volume() {
                 prop_assert_eq!(

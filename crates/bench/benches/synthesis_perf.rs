@@ -24,7 +24,7 @@
 //! of `refactor` and `resub`.
 
 use almost_aig::cut::{CutConfig, CutSet};
-use almost_aig::passes::{reconvergence_cut, Window};
+use almost_aig::passes::Window;
 use almost_aig::{Aig, Pass, Script};
 use almost_circuits::IscasBenchmark;
 use almost_locking::{LockingScheme, Rll};
@@ -128,7 +128,7 @@ fn bench_cut_layer(c: &mut Criterion) {
         b.iter(|| {
             let mut volume = 0;
             for v in aig.iter_ands() {
-                let leaves = reconvergence_cut(&aig, v, 8);
+                let leaves = window.reconvergence_cut(&aig, v, 8);
                 window.load(&aig, v, &leaves);
                 volume += window.volume().len();
             }
