@@ -273,26 +273,6 @@ impl CompiledAig {
         out
     }
 
-    /// Like [`Self::eval_words`], but returns the number of 1-bits each
-    /// *register* saw across all words — per-node signal statistics (for
-    /// signal probabilities / functional signatures) in one sweep.
-    /// Index the result with [`Self::register_of`].
-    pub fn register_popcounts(&self, input_words: &[Vec<u64>], num_words: usize) -> Vec<u64> {
-        self.assert_word_shape(input_words, num_words);
-        let mut regs = self.make_scratch();
-        let mut ones = vec![0u64; regs.len()];
-        for w in 0..num_words {
-            for (i, p) in input_words.iter().enumerate() {
-                regs[1 + i] = p[w];
-            }
-            self.step(&mut regs);
-            for (count, &r) in ones.iter_mut().zip(regs.iter()) {
-                *count += u64::from(r.count_ones());
-            }
-        }
-        ones
-    }
-
     fn assert_word_shape(&self, input_words: &[Vec<u64>], num_words: usize) {
         assert_eq!(
             input_words.len(),
@@ -552,31 +532,6 @@ mod tests {
         let code = CompiledAig::compile(&wire).expect("compiles");
         assert_eq!(code.eval(&[true]), vec![false]);
         assert_eq!(code.eval(&[false]), vec![true]);
-    }
-
-    #[test]
-    fn popcounts_agree_with_signal_probability() {
-        let aig = random_aig(42, 7, 30, 3);
-        let code = CompiledAig::compile(&aig).expect("compiles");
-        let num_words = 8;
-        let mut rng = StdRng::seed_from_u64(13);
-        let input_words: Vec<Vec<u64>> = (0..aig.num_inputs())
-            .map(|_| (0..num_words).map(|_| rng.random()).collect())
-            .collect();
-        let sim = SimVectors::with_input_patterns(&aig, &input_words);
-        let ones = code.register_popcounts(&input_words, num_words);
-        let total = (num_words * 64) as f64;
-        for v in aig.iter_vars() {
-            if let Some(r) = code.register_of(v) {
-                let p = ones[r as usize] as f64 / total;
-                assert!(
-                    (p - sim.signal_probability(v)).abs() < 1e-12,
-                    "node {v}: compiled probability {p} vs sim {}",
-                    sim.signal_probability(v)
-                );
-            }
-        }
-        assert_eq!(ones[0], 0, "constant register never fires");
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! The unified batched search engine.
 //!
 //! Every recipe search in this crate — the Eq.-1 security search, the
-//! attacker's PPA re-synthesis (Fig. 5), the joint security+PPA
-//! scalarisation, the REINFORCE episodes, and the adversarial inner loop
+//! attacker's PPA re-synthesis (Fig. 5) and the adversarial inner loop
 //! of Algorithm 1 — is the same shape: propose recipes, synthesise each
 //! candidate from a fixed base network, score the deployed result, feed
 //! the score back to a search rule. This module factors that shape into
@@ -37,11 +36,9 @@
 //! * at any `proposals`, traces are bit-identical for every
 //!   `ALMOST_JOBS` worker count.
 
-use crate::multi_objective::JointWeights;
 use crate::ppa_opt::PpaObjective;
 use crate::proxy::ProxyModel;
 use crate::recipe::{Recipe, RecipeTrie, TrieStats};
-use crate::rl::{reinforce, ReinforceConfig, ReinforceResult};
 use crate::sa::{SaConfig, SaIteration, SaTrace};
 use almost_aig::{Aig, Pass};
 use almost_locking::LockedCircuit;
@@ -113,21 +110,6 @@ impl SearchObjective for ProxyAccuracyObjective<'_> {
     }
 }
 
-/// Maps and analyses every candidate, fanned out on the worker pool
-/// (job-order reassembly keeps the result worker-count-invariant).
-/// Shared by the PPA-bearing objectives so mapping configuration and
-/// analysis arity live in one place.
-fn mapped_reports(
-    candidates: &[Arc<Aig>],
-    library: &CellLibrary,
-    analysis_seed: u64,
-) -> Vec<PpaReport> {
-    almost_pool::map_indexed(candidates.to_vec(), |_, aig| {
-        let netlist = map_aig(&aig, library, &MapConfig::no_opt());
-        analyze(&netlist, &aig, library, 4, analysis_seed)
-    })
-}
-
 /// An attacker's PPA objective (Fig. 5): minimise mapped delay or area,
 /// optionally recording proxy accuracy along the way. Mapping and timing
 /// fan out across candidates on the worker pool.
@@ -148,7 +130,11 @@ impl SearchObjective for MappedPpaObjective<'_> {
     fn score_batch(&self, candidates: &[Arc<Aig>]) -> Vec<Score> {
         let base_area = self.baseline.area.max(1e-9);
         let base_delay = self.baseline.delay.max(1e-9);
-        let reports = mapped_reports(candidates, self.library, self.analysis_seed);
+        // Job-order reassembly keeps the reports worker-count-invariant.
+        let reports = almost_pool::map_indexed(candidates.to_vec(), |_, aig| {
+            let netlist = map_aig(&aig, self.library, &MapConfig::no_opt());
+            analyze(&netlist, &aig, self.library, 4, self.analysis_seed)
+        });
         let accuracies: Option<Vec<f64>> = self
             .accuracy_with
             .map(|(locked, proxy)| proxy.predict_accuracy_batch(locked, candidates));
@@ -160,49 +146,6 @@ impl SearchObjective for MappedPpaObjective<'_> {
                 accuracy: accuracies.as_ref().map(|a| a[i]),
                 area_ratio: Some(report.area / base_area),
                 delay_ratio: Some(report.delay / base_delay),
-            })
-            .collect()
-    }
-}
-
-/// The weighted security+PPA scalarisation:
-/// `w_sec · |acc − 0.5| / 0.5 + w_area · area/area₀ + w_delay ·
-/// delay/delay₀`.
-pub struct WeightedJointObjective<'a> {
-    /// The locked circuit whose key interface the proxy reads.
-    pub locked: &'a LockedCircuit,
-    /// The accuracy evaluator.
-    pub proxy: &'a ProxyModel,
-    /// Scalarisation weights.
-    pub weights: JointWeights,
-    /// Baseline report the PPA terms are normalised against.
-    pub baseline: &'a PpaReport,
-    /// Cell library for mapping.
-    pub library: &'a CellLibrary,
-    /// Seed for the vector-based power/timing analysis.
-    pub analysis_seed: u64,
-}
-
-impl SearchObjective for WeightedJointObjective<'_> {
-    fn score_batch(&self, candidates: &[Arc<Aig>]) -> Vec<Score> {
-        let base_area = self.baseline.area.max(1e-9);
-        let base_delay = self.baseline.delay.max(1e-9);
-        let accuracies = self.proxy.predict_accuracy_batch(self.locked, candidates);
-        let reports = mapped_reports(candidates, self.library, self.analysis_seed);
-        accuracies
-            .into_iter()
-            .zip(&reports)
-            .map(|(accuracy, report)| {
-                let area_ratio = report.area / base_area;
-                let delay_ratio = report.delay / base_delay;
-                Score {
-                    objective: self.weights.security * (accuracy - 0.5).abs() / 0.5
-                        + self.weights.area * area_ratio
-                        + self.weights.delay * delay_ratio,
-                    accuracy: Some(accuracy),
-                    area_ratio: Some(area_ratio),
-                    delay_ratio: Some(delay_ratio),
-                }
             })
             .collect()
     }
@@ -466,13 +409,6 @@ impl<'a> SearchEngine<'a> {
             scores,
             trace: SaTrace { iterations },
         }
-    }
-
-    /// REINFORCE episodes evaluated through the engine: the reward is the
-    /// negative objective, so the policy learns to emit recipes the
-    /// objective considers good while episode synthesis shares the trie.
-    pub fn reinforce(&mut self, config: &ReinforceConfig) -> ReinforceResult {
-        reinforce(|recipe| -self.evaluate(recipe).objective, config)
     }
 }
 

@@ -14,11 +14,11 @@
 //!    trained with every-R-epochs adversarial recipe augmentation (the
 //!    min–max objective of Eq. 6).
 //!
-//! Every search (security, PPA re-synthesis, joint, RL episodes, the
-//! adversarial inner loop) runs on the unified batched engine in
-//! [`engine`]: a recipe-trie synthesis cache sharing intermediates
-//! across sibling proposals, pool-parallel candidate synthesis, and
-//! batch-fused GIN scoring behind one [`engine::SearchObjective`] trait.
+//! Every search (security, PPA re-synthesis, the adversarial inner loop)
+//! runs on the unified batched engine in [`engine`]: a recipe-trie
+//! synthesis cache sharing intermediates across sibling proposals,
+//! pool-parallel candidate synthesis, and batch-fused GIN scoring behind
+//! one [`engine::SearchObjective`] trait.
 //!
 //! [`pipeline::run_almost`] glues the full Fig.-3 flow together;
 //! [`ppa_opt`] reproduces the attacker-re-synthesis study (Fig. 5);
@@ -39,25 +39,21 @@
 
 pub mod config;
 pub mod engine;
-pub mod multi_objective;
 pub mod pipeline;
 pub mod ppa_opt;
 pub mod proxy;
 pub mod recipe;
-pub mod rl;
 pub mod sa;
 pub mod security;
 
 pub use config::Scale;
 pub use engine::{
     EngineRun, EngineStats, MappedPpaObjective, ProxyAccuracyObjective, Score, SearchEngine,
-    SearchObjective, WeightedJointObjective,
+    SearchObjective,
 };
-pub use multi_objective::{joint_search, JointResult, JointWeights};
 pub use pipeline::{run_almost, AlmostConfig, AlmostOutcome};
 pub use ppa_opt::{resynthesis_search, PpaObjective, ResynthesisResult};
 pub use proxy::{accuracy_on_random_set, train_proxy, ProxyConfig, ProxyKind, ProxyModel};
 pub use recipe::{Recipe, RecipeTrie, TrieStats, RECIPE_LENGTH, TRIE_NODE_BUDGET};
-pub use rl::{reinforce, RecipePolicy, ReinforceConfig, ReinforceResult};
 pub use sa::{anneal, SaConfig, SaTrace};
 pub use security::{generate_secure_recipe, SecurityResult};

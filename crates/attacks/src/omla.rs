@@ -8,10 +8,7 @@
 //! applied to the victim key-inputs' localities.
 
 use crate::report::{AttackOutcome, AttackTarget, OracleLessAttack};
-use crate::subgraph::{
-    extract_all_localities, extract_all_localities_with_signatures, SignalSignatures,
-    SubgraphConfig, NUM_FEATURES, NUM_SIGNATURE_FEATURES,
-};
+use crate::subgraph::{extract_all_localities, SubgraphConfig, NUM_FEATURES};
 use almost_aig::{Aig, Script};
 use almost_locking::{relock, Rll};
 use almost_ml::gin::{GinClassifier, Graph};
@@ -39,11 +36,6 @@ pub struct OmlaConfig {
     pub training_samples: usize,
     /// Locality shape.
     pub subgraph: SubgraphConfig,
-    /// Append per-node functional signatures (signal probability and
-    /// switching activity from a compiled batch sweep) to the structural
-    /// features. Off by default: the baseline feature layout — and any
-    /// model trained on it — is unchanged unless explicitly requested.
-    pub functional_signatures: bool,
     /// RNG seed (re-locking + training shuffle + init).
     pub seed: u64,
 }
@@ -59,7 +51,6 @@ impl Default for OmlaConfig {
             relock_key_size: 32,
             training_samples: 512,
             subgraph: SubgraphConfig::default(),
-            functional_signatures: false,
             seed: 0xA77AC4,
         }
     }
@@ -72,39 +63,10 @@ pub struct Omla {
     pub config: OmlaConfig,
 }
 
-/// Random 64-bit words per input for signature sweeps (256 patterns).
-const SIGNATURE_WORDS: usize = 4;
-
 impl Omla {
     /// An OMLA attacker with the given configuration.
     pub fn new(config: OmlaConfig) -> Self {
         Omla { config }
-    }
-
-    /// Per-node feature width implied by the configuration.
-    pub fn feature_width(&self) -> usize {
-        if self.config.functional_signatures {
-            NUM_SIGNATURE_FEATURES
-        } else {
-            NUM_FEATURES
-        }
-    }
-
-    /// Locality extraction honouring `functional_signatures`: one compiled
-    /// batch sweep per netlist when signatures are on.
-    fn extract(&self, aig: &Aig, positions: &[usize], labels: &[bool]) -> Vec<Graph> {
-        if self.config.functional_signatures {
-            let sigs = SignalSignatures::compute(aig, SIGNATURE_WORDS, self.config.seed ^ 0x516);
-            extract_all_localities_with_signatures(
-                aig,
-                positions,
-                labels,
-                &self.config.subgraph,
-                &sigs,
-            )
-        } else {
-            extract_all_localities(aig, positions, labels, &self.config.subgraph)
-        }
     }
 
     /// Manufactures labelled training localities by re-locking `deployed`
@@ -123,8 +85,12 @@ impl Omla {
             };
             let resynth = recipe.apply(&relocked.aig);
             let positions: Vec<usize> = relocked.key_input_positions().collect();
-            let graphs = self.extract(&resynth, &positions, relocked.key.bits());
-            data.extend(graphs);
+            data.extend(extract_all_localities(
+                &resynth,
+                &positions,
+                relocked.key.bits(),
+                &self.config.subgraph,
+            ));
         }
         data.truncate(self.config.training_samples);
         data
@@ -135,7 +101,7 @@ impl Omla {
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let data = self.generate_training_data(deployed, recipe, &mut rng);
         let mut model = GinClassifier::new(
-            self.feature_width(),
+            NUM_FEATURES,
             self.config.hidden,
             self.config.layers,
             self.config.seed,
@@ -162,7 +128,12 @@ impl Omla {
         key_positions: &[usize],
     ) -> Vec<f32> {
         let dummy_labels = vec![false; key_positions.len()];
-        let graphs = self.extract(deployed, key_positions, &dummy_labels);
+        let graphs = extract_all_localities(
+            deployed,
+            key_positions,
+            &dummy_labels,
+            &self.config.subgraph,
+        );
         // One reused tape across the key bits: prediction allocates
         // nothing after the first locality.
         let mut tape = Tape::new();
@@ -213,7 +184,6 @@ mod tests {
                 hops: 3,
                 max_nodes: 32,
             },
-            functional_signatures: false,
             seed: 7,
         }
     }
@@ -264,31 +234,6 @@ mod tests {
             "expected strong recovery on raw locking, got {}",
             outcome.accuracy
         );
-    }
-
-    #[test]
-    fn functional_signatures_widen_training_data_and_predictions() {
-        let config = OmlaConfig {
-            functional_signatures: true,
-            training_samples: 48,
-            ..quick_config()
-        };
-        let omla = Omla::new(config);
-        assert_eq!(omla.feature_width(), NUM_SIGNATURE_FEATURES);
-        let mut rng = StdRng::seed_from_u64(5);
-        let base = IscasBenchmark::C432.build();
-        let locked = Rll::new(12).lock(&base, &mut rng).expect("lockable");
-        let mut rng2 = StdRng::seed_from_u64(6);
-        let data = omla.generate_training_data(&locked.aig, &Script::new(), &mut rng2);
-        assert!(!data.is_empty());
-        assert!(data
-            .iter()
-            .all(|g| g.features.cols() == NUM_SIGNATURE_FEATURES));
-        let target = AttackTarget::new(locked, Script::new());
-        let model = GinClassifier::new(omla.feature_width(), 12, 2, 1);
-        let probs = omla.predict_bits(&model, &target.deployed, &target.key_positions());
-        assert_eq!(probs.len(), 12);
-        assert!(probs.iter().all(|p| (0.0..=1.0).contains(p)));
     }
 
     #[test]

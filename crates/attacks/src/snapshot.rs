@@ -59,7 +59,7 @@ pub struct Snapshot {
 /// Flattens a locality graph into a fixed-length vector: per-distance-ring
 /// sums of the node features (rings 0..hops), giving `(hops+1) * d`
 /// entries. Distance is recovered from feature column 8 (see
-/// `subgraph::extract_locality`).
+/// `subgraph::extract_all_localities`).
 fn flatten(graph: &Graph, hops: usize) -> Matrix {
     let d = graph.features.cols();
     let mut out = Matrix::zeros(1, (hops + 1) * d);

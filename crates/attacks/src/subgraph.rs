@@ -6,20 +6,11 @@
 //! describe gate kind, fanin complementation (where the XOR-vs-XNOR signal
 //! survives bubble pushing), fanout and distance — the information OMLA's
 //! GNN learns from.
-//!
-//! Optionally the structural features are augmented with *functional
-//! signatures* — per-node signal probability and switching activity from
-//! one word-level sweep of the compiled netlist ([`SignalSignatures`],
-//! backed by `almost_aig::compile`). Signature extraction is opt-in
-//! (`extract_all_localities_with_signatures`) so the default feature
-//! layout, and every model trained on it, is unchanged.
 
-use almost_aig::{Aig, CompiledAig, NodeKind, Var};
+use almost_aig::{Aig, NodeKind, Var};
 use almost_ml::gin::Graph;
 use almost_ml::tensor::Matrix;
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Locality-extraction parameters.
 #[derive(Clone, Copy, Debug)]
@@ -42,93 +33,42 @@ impl Default for SubgraphConfig {
 /// Number of per-node features produced by the extractor.
 pub const NUM_FEATURES: usize = 11;
 
-/// Feature width when functional signatures are appended (probability
-/// and switching activity).
-pub const NUM_SIGNATURE_FEATURES: usize = NUM_FEATURES + 2;
-
-/// Per-node functional signatures from one word-level batch sweep of the
-/// compiled netlist: the signal probability of every output-reachable
-/// node under `64 * num_words` random patterns. Computed once per
-/// netlist and shared across all localities extracted from it.
-pub struct SignalSignatures {
-    probs: Vec<f32>,
-}
-
-impl SignalSignatures {
-    /// Simulates `aig` on `64 * num_words` random patterns through the
-    /// compiled batch evaluator. Nodes outside the output cone (which
-    /// the compiler skips) get the maximum-uncertainty value 0.5.
-    pub fn compute(aig: &Aig, num_words: usize, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let input_words: Vec<Vec<u64>> = (0..aig.num_inputs())
-            .map(|_| (0..num_words).map(|_| rng.random()).collect())
-            .collect();
-        let mut probs = vec![0.5f32; aig.num_nodes()];
-        if let Ok(code) = CompiledAig::compile(aig) {
-            let ones = code.register_popcounts(&input_words, num_words);
-            let patterns = (num_words * 64) as u64;
-            for v in aig.iter_vars() {
-                if let Some(r) = code.register_of(v) {
-                    probs[v as usize] =
-                        almost_ml::data::signal_probability(ones[r as usize], patterns);
-                }
-            }
-        }
-        SignalSignatures { probs }
-    }
-
-    /// Signal probability of node `var` (0.5 for uncompiled nodes).
-    pub fn probability(&self, var: Var) -> f32 {
-        self.probs.get(var as usize).copied().unwrap_or(0.5)
-    }
-
-    /// Switching activity `2p(1-p)` of node `var`.
-    pub fn activity(&self, var: Var) -> f32 {
-        almost_ml::data::switching_activity(self.probability(var))
-    }
-}
-
-/// Extracts the locality subgraph of the key input at input position
-/// `key_input_pos`, labelled with `label`.
+/// Extracts the localities of all listed key inputs at once.
+///
+/// `labels[i]` is the key bit of `key_input_positions[i]`.
 ///
 /// # Panics
 ///
-/// Panics if `key_input_pos` is out of range.
-pub fn extract_locality(
+/// Panics if the two slices have different lengths or a position is out
+/// of range.
+pub fn extract_all_localities(
     aig: &Aig,
-    fanouts: &[Vec<Var>],
     key_input_positions: &[usize],
-    key_input_pos: usize,
-    label: bool,
+    labels: &[bool],
     config: &SubgraphConfig,
-) -> Graph {
-    extract_locality_inner(
-        aig,
-        fanouts,
-        key_input_positions,
-        key_input_pos,
-        label,
-        config,
-        None,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn extract_locality_inner(
-    aig: &Aig,
-    fanouts: &[Vec<Var>],
-    key_input_positions: &[usize],
-    key_input_pos: usize,
-    label: bool,
-    config: &SubgraphConfig,
-    signatures: Option<&SignalSignatures>,
-) -> Graph {
-    let center = aig.inputs()[key_input_pos];
-    let key_vars: std::collections::HashSet<Var> = key_input_positions
+) -> Vec<Graph> {
+    assert_eq!(key_input_positions.len(), labels.len());
+    let fanouts = aig.fanouts();
+    let key_vars: HashSet<Var> = key_input_positions
         .iter()
         .map(|&p| aig.inputs()[p])
         .collect();
+    key_input_positions
+        .iter()
+        .zip(labels)
+        .map(|(&pos, &label)| locality(aig, &fanouts, &key_vars, aig.inputs()[pos], label, config))
+        .collect()
+}
 
+/// The locality of key input `center`, labelled with `label`.
+fn locality(
+    aig: &Aig,
+    fanouts: &[Vec<Var>],
+    key_vars: &HashSet<Var>,
+    center: Var,
+    label: bool,
+    config: &SubgraphConfig,
+) -> Graph {
     // BFS out to `hops`, collecting nodes in distance order.
     let mut dist: HashMap<Var, usize> = HashMap::new();
     let mut order: Vec<Var> = Vec::new();
@@ -176,12 +116,7 @@ fn extract_locality_inner(
     edges.dedup();
 
     // Node features.
-    let width = if signatures.is_some() {
-        NUM_SIGNATURE_FEATURES
-    } else {
-        NUM_FEATURES
-    };
-    let mut features = Matrix::zeros(order.len(), width);
+    let mut features = Matrix::zeros(order.len(), NUM_FEATURES);
     for (i, &v) in order.iter().enumerate() {
         let node = aig.node(v);
         let is_center = v == center;
@@ -217,69 +152,9 @@ fn extract_locality_inner(
             features.set(i, 9, compl_out as f32 / fanouts[v as usize].len() as f32);
         }
         features.set(i, 10, 1.0);
-        if let Some(sigs) = signatures {
-            features.set(i, 11, sigs.probability(v));
-            features.set(i, 12, sigs.activity(v));
-        }
     }
 
     Graph::from_edges(order.len(), &edges, features, label)
-}
-
-/// Extracts the localities of all listed key inputs at once.
-///
-/// `labels[i]` is the key bit of `key_input_positions[i]`.
-///
-/// # Panics
-///
-/// Panics if the two slices have different lengths.
-pub fn extract_all_localities(
-    aig: &Aig,
-    key_input_positions: &[usize],
-    labels: &[bool],
-    config: &SubgraphConfig,
-) -> Vec<Graph> {
-    extract_all_localities_opt(aig, key_input_positions, labels, config, None)
-}
-
-/// Like [`extract_all_localities`], but appends the two functional
-/// signature features (signal probability, switching activity) to every
-/// node — feature width [`NUM_SIGNATURE_FEATURES`]. `signatures` must
-/// come from [`SignalSignatures::compute`] on the *same* netlist.
-pub fn extract_all_localities_with_signatures(
-    aig: &Aig,
-    key_input_positions: &[usize],
-    labels: &[bool],
-    config: &SubgraphConfig,
-    signatures: &SignalSignatures,
-) -> Vec<Graph> {
-    extract_all_localities_opt(aig, key_input_positions, labels, config, Some(signatures))
-}
-
-fn extract_all_localities_opt(
-    aig: &Aig,
-    key_input_positions: &[usize],
-    labels: &[bool],
-    config: &SubgraphConfig,
-    signatures: Option<&SignalSignatures>,
-) -> Vec<Graph> {
-    assert_eq!(key_input_positions.len(), labels.len());
-    let fanouts = aig.fanouts();
-    key_input_positions
-        .iter()
-        .zip(labels)
-        .map(|(&pos, &label)| {
-            extract_locality_inner(
-                aig,
-                &fanouts,
-                key_input_positions,
-                pos,
-                label,
-                config,
-                signatures,
-            )
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -340,61 +215,6 @@ mod tests {
         };
         for g in extract_all_localities(&locked.aig, &positions, locked.key.bits(), &cfg) {
             assert!(g.num_nodes() <= 12);
-        }
-    }
-
-    #[test]
-    fn signatures_match_the_node_walk_simulator() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let base = IscasBenchmark::C432.build();
-        let locked = Rll::new(8).lock(&base, &mut rng).expect("lockable");
-        let num_words = 4;
-        let seed = 99;
-        let sigs = SignalSignatures::compute(&locked.aig, num_words, seed);
-        // Rebuild the exact input words SignalSignatures drew, then
-        // compare against the interpreted simulator on the same stimulus.
-        let mut word_rng = StdRng::seed_from_u64(seed);
-        let input_words: Vec<Vec<u64>> = (0..locked.aig.num_inputs())
-            .map(|_| (0..num_words).map(|_| word_rng.random()).collect())
-            .collect();
-        let vectors = almost_aig::sim::SimVectors::with_input_patterns(&locked.aig, &input_words);
-        let code = CompiledAig::compile(&locked.aig).expect("compilable");
-        for v in locked.aig.iter_vars() {
-            let got = sigs.probability(v);
-            if code.register_of(v).is_some() {
-                let want = vectors.signal_probability(v) as f32;
-                assert!(
-                    (got - want).abs() < 1e-6,
-                    "var {v}: compiled prob {got} vs simulated {want}"
-                );
-            } else {
-                assert_eq!(got, 0.5, "uncompiled var {v} must stay neutral");
-            }
-        }
-    }
-
-    #[test]
-    fn signature_features_widen_the_matrix() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let base = IscasBenchmark::C432.build();
-        let locked = Rll::new(4).lock(&base, &mut rng).expect("lockable");
-        let positions: Vec<usize> = locked.key_input_positions().collect();
-        let sigs = SignalSignatures::compute(&locked.aig, 2, 7);
-        let graphs = extract_all_localities_with_signatures(
-            &locked.aig,
-            &positions,
-            locked.key.bits(),
-            &SubgraphConfig::default(),
-            &sigs,
-        );
-        assert_eq!(graphs[0].features.cols(), NUM_SIGNATURE_FEATURES);
-        for g in &graphs {
-            for i in 0..g.num_nodes() {
-                let p = g.features.get(i, 11);
-                let a = g.features.get(i, 12);
-                assert!((0.0..=1.0).contains(&p));
-                assert!((a - almost_ml::data::switching_activity(p)).abs() < 1e-6);
-            }
         }
     }
 

@@ -24,11 +24,7 @@ use almost_core::Scale;
 use almost_locking::{
     apply_key, AntiSat, CircuitOracle, LockedCircuit, LockingScheme, Rll, SarLock, Stacked,
 };
-use almost_sat::{check_equivalence_limited, Equivalence};
-
-/// Conflict budget for the verification CEC of each row (never hangs the
-/// harness; unresolved counts as not-correct).
-const ROW_CEC_CONFLICTS: u64 = 50_000;
+use almost_sat::{check_equivalence, Equivalence};
 
 /// Key width of the RLL base under the stacked SARLock compound.
 const STACK_BASE_BITS: usize = 8;
@@ -60,7 +56,7 @@ fn exact_with_cap(max_iterations: usize) -> SatAttack {
 
 fn cec_ok(design: &almost_aig::Aig, locked: &LockedCircuit, key: &[bool]) -> bool {
     let restored = apply_key(&locked.aig, locked.key_input_start, key);
-    check_equivalence_limited(design, &restored, ROW_CEC_CONFLICTS) == Some(Equivalence::Equivalent)
+    check_equivalence(design, &restored) == Equivalence::Equivalent
 }
 
 /// One rendered result row: the console line, the scaling-table row and

@@ -50,7 +50,6 @@ fn run() {
         relock_key_size: p.relock_key_size,
         training_samples: p.initial_samples,
         subgraph: p.subgraph,
-        functional_signatures: false,
         seed: 0x0317A,
     };
 

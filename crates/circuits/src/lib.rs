@@ -6,7 +6,9 @@
 //! and functional flavour — adders, comparators, parity/ECC logic, priority
 //! controllers and the classic c6288 16×16 array multiplier — at the same
 //! size scale. Real `.bench` files can be substituted at any time through
-//! `almost_netlist::bench_format::parse_bench`.
+//! `almost_netlist::bench_format::parse_bench`. [`redundify`] derives
+//! a functionally identical, structurally divergent copy of any of them
+//! for equivalence-checking workloads.
 //!
 //! # Example
 //!
@@ -21,5 +23,7 @@
 
 pub mod blocks;
 pub mod iscas;
+pub mod restructure;
 
 pub use iscas::IscasBenchmark;
+pub use restructure::redundify;

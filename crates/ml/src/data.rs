@@ -37,24 +37,6 @@ pub fn select(graphs: &[Graph], indices: &[usize]) -> Vec<Graph> {
     indices.iter().map(|&i| graphs[i].clone()).collect()
 }
 
-/// Signal probability from simulation popcounts: 1-bits observed over
-/// patterns simulated. The node-feature normalisation convention shared
-/// by every dataset builder that feeds functional signatures into a
-/// model (OMLA's signature-augmented localities).
-pub fn signal_probability(ones: u64, patterns: u64) -> f32 {
-    if patterns == 0 {
-        return 0.5; // no evidence: maximum-uncertainty neutral value
-    }
-    ones as f32 / patterns as f32
-}
-
-/// Switching activity `2p(1-p)` of a signal with 1-probability `p`: the
-/// probability two independent samples differ — 0 at the constants,
-/// maximal at p = 0.5.
-pub fn switching_activity(p: f32) -> f32 {
-    2.0 * p * (1.0 - p)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -73,17 +55,6 @@ mod tests {
     #[test]
     fn split_is_deterministic() {
         assert_eq!(train_val_split(50, 0.8, 7), train_val_split(50, 0.8, 7));
-    }
-
-    #[test]
-    fn signal_statistics_behave_at_the_extremes() {
-        assert_eq!(signal_probability(0, 256), 0.0);
-        assert_eq!(signal_probability(256, 256), 1.0);
-        assert_eq!(signal_probability(64, 256), 0.25);
-        assert_eq!(signal_probability(0, 0), 0.5);
-        assert_eq!(switching_activity(0.0), 0.0);
-        assert_eq!(switching_activity(1.0), 0.0);
-        assert_eq!(switching_activity(0.5), 0.5);
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! SAT-based combinational equivalence checking (CEC) and stuck-at-fault
 //! test-pattern generation (ATPG).
 //!
-//! Both build the classic *miter*: two circuit copies share the primary
-//! inputs; corresponding outputs are XOR-ed and the solver searches for an
-//! input assignment that makes any XOR true.
+//! Both pose a *miter* query: two circuit copies share the primary
+//! inputs, corresponding outputs are XOR-ed, and the solver searches for
+//! an input assignment that makes any XOR true. CEC first sweeps the
+//! joint network with fraig, so only the output pairs the sweep could
+//! not merge reach that query; ATPG poses it directly on the good and
+//! the faulty copy.
 
 use crate::cnf::{encode_with_inputs, encode_xor};
 use crate::portfolio::PortfolioSolver;
@@ -40,10 +43,8 @@ pub enum Equivalence {
 /// dramatically faster than the single end-to-end miter on structurally
 /// similar circuits (the common CEC case: original vs. resynthesized,
 /// locked vs. key-programmed). Hard *residual* queries are escalated by
-/// the sweep to a portfolio honouring `ALMOST_SOLVERS`.
-///
-/// For adversarial inner loops that only need a cheap score, prefer
-/// [`check_equivalence_limited`].
+/// the sweep to a portfolio honouring `ALMOST_SOLVERS`. The verdict is
+/// always definitive: a proof or a counterexample, never "undecided".
 ///
 /// # Panics
 ///
@@ -104,52 +105,6 @@ pub fn check_equivalence(a: &Aig, b: &Aig) -> Equivalence {
                 .map(|&v| solver.value(v).unwrap_or(false))
                 .collect(),
         ),
-    }
-}
-
-/// Like [`check_equivalence`], but monolithic and budgeted: one
-/// end-to-end miter, solved until `max_conflicts` conflicts, returning
-/// `None` (undecided) when the budget trips.
-///
-/// This is the **legacy scoring path**, kept deliberately: arithmetic
-/// miters — the c6288-style multiplier above all — are exponentially hard
-/// for resolution, and callers that *score* rather than *certify* (the
-/// adversarial inner simulated-annealing loop, attack report rows) want a
-/// fixed, small effort ceiling and a graceful `None`, not a fraig sweep
-/// whose counterexample refinement they would pay for on every candidate.
-/// Use [`check_equivalence`] (fraig-first, unbudgeted) whenever the
-/// answer must be definitive: certification walls, envelope tests, CI
-/// parity checks.
-///
-/// # Panics
-///
-/// Panics if the input or output counts differ.
-pub fn check_equivalence_limited(a: &Aig, b: &Aig, max_conflicts: u64) -> Option<Equivalence> {
-    assert_eq!(a.num_inputs(), b.num_inputs(), "input counts differ");
-    assert_eq!(a.num_outputs(), b.num_outputs(), "output counts differ");
-    let mut solver = Solver::new();
-    let inputs: Vec<SatVar> = (0..a.num_inputs()).map(|_| solver.new_var()).collect();
-    let no_overrides = HashMap::new();
-    let cnf_a = encode_with_inputs(&mut solver, a, &inputs, &no_overrides);
-    let cnf_b = encode_with_inputs(&mut solver, b, &inputs, &no_overrides);
-
-    let diffs: Vec<SatLit> = cnf_a
-        .output_lits
-        .iter()
-        .zip(&cnf_b.output_lits)
-        .map(|(&la, &lb)| encode_xor(&mut solver, la, lb))
-        .collect();
-    solver.add_clause(&diffs);
-
-    match solver.solve_limited(&[], max_conflicts)? {
-        SatResult::Unsat => Some(Equivalence::Equivalent),
-        SatResult::Sat => {
-            let pattern = inputs
-                .iter()
-                .map(|&v| solver.value(v).unwrap_or(false))
-                .collect();
-            Some(Equivalence::Counterexample(pattern))
-        }
     }
 }
 

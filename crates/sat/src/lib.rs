@@ -50,7 +50,7 @@ pub use almost_cdcl::heap;
 pub use almost_cdcl::portfolio;
 pub use almost_cdcl::solver;
 
-pub use equiv::{check_equivalence, check_equivalence_limited, test_stuck_at, Equivalence};
+pub use equiv::{check_equivalence, test_stuck_at, Equivalence};
 pub use heap::ActivityHeap;
 pub use miter::{DipSearch, KeyMiter};
 pub use portfolio::{PortfolioSolver, PortfolioStats};

@@ -22,7 +22,7 @@ pub enum Scope {
     Cell,
     /// One attack run (SAT attack, Double DIP, OMLA, …).
     Attack,
-    /// One recipe-search run (SA / RL / joint).
+    /// One recipe-search run (simulated annealing).
     Search,
     /// One training run.
     Trainer,

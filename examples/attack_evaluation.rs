@@ -38,7 +38,6 @@ fn main() {
         relock_key_size: p.relock_key_size,
         training_samples: p.initial_samples,
         subgraph: p.subgraph,
-        functional_signatures: false,
         seed: 11,
     });
     let snapshot = Snapshot::new(SnapshotConfig {

@@ -1,42 +1,47 @@
 //! Release-mode envelope for fraig-first combinational equivalence
 //! checking.
 //!
-//! PR 3 gave `check_equivalence` a monolithic miter; anything arithmetic
-//! (the c6288 multiplier above all) had to hide behind a conflict budget
-//! and answer `None`. The fraig sweep removes the crutch: candidate
-//! equivalences are proved pairwise from the inputs outward, so the
-//! multiplier pair decomposes into thousands of small queries instead of
-//! one resolution-hard miter. Two floors:
+//! The fraig sweep proves candidate equivalences pairwise from the inputs
+//! outward, so a multiplier pair decomposes into thousands of small
+//! queries instead of one resolution-hard miter. Two verdict floors:
 //!
 //! - **c6288 vs. a locally restructured self settles without any
-//!   budget**, and at least 5x faster than the legacy monolithic path
-//!   spends *failing* (or succeeding, on the off chance the budget
-//!   suffices) at the same job.
+//!   budget.**
 //! - **Locked-vs-original certification** (c1355/c1908 under 32-bit RLL,
 //!   correct key re-applied) completes unbudgeted — the exact CEC call
 //!   the attack report's verdict column needs.
 //!
-//! Plus two effort ceilings, deterministic counts rather than times: the
-//! recipe-config sweep of a restructured locked c7552 refutes its
-//! lookalike candidates by simulation, not pair by pair in SAT, and its
-//! solver decides only on each query's two cones.
+//! Plus effort ceilings, deterministic counts rather than times: the
+//! full-strength sweep of the c6288 pair stays within its SAT-call and
+//! decision ceilings, and the recipe-config sweep of a restructured
+//! locked c7552 refutes its lookalike candidates by simulation, not pair
+//! by pair in SAT, and its solver decides only on each query's two cones.
 //!
-//! Timings are wall-clock once per path (the margin is large enough that
-//! best-of-N would be theatre). Debug builds skip.
+//! Debug builds skip.
 
-use almost_repro::aig::{fraig_with, Aig, FraigConfig, Lit, NodeKind, Script};
-use almost_repro::circuits::IscasBenchmark;
+use almost_repro::aig::{fraig_with, Aig, FraigConfig, Lit, Script, Var};
+use almost_repro::circuits::{redundify, IscasBenchmark};
 use almost_repro::locking::{apply_key, LockingScheme, Rll};
-use almost_repro::sat::{check_equivalence, check_equivalence_limited, Equivalence};
+use almost_repro::sat::{check_equivalence, Equivalence};
 use almost_repro::testutil::release_mode;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::HashMap;
 use std::time::Instant;
 
-/// Conflict budget for the legacy monolithic reference point — generous
-/// enough that spending it takes real time, far too small to crack a
-/// multiplier miter.
-const LEGACY_BUDGET: u64 = 20_000;
+/// SAT-call ceiling for the full-strength sweep of the c6288 pair in
+/// [`fraig_cec_settles_restructured_c6288_with_headroom`]. The sweep
+/// makes 151 calls, one proof per absorption wrapper, with no
+/// refutation and no escalation; a sweep that proves pairs but does not
+/// substitute the representative downstream re-proves every node after a
+/// wrapper (2,173 calls). The ceiling keeps the ~4x headroom of
+/// [`RECIPE_SWEEP_SAT_CALLS`].
+const C6288_PAIR_SAT_CALLS: u64 = 600;
+
+/// Sweep-solver decision ceiling for the same sweep. It makes 5,553
+/// decisions (the non-substituting sweep makes 29,584); the ceiling keeps
+/// the ~1.45x headroom of [`RECIPE_SWEEP_DECISIONS`].
+const C6288_PAIR_DECISIONS: u64 = 8_000;
 
 /// SAT-call ceiling for the recipe-config sweep in
 /// [`recipe_fraig_splits_lookalike_classes_by_simulation`]. With every
@@ -51,42 +56,18 @@ const RECIPE_SWEEP_SAT_CALLS: u64 = 300;
 /// too) it made 18,969.
 const RECIPE_SWEEP_DECISIONS: u64 = 14_000;
 
-/// Rebuilds `aig` with every `stride`-th AND wrapped in the absorption
-/// identity `u -> (u & s) | (u & !s)` (select `s` = first input).
-///
-/// The wrapper survives strash (the hash only folds one-level patterns),
-/// so the result is functionally identical but structurally divergent
-/// from the wrapper onward — the profile a resynthesized or key-locked
-/// netlist presents to CEC. `resyn2` is a fixpoint on the array
-/// multiplier (it returns c6288 unchanged), so this transform is what
-/// stands in for "the same function, restructured".
-fn redundify(aig: &Aig, stride: usize) -> Aig {
-    let mut out = Aig::new();
-    let inputs: Vec<Lit> = (0..aig.num_inputs()).map(|_| out.add_input()).collect();
-    let select = inputs[0];
-    let mut map: Vec<Lit> = vec![Lit::FALSE; aig.num_nodes()];
-    for (i, &v) in aig.inputs().iter().enumerate() {
-        map[v as usize] = inputs[i];
-    }
-    let mut ands = 0usize;
-    for v in 0..aig.num_nodes() {
-        if let NodeKind::And(fa, fb) = aig.node(v as u32) {
-            let a = map[fa.var() as usize].xor_complement(fa.is_complement());
-            let b = map[fb.var() as usize].xor_complement(fb.is_complement());
-            let mut lit = out.and(a, b);
-            ands += 1;
-            if ands.is_multiple_of(stride) && !lit.is_const() {
-                let then_arm = out.and(lit, select);
-                let else_arm = out.and(lit, !select);
-                lit = out.or(then_arm, else_arm);
-            }
-            map[v] = lit;
+/// Both sides' outputs in one netlist over shared inputs: the network
+/// `check_equivalence` sweeps before its residual SAT query.
+fn joint(a: &Aig, b: &Aig) -> Aig {
+    let mut joint = Aig::new();
+    let inputs: Vec<Lit> = (0..a.num_inputs()).map(|_| joint.add_input()).collect();
+    for side in [a, b] {
+        let leaves: HashMap<Var, Lit> = side.inputs().iter().copied().zip(inputs.clone()).collect();
+        for o in side.copy_cone_into(&mut joint, side.outputs(), &leaves) {
+            joint.add_output(o);
         }
     }
-    for &o in aig.outputs() {
-        out.add_output(map[o.var() as usize].xor_complement(o.is_complement()));
-    }
-    out
+    joint
 }
 
 #[test]
@@ -101,35 +82,25 @@ fn fraig_cec_settles_restructured_c6288_with_headroom() {
         "redundification must actually insert wrappers"
     );
 
-    let started = Instant::now();
-    let legacy = check_equivalence_limited(&original, &restructured, LEGACY_BUDGET);
-    let legacy_secs = started.elapsed().as_secs_f64();
+    let (_, stats) = fraig_with(&joint(&original, &restructured), &FraigConfig::default());
+    println!("c6288 redundified pair, full-strength fraig: {stats:?}");
+    assert!(
+        stats.sat_calls <= C6288_PAIR_SAT_CALLS,
+        "c6288 pair sweep made {} SAT calls (ceiling {C6288_PAIR_SAT_CALLS}): {stats:?}",
+        stats.sat_calls
+    );
+    assert!(
+        stats.decisions <= C6288_PAIR_DECISIONS,
+        "c6288 pair sweep made {} decisions (ceiling {C6288_PAIR_DECISIONS}): {stats:?}",
+        stats.decisions
+    );
 
-    let started = Instant::now();
     let verdict = check_equivalence(&original, &restructured);
-    let fraig_secs = started.elapsed().as_secs_f64();
     assert_eq!(
         verdict,
         Equivalence::Equivalent,
         "redundification must be equivalence-preserving on c6288"
     );
-
-    let speedup = legacy_secs / fraig_secs.max(1e-12);
-    println!(
-        "c6288 CEC: legacy {legacy_secs:.3}s ({}), fraig-first {fraig_secs:.3}s => {speedup:.1}x",
-        match &legacy {
-            None => "budget exhausted, no answer".to_string(),
-            Some(v) => format!("{v:?}"),
-        }
-    );
-    assert!(
-        speedup >= 5.0,
-        "fraig-first CEC must beat the {LEGACY_BUDGET}-conflict monolithic miter by >= 5x \
-         on the c6288 pair, got {speedup:.1}x (legacy {legacy_secs:.3}s, fraig {fraig_secs:.3}s)"
-    );
-    if let Some(v) = legacy {
-        assert_eq!(v, Equivalence::Equivalent, "budgeted verdict must agree");
-    }
 }
 
 #[test]

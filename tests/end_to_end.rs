@@ -94,7 +94,6 @@ fn omla_recovers_keys_without_synthesis_defence() {
             hops: 3,
             max_nodes: 32,
         },
-        functional_signatures: false,
         seed: 3,
     });
     let outcome = omla.attack(&target);
