@@ -3,27 +3,23 @@
 //!
 //! [`Aig::eval`] walks the node vector once per pattern, dispatching on
 //! [`NodeKind`] and paying a fresh `Vec<bool>` of node values every call.
-//! That is fine for spot checks and hopeless for an oracle serving
-//! millions of queries. [`CompiledAig`] pays the walk once: the
-//! output-reachable AND cone is lowered, in the graph's native
-//! topological order, into a dense instruction buffer of packed `u32`
-//! operands indexing a flat register file — no enum dispatch, no hash
-//! lookups, no per-pattern allocation in the inner loop. Evaluation then
-//! processes 64 patterns at a time as `u64` words, the same bit-parallel
-//! trick [`crate::sim::SimVectors`] uses, but over the compiled buffer
-//! instead of the node graph.
+//! That is fine for spot checks and too slow for the oracle the SAT
+//! attacks query, the simulation signatures fraig sweeps on, and every
+//! random-pattern check. [`CompiledAig`] pays the walk once: every AND is
+//! lowered, in the graph's native topological order, into a dense
+//! instruction buffer of packed `u32` operands indexing a flat register
+//! file — no enum dispatch, no hash lookups, no per-pattern allocation in
+//! the inner loop. Evaluation then processes 64 patterns at a time as
+//! `u64` words. `CompiledAig::step` is the workspace's one word-level
+//! AND loop: [`crate::sim::SimVectors`] fills its register slabs with it
+//! too.
 //!
 //! Register layout: register 0 is constant false, registers
-//! `1..=num_inputs` hold the primary inputs in input order, and each
-//! compiled AND instruction appends one register. Operands encode
-//! `register << 1 | complement` (the AIGER literal convention, applied to
-//! registers); complementation is a branch-free XOR with
-//! `(operand & 1).wrapping_neg()`.
-//!
-//! Dead nodes — AND gates unreachable from any output, the artifacts
-//! synthesis passes and `.bench` round trips leave behind — are skipped
-//! at compile time and counted in [`CompileStats::dead_skipped`]; they
-//! cannot affect outputs, so skipping them is observationally identity.
+//! `1..=num_inputs` hold the primary inputs in input order, and each AND
+//! instruction appends one register, so every node has a register.
+//! Operands encode `register << 1 | complement` (the AIGER literal
+//! convention, applied to registers); complementation is a branch-free
+//! XOR with `(operand & 1).wrapping_neg()`.
 
 use crate::aig::{Aig, NodeKind, Var};
 use std::fmt;
@@ -32,18 +28,13 @@ use std::fmt;
 /// (`register << 1 | complement` must fit in a `u32`).
 pub const MAX_REGISTERS: usize = (u32::MAX >> 1) as usize;
 
-/// Sentinel register index for nodes outside the compiled cone.
-const DEAD: u32 = u32::MAX;
-
 /// What the compiler did, for telemetry and throughput reporting.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CompileStats {
-    /// AND instructions emitted (the output-reachable cone).
+    /// AND instructions emitted (one per AND node).
     pub instructions: usize,
     /// Register-file size: constant + inputs + instructions.
     pub registers: usize,
-    /// AND nodes skipped as unreachable from every output.
-    pub dead_skipped: usize,
 }
 
 /// Why a netlist could not be compiled.
@@ -112,17 +103,15 @@ pub struct CompiledAig {
     instrs: Vec<[u32; 2]>,
     /// Packed operand per output (register + complement tap).
     out_taps: Vec<u32>,
-    /// Node index → register, [`DEAD`] for uncompiled nodes.
+    /// Node index → register.
     reg_of: Vec<u32>,
     stats: CompileStats,
 }
 
 impl CompiledAig {
-    /// Compiles the output-reachable cone of `aig`.
+    /// Compiles every AND of `aig`.
     pub fn compile(aig: &Aig) -> Result<CompiledAig, CompileError> {
         let n = aig.num_nodes();
-        let mut reachable = vec![false; n];
-        let mut stack: Vec<Var> = Vec::new();
         for (o, out) in aig.outputs().iter().enumerate() {
             if out.var() as usize >= n {
                 return Err(CompileError::DanglingOutput {
@@ -130,49 +119,27 @@ impl CompiledAig {
                     var: out.var(),
                 });
             }
-            stack.push(out.var());
         }
-        let mut reachable_ands = 0usize;
-        while let Some(v) = stack.pop() {
-            if reachable[v as usize] {
-                continue;
-            }
-            reachable[v as usize] = true;
-            if let NodeKind::And(a, b) = aig.node(v) {
-                reachable_ands += 1;
-                stack.push(a.var());
-                stack.push(b.var());
-            }
-        }
-
-        let registers = 1 + aig.num_inputs() + reachable_ands;
+        let registers = 1 + aig.num_inputs() + aig.num_ands();
         if registers > MAX_REGISTERS {
             return Err(CompileError::TooManyNodes { needed: registers });
         }
 
         // Register 0 = constant, 1..=num_inputs = inputs in input order,
-        // then one per compiled instruction in topological order.
-        let mut reg_of = vec![DEAD; n];
-        reg_of[0] = 0;
+        // then one per instruction in topological order. Inputs get their
+        // registers first, so an input created after some ANDs (a locked
+        // netlist's key inputs) is still numbered before every AND.
+        let mut reg_of = vec![0u32; n];
         for (i, &var) in aig.inputs().iter().enumerate() {
             reg_of[var as usize] = 1 + i as u32;
         }
-        let mut instrs = Vec::with_capacity(reachable_ands);
+        let mut instrs = Vec::with_capacity(aig.num_ands());
         let mut next = 1 + aig.num_inputs() as u32;
         for v in aig.iter_vars() {
-            if !reachable[v as usize] {
-                continue;
-            }
             if let NodeKind::And(a, b) = aig.node(v) {
-                let ra = reg_of[a.var() as usize];
-                let rb = reg_of[b.var() as usize];
-                debug_assert!(
-                    ra != DEAD && rb != DEAD,
-                    "fanins of a reachable node precede it in creation order"
-                );
                 instrs.push([
-                    ra << 1 | a.is_complement() as u32,
-                    rb << 1 | b.is_complement() as u32,
+                    reg_of[a.var() as usize] << 1 | a.is_complement() as u32,
+                    reg_of[b.var() as usize] << 1 | b.is_complement() as u32,
                 ]);
                 reg_of[v as usize] = next;
                 next += 1;
@@ -189,9 +156,8 @@ impl CompiledAig {
             out_taps,
             reg_of,
             stats: CompileStats {
-                instructions: reachable_ands,
+                instructions: aig.num_ands(),
                 registers,
-                dead_skipped: aig.num_ands() - reachable_ands,
             },
         })
     }
@@ -216,13 +182,14 @@ impl CompiledAig {
         self.stats
     }
 
-    /// The register holding node `var`, or `None` when the node was not
-    /// compiled (outside the output-reachable cone).
-    pub fn register_of(&self, var: Var) -> Option<u32> {
-        match self.reg_of.get(var as usize) {
-            Some(&r) if r != DEAD => Some(r),
-            _ => None,
-        }
+    /// The register holding node `var`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `var` is not a node of the compiled netlist.
+    #[inline]
+    pub(crate) fn register_of(&self, var: Var) -> u32 {
+        self.reg_of[var as usize]
     }
 
     /// A reusable register-file scratch buffer for [`Self::eval_into`].
@@ -233,7 +200,7 @@ impl CompiledAig {
     /// The straight-line core: inputs are already in registers
     /// `1..=num_inputs`; runs every instruction.
     #[inline]
-    fn step(&self, regs: &mut [u64]) {
+    pub(crate) fn step(&self, regs: &mut [u64]) {
         regs[0] = 0;
         let base = 1 + self.num_inputs;
         for (i, &[a, b]) in self.instrs.iter().enumerate() {
@@ -401,7 +368,6 @@ pub fn unpack_output_words(num_patterns: usize, output_words: &[Vec<u64>]) -> Ve
 mod tests {
     use super::*;
     use crate::aig::Lit;
-    use crate::sim::SimVectors;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
 
@@ -447,24 +413,6 @@ mod tests {
     }
 
     #[test]
-    fn word_level_matches_sim_vectors() {
-        for seed in 0..4u64 {
-            let aig = random_aig(100 + seed, 9, 70, 5);
-            let code = CompiledAig::compile(&aig).expect("compiles");
-            let num_words = 4;
-            let mut rng = StdRng::seed_from_u64(seed);
-            let input_words: Vec<Vec<u64>> = (0..aig.num_inputs())
-                .map(|_| (0..num_words).map(|_| rng.random()).collect())
-                .collect();
-            let sim = SimVectors::with_input_patterns(&aig, &input_words);
-            let out = code.eval_words(&input_words, num_words);
-            for (o, lit) in aig.outputs().iter().enumerate() {
-                assert_eq!(out[o], sim.lit_pattern(*lit), "seed {seed} output {o}");
-            }
-        }
-    }
-
-    #[test]
     fn batch_roundtrip_matches_scalar_eval() {
         let aig = random_aig(7, 8, 50, 3);
         let code = CompiledAig::compile(&aig).expect("compiles");
@@ -484,20 +432,32 @@ mod tests {
     }
 
     #[test]
-    fn dead_nodes_are_skipped_without_changing_outputs() {
+    fn dead_nodes_are_compiled_without_changing_outputs() {
         let mut aig = Aig::new();
         let a = aig.add_input();
         let b = aig.add_input();
         let keep = aig.and(a, b);
-        let _dead1 = aig.or(a, b);
-        let _dead2 = aig.xor(a, b);
+        let dead1 = aig.or(a, b);
+        let dead2 = aig.xor(a, b);
         aig.add_output(keep);
         let code = CompiledAig::compile(&aig).expect("compiles");
-        assert_eq!(code.stats().instructions, 1);
-        assert_eq!(code.stats().dead_skipped, aig.num_ands() - 1);
-        assert_eq!(code.register_of(keep.var()), Some(3));
-        for (ia, ib) in [(false, false), (true, false), (true, true)] {
-            assert_eq!(code.eval(&[ia, ib]), aig.eval(&[ia, ib]));
+        assert_eq!(code.stats().instructions, aig.num_ands());
+        assert_eq!(code.num_registers(), aig.num_nodes());
+        assert_eq!(code.register_of(keep.var()), 3);
+        let mut regs: Vec<u32> = aig.iter_vars().map(|v| code.register_of(v)).collect();
+        regs.sort_unstable();
+        regs.dedup();
+        assert_eq!(regs.len(), aig.num_nodes(), "one register per node");
+        let mut scratch = code.make_scratch();
+        for bits in 0..4u32 {
+            let ins = [bits & 1 != 0, bits & 2 != 0];
+            assert_eq!(code.eval_into(&ins, &mut scratch), aig.eval(&ins));
+            // The dead nodes' registers hold their values too.
+            for (lit, want) in [(dead1, ins[0] | ins[1]), (dead2, ins[0] ^ ins[1])] {
+                let reg = code.register_of(lit.var()) as usize;
+                let got = (scratch[reg] & 1 != 0) ^ lit.is_complement();
+                assert_eq!(got, want, "{lit:?} at {ins:?}");
+            }
         }
     }
 
@@ -511,14 +471,14 @@ mod tests {
         assert_eq!(code.eval(&[]), vec![false, true]);
         assert_eq!(code.stats().instructions, 0);
 
-        // Zero outputs: every node is dead.
+        // Zero outputs: every node is dead, and still compiled.
         let mut no_out = Aig::new();
         let a = no_out.add_input();
         let b = no_out.add_input();
         let _ = no_out.and(a, b);
         let code = CompiledAig::compile(&no_out).expect("compiles");
         assert_eq!(code.eval(&[true, true]), Vec::<bool>::new());
-        assert_eq!(code.stats().dead_skipped, 1);
+        assert_eq!(code.stats().instructions, 1);
 
         // Empty AIG.
         let empty = Aig::new();

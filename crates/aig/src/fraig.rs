@@ -15,7 +15,12 @@
 //!    once, one bit lane per pinned input. Flagged nodes are proved
 //!    against the constant directly, skipping the class machinery.
 //! 2. **Random simulation signatures** — every node carries a
-//!    64-bit-per-word signature over shared random input patterns. Nodes
+//!    64-bit-per-word signature over shared random input patterns. The
+//!    signatures are plain simulation of the *source* netlist
+//!    ([`SimVectors`], dead nodes included): each fresh sweep node computes
+//!    the same function as the source AND it was built from (its fanins
+//!    are proved equal to that AND's fanins), so that AND's simulation row
+//!    is its signature. Nodes
 //!    whose signatures differ (under both phases) are *certainly* different;
 //!    only signature-equal nodes become merge candidates. Signatures are
 //!    hashed complement-canonically (complement the row if its first bit is
@@ -24,11 +29,12 @@
 //!    a running key, so appending a word updates every key in `O(1)`.
 //! 3. **Incremental SAT** — a candidate pair is handed to a single
 //!    incremental [`Solver`] that sweeps the whole netlist: the two cones
-//!    are Tseitin-encoded lazily (shared across all queries), a fresh
+//!    are Tseitin-encoded lazily ([`crate::cnf::encode_cone`], one memo
+//!    shared across all queries), a fresh
 //!    difference literal `d ⇒ (x ⊕ y)` is added, and the query is solved
-//!    under the assumption `[d]`. The solver's variables are created as
-//!    non-decision variables; each query turns on the variables of its own
-//!    two cones for the length of the solve, so the search never branches
+//!    under the assumption `[d]`. Each query turns the decision flag on
+//!    for the variables of its own two cones for the length of the solve,
+//!    and off again after it, so the search never branches
 //!    on the cones of earlier queries (ABC's fraig does the same). A SAT
 //!    answer assigns every cone variable, so the counterexample is exact
 //!    on the cones' inputs; inputs outside both cones read `false`.
@@ -81,8 +87,9 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use crate::aig::{Aig, Lit, NodeKind, Var};
+use crate::cnf::{cone_memo, constant_false, encode_cone};
 use crate::hash::FastBuild;
-use crate::sim::Ternary;
+use crate::sim::{SimVectors, Ternary};
 
 /// Tuning knobs for a fraig sweep.
 #[derive(Clone, Debug)]
@@ -231,17 +238,20 @@ struct Sweeper<'a> {
     config: &'a FraigConfig,
     src: &'a Aig,
     out: Aig,
-    /// Simulation signature per `out` var, `num_words` words each.
-    sigs: Vec<Vec<u64>>,
+    /// Simulation of the source netlist: the signature words.
+    sim: SimVectors,
+    /// Per `out` var, the source literal computing the same function,
+    /// whose row of `sim` is the var's signature.
+    sig: Vec<Lit>,
     /// Running complement-canonical FNV hash of each signature row: the
     /// class key, updated word by word as counterexamples are appended.
     keys: Vec<u64>,
-    num_words: usize,
     rng: StdRng,
     /// Representative literal per `out` var — identity unless the node was
     /// proved equal to an earlier one.
     repr: Vec<Lit>,
-    /// Lazily assigned SAT literal per `out` var (sweep solver).
+    /// Lazily assigned SAT literal per `out` var (sweep solver): the
+    /// [`encode_cone`] memo.
     sat_of: Vec<Option<SatLit>>,
     /// The incremental sweep solver; its variables are decision variables
     /// only while a query's cones include them.
@@ -274,37 +284,37 @@ impl<'a> Sweeper<'a> {
     fn new(src: &'a Aig, config: &'a FraigConfig) -> Self {
         let num_words = config.sim_words.max(1);
         let mut rng = StdRng::seed_from_u64(config.seed);
+        let input_words: Vec<Vec<u64>> = (0..src.num_inputs())
+            .map(|_| (0..num_words).map(|_| rng.random()).collect())
+            .collect();
+        let sim = SimVectors::with_input_patterns(src, &input_words);
         let mut out = Aig::with_capacity(src.num_nodes());
         let mut solver = Solver::new();
 
         // Node 0: constant false, in both worlds. Its SAT literal is a
         // variable pinned false by a unit clause.
-        let f = sweep_var(&mut solver);
-        solver.add_clause(&[SatLit::negative(f)]);
-        let mut sigs = vec![vec![0u64; num_words]];
-        let mut sat_of = vec![Some(SatLit::positive(f))];
-        let mut repr = vec![Lit::FALSE];
-
-        let mut input_sat = Vec::with_capacity(src.num_inputs());
-        for i in 0..src.num_inputs() {
-            let lit = out.add_named_input(src.input_name(i));
-            sigs.push((0..num_words).map(|_| rng.random::<u64>()).collect());
-            let v = sweep_var(&mut solver);
-            sat_of.push(Some(SatLit::positive(v)));
-            input_sat.push(v);
-            repr.push(lit);
-        }
-
-        let keys = sigs.iter().map(|row| canonical_key(row)).collect();
+        let f = constant_false(&mut solver);
+        solver.set_decision_var(f.var(), false);
+        let input_sat: Vec<SatVar> = (0..src.num_inputs())
+            .map(|i| {
+                out.add_named_input(src.input_name(i));
+                sweep_var(&mut solver)
+            })
+            .collect();
+        let sat_of = cone_memo(&out, f, &input_sat);
+        let sig: Vec<Lit> = std::iter::once(Lit::FALSE)
+            .chain(src.inputs().iter().map(|&v| Lit::positive(v)))
+            .collect();
+        let keys = sig.iter().map(|&lit| signature_key(&sim, lit)).collect();
         let mut sweeper = Sweeper {
             config,
             src,
+            repr: out.iter_vars().map(Lit::positive).collect(),
             out,
-            sigs,
+            sim,
+            sig,
             keys,
-            num_words,
             rng,
-            repr,
             sat_of,
             solver,
             input_sat,
@@ -343,13 +353,13 @@ impl<'a> Sweeper<'a> {
                 continue;
             }
             let cv = cand.var();
-            if (cv as usize) < self.sigs.len() {
+            if (cv as usize) < self.sig.len() {
                 // Strash hit on an existing node: follow its representative.
                 map[v as usize] = self.repr[cv as usize].xor_complement(cand.is_complement());
                 continue;
             }
-            debug_assert_eq!(cv as usize, self.sigs.len(), "fresh nodes are dense");
-            self.push_node(cv);
+            debug_assert_eq!(cv as usize, self.sig.len(), "fresh nodes are dense");
+            self.push_node(cv, Lit::new(v, cand.is_complement()));
             let rep = match ternary[v as usize] {
                 Ternary::Zero => self.merge_constant(cv, Lit::FALSE),
                 Ternary::One => self.merge_constant(cv, Lit::TRUE),
@@ -368,15 +378,11 @@ impl<'a> Sweeper<'a> {
         self.out.compact()
     }
 
-    /// Computes and stores the signature row and class key of a freshly
-    /// created AND.
-    fn push_node(&mut self, cv: Var) {
-        let (a, b) = self.out.and_fanins(cv).expect("fresh fraig node is an AND");
-        let row: Vec<u64> = (0..self.num_words)
-            .map(|w| sig_word(&self.sigs, a, w) & sig_word(&self.sigs, b, w))
-            .collect();
-        self.keys.push(canonical_key(&row));
-        self.sigs.push(row);
+    /// Registers a freshly created AND `cv`, whose function is the source
+    /// literal `sig`'s, and computes its class key.
+    fn push_node(&mut self, cv: Var, sig: Lit) {
+        self.keys.push(signature_key(&self.sim, sig));
+        self.sig.push(sig);
         self.sat_of.push(None);
         self.next_member.push(NO_MEMBER);
         self.repr.push(Lit::positive(cv));
@@ -440,13 +446,13 @@ impl<'a> Sweeper<'a> {
         let Some(&(first, _)) = self.classes.get(&key) else {
             return Scan::NewRep;
         };
-        let phase = self.sigs[cv as usize][0] & 1 != 0;
+        let phase = self.phase(cv);
         // Only a refutation edits the class table, and it ends the scan.
         let mut next = first;
         while next != NO_MEMBER {
             let m = next;
             next = self.next_member[m as usize];
-            let flip = phase != (self.sigs[m as usize][0] & 1 != 0);
+            let flip = phase != self.phase(m);
             if !self.sig_rows_equal(cv, m, flip) {
                 continue; // hash collision or an already-split pair
             }
@@ -475,11 +481,17 @@ impl<'a> Sweeper<'a> {
         Scan::NewRep
     }
 
+    /// The first signature bit of `out` var `v`.
+    fn phase(&self, v: Var) -> bool {
+        self.sim.lit_word(self.sig[v as usize], 0) & 1 != 0
+    }
+
     fn sig_rows_equal(&self, a: Var, b: Var, flip: bool) -> bool {
-        self.sigs[a as usize]
-            .iter()
-            .zip(&self.sigs[b as usize])
-            .all(|(&x, &y)| x == if flip { !y } else { y })
+        let (la, lb) = (
+            self.sig[a as usize],
+            self.sig[b as usize].xor_complement(flip),
+        );
+        (0..self.sim.num_words()).all(|w| self.sim.lit_word(la, w) == self.sim.lit_word(lb, w))
     }
 
     /// One equivalence query `x == y` against the incremental sweep
@@ -487,8 +499,8 @@ impl<'a> Sweeper<'a> {
     /// escalation on budget exhaustion. A proof is locked in as two binary
     /// clauses.
     fn prove_equal(&mut self, x: Lit, y: Lit) -> Outcome {
-        let lx = encode_cone(&self.out, &mut self.solver, &mut self.sat_of, x);
-        let ly = encode_cone(&self.out, &mut self.solver, &mut self.sat_of, y);
+        let lx = encode_cone(&mut self.solver, &self.out, &mut self.sat_of, x);
+        let ly = encode_cone(&mut self.solver, &self.out, &mut self.sat_of, y);
         self.collect_cone(x.var(), y.var());
         self.set_cone_decisions(true);
         let d = SatLit::positive(sweep_var(&mut self.solver));
@@ -557,18 +569,16 @@ impl<'a> Sweeper<'a> {
         self.stats.escalations += 1;
         self.stats.sat_calls += 1;
         let mut portfolio = PortfolioSolver::new("fraig");
-        let mut emap: Vec<Option<SatLit>> = vec![None; self.sigs.len()];
-        let f = portfolio.new_var();
-        portfolio.add_clause(&[SatLit::negative(f)]);
-        emap[0] = Some(SatLit::positive(f));
-        let mut inputs = Vec::with_capacity(self.input_sat.len());
-        for &iv in self.out.inputs() {
-            let v = portfolio.new_var();
-            emap[iv as usize] = Some(SatLit::positive(v));
-            inputs.push(v);
-        }
-        let lx = encode_cone(&self.out, &mut portfolio, &mut emap, x);
-        let ly = encode_cone(&self.out, &mut portfolio, &mut emap, y);
+        let f = constant_false(&mut portfolio);
+        let inputs: Vec<SatVar> = self
+            .out
+            .inputs()
+            .iter()
+            .map(|_| portfolio.new_var())
+            .collect();
+        let mut emap = cone_memo(&self.out, f, &inputs);
+        let lx = encode_cone(&mut portfolio, &self.out, &mut emap, x);
+        let ly = encode_cone(&mut portfolio, &self.out, &mut emap, y);
         // Assert the difference directly — no assumptions, one-shot query.
         portfolio.add_clause(&[lx, ly]);
         portfolio.add_clause(&[!lx, !ly]);
@@ -593,25 +603,23 @@ impl<'a> Sweeper<'a> {
     /// keys in the original insertion order (the map keeps its capacity,
     /// so no rebuild allocates).
     fn append_cex(&mut self, cex: &[bool]) {
-        let w = self.num_words;
-        self.num_words += 1;
+        let word: Vec<u64> = cex
+            .iter()
+            .map(|&bit| {
+                let base = if bit { !0u64 } else { 0 };
+                let mask = (self.rng.random::<u64>()
+                    & self.rng.random::<u64>()
+                    & self.rng.random::<u64>())
+                    & !1;
+                base ^ mask
+            })
+            .collect();
+        self.sim.push_word(&word);
         self.stats.sim_words_added += 1;
-        for v in 0..self.out.num_nodes() as Var {
-            let word = match self.out.node(v) {
-                NodeKind::Const0 => 0,
-                NodeKind::Input(i) => {
-                    let base = if cex[i as usize] { !0u64 } else { 0 };
-                    let mask = (self.rng.random::<u64>()
-                        & self.rng.random::<u64>()
-                        & self.rng.random::<u64>())
-                        & !1;
-                    base ^ mask
-                }
-                NodeKind::And(a, b) => sig_word(&self.sigs, a, w) & sig_word(&self.sigs, b, w),
-            };
-            let row = &mut self.sigs[v as usize];
-            self.keys[v as usize] = fnv_fold(self.keys[v as usize], word, row[0] & 1 != 0);
-            row.push(word);
+        let w = self.sim.num_words() - 1;
+        for (key, &lit) in self.keys.iter_mut().zip(&self.sig) {
+            let phase = self.sim.lit_word(lit, 0) & 1 != 0;
+            *key = fnv_fold(*key, self.sim.lit_word(lit, w), phase);
         }
         self.classes.clear();
         for i in 0..self.members.len() {
@@ -700,106 +708,20 @@ fn fnv_fold(key: u64, word: u64, flip: bool) -> u64 {
     (key ^ if flip { !word } else { word }).wrapping_mul(FNV_PRIME)
 }
 
-/// Complement-canonical FNV hash of a whole signature row.
-fn canonical_key(row: &[u64]) -> u64 {
-    let flip = row[0] & 1 != 0;
-    row.iter().fold(FNV_OFFSET, |h, &w| fnv_fold(h, w, flip))
+/// Complement-canonical FNV hash of the whole signature row of `lit`.
+fn signature_key(sim: &SimVectors, lit: Lit) -> u64 {
+    let flip = sim.lit_word(lit, 0) & 1 != 0;
+    (0..sim.num_words()).fold(FNV_OFFSET, |h, w| fnv_fold(h, sim.lit_word(lit, w), flip))
 }
 
-/// Word `w` of a literal's signature (complemented on the fly).
-#[inline]
-fn sig_word(sigs: &[Vec<u64>], lit: Lit, w: usize) -> u64 {
-    let x = sigs[lit.var() as usize][w];
-    if lit.is_complement() {
-        !x
-    } else {
-        x
-    }
-}
-
-/// A fresh sweep-solver variable. It is not a decision variable:
+/// A fresh sweep-solver variable that is not a decision variable:
 /// [`Sweeper::prove_equal`] turns on the variables of each query's cones
-/// for the length of its solve.
+/// for the length of its solve. (The cone's AND variables come from a
+/// plain `new_var`; the flag is switched off for them after the solve.)
 fn sweep_var(solver: &mut Solver) -> SatVar {
     let v = solver.new_var();
     solver.set_decision_var(v, false);
     v
-}
-
-/// The clause-accepting surface shared by the serial sweep solver and the
-/// escalation portfolio. (The richer `ClauseSink` lives in `almost_sat`,
-/// a layer above this crate.)
-trait SolverLike {
-    fn new_var(&mut self) -> SatVar;
-    fn add_clause(&mut self, lits: &[SatLit]);
-}
-
-impl SolverLike for Solver {
-    fn new_var(&mut self) -> SatVar {
-        sweep_var(self)
-    }
-    fn add_clause(&mut self, lits: &[SatLit]) {
-        Solver::add_clause(self, lits)
-    }
-}
-
-impl SolverLike for PortfolioSolver {
-    fn new_var(&mut self) -> SatVar {
-        PortfolioSolver::new_var(self)
-    }
-    fn add_clause(&mut self, lits: &[SatLit]) {
-        PortfolioSolver::add_clause(self, lits)
-    }
-}
-
-/// Tseitin-encodes the cone of `root` into `solver`, memoised in `map`
-/// (inputs and the constant must be pre-encoded). Returns the SAT literal
-/// of `root`.
-fn encode_cone<S: SolverLike>(
-    aig: &Aig,
-    solver: &mut S,
-    map: &mut [Option<SatLit>],
-    root: Lit,
-) -> SatLit {
-    let mut stack = vec![root.var()];
-    while let Some(&v) = stack.last() {
-        if map[v as usize].is_some() {
-            stack.pop();
-            continue;
-        }
-        let (a, b) = aig
-            .and_fanins(v)
-            .expect("inputs and the constant are pre-encoded");
-        let mut ready = true;
-        for child in [a.var(), b.var()] {
-            if map[child as usize].is_none() {
-                stack.push(child);
-                ready = false;
-            }
-        }
-        if !ready {
-            continue;
-        }
-        stack.pop();
-        let la = tseitin_lit(map, a);
-        let lb = tseitin_lit(map, b);
-        let c = SatLit::positive(solver.new_var());
-        solver.add_clause(&[!c, la]);
-        solver.add_clause(&[!c, lb]);
-        solver.add_clause(&[c, !la, !lb]);
-        map[v as usize] = Some(c);
-    }
-    tseitin_lit(map, root)
-}
-
-#[inline]
-fn tseitin_lit(map: &[Option<SatLit>], lit: Lit) -> SatLit {
-    let s = map[lit.var() as usize].expect("cone encoded");
-    if lit.is_complement() {
-        !s
-    } else {
-        s
-    }
 }
 
 #[cfg(test)]
@@ -888,9 +810,39 @@ mod tests {
         let mut sweeper = Sweeper::new(&aig, &config);
         sweeper.run();
         assert!(sweeper.stats.sim_words_added > 0, "{:?}", sweeper.stats);
-        for (v, row) in sweeper.sigs.iter().enumerate() {
-            assert_eq!(row.len(), sweeper.num_words);
-            assert_eq!(sweeper.keys[v], canonical_key(row), "node {v}");
+        let num_words = sweeper.sim.num_words();
+        assert_eq!(
+            num_words as u64,
+            config.sim_words as u64 + sweeper.stats.sim_words_added
+        );
+        assert_eq!(sweeper.keys.len(), sweeper.out.num_nodes());
+        for (v, &lit) in sweeper.sig.iter().enumerate() {
+            assert_eq!(
+                sweeper.keys[v],
+                signature_key(&sweeper.sim, lit),
+                "node {v}"
+            );
+        }
+        // Every sweep node's signature is its own simulation on the same
+        // patterns: the source row it borrows is the right one.
+        let input_words: Vec<Vec<u64>> = aig
+            .inputs()
+            .iter()
+            .map(|&i| {
+                (0..num_words)
+                    .map(|w| sweeper.sim.lit_word(Lit::positive(i), w))
+                    .collect()
+            })
+            .collect();
+        let own = SimVectors::with_input_patterns(&sweeper.out, &input_words);
+        for (v, &lit) in sweeper.sig.iter().enumerate() {
+            for w in 0..num_words {
+                assert_eq!(
+                    own.lit_word(Lit::positive(v as Var), w),
+                    sweeper.sim.lit_word(lit, w),
+                    "node {v} word {w}"
+                );
+            }
         }
     }
 

@@ -5,9 +5,11 @@
 //! ABC synthesis system that the ALMOST paper relies on:
 //!
 //! - an append-only, structurally hashed [`Aig`] data structure ([`aig`]),
-//! - 64-bit parallel random simulation ([`sim`]), and a batch compiler
-//!   lowering the output cone to a flat instruction buffer for
-//!   oracle-grade throughput ([`compile`]),
+//! - a batch compiler lowering every AND to a flat instruction buffer
+//!   evaluated 64 patterns per word ([`compile`]), and the bit-parallel
+//!   simulation vectors built on it ([`sim`]),
+//! - Tseitin encoding into CNF ([`cnf`]) and fraig SAT sweeping
+//!   ([`mod@fraig`]) on the CDCL core of `almost_cdcl`,
 //! - truth tables up to 16 variables with NPN canonisation ([`truth`],
 //!   [`npn`]),
 //! - k-feasible cut enumeration ([`cut`]),
@@ -19,7 +21,7 @@
 //!   [`balance`](passes::balance) — plus the `resyn2` baseline script.
 //!
 //! The passes are *real* DAG-rewriting algorithms (cut-based rewriting with
-//! MFFC gain accounting, reconvergence-driven refactoring, simulation-guided
+//! MFFC gain accounting, reconvergence-driven refactoring, truth-table-guided
 //! resubstitution, AND-tree balancing), so distinct synthesis recipes induce
 //! genuinely distinct local structure around key-gates — the property the
 //! ALMOST defence and the ML attacks both exploit.
@@ -42,6 +44,7 @@
 
 pub mod aig;
 pub mod aiger;
+pub mod cnf;
 pub mod compile;
 pub mod cut;
 pub mod fraig;

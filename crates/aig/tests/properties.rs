@@ -467,12 +467,12 @@ proptest! {
                 let tt = cut_function(&aig, v, cut.leaves());
                 // Check the truth table against simulation: for each
                 // pattern, node value must equal tt(leaf values).
-                let node_pat = sim.node_pattern(v);
-                for (w, &word) in node_pat.iter().enumerate().take(2) {
+                for w in 0..sim.num_words() {
+                    let word = sim.lit_word(Lit::positive(v), w);
                     for b in 0..64usize {
                         let mut idx = 0usize;
                         for (i, &leaf) in cut.leaves().iter().enumerate() {
-                            if (sim.node_pattern(leaf)[w] >> b) & 1 != 0 {
+                            if (sim.lit_word(Lit::positive(leaf), w) >> b) & 1 != 0 {
                                 idx |= 1 << i;
                             }
                         }

@@ -13,7 +13,7 @@
 //! prove every wrapper away with real SAT queries before the output
 //! cones collapse.
 
-use almost_bench::{banner, pool, write_csv};
+use almost_bench::{banner, pool, telemetry, write_csv};
 use almost_circuits::{redundify, IscasBenchmark};
 use almost_core::Scale;
 use almost_sat::{check_equivalence, Equivalence};
@@ -58,6 +58,7 @@ fn run() {
             Equivalence::Equivalent,
             "{bench}: redundified pair must certify equivalent"
         );
+        telemetry::cell_done(|| bench.name().to_string());
 
         let line = format!(
             "{:<8} {:>6} {:>8} {:>10.3}s {:>12}",

@@ -9,7 +9,7 @@
 //! job pins a 10x floor on c1355 (`tests/oracle_throughput.rs`); this
 //! harness records the actual margins.
 
-use almost_bench::{banner, pool, write_csv};
+use almost_bench::{banner, pool, telemetry, write_csv};
 use almost_circuits::IscasBenchmark;
 use almost_core::Scale;
 use almost_locking::{BatchOracle, CompiledOracle, InterpretedOracle};
@@ -73,6 +73,7 @@ fn run() {
         let compiled_answers = compiled.query_batch(&patterns);
         let compiled_secs = started.elapsed().as_secs_f64();
         assert_eq!(walk_answers, compiled_answers, "backends must agree");
+        telemetry::cell_done(|| bench.name().to_string());
 
         let walk_rate = num_patterns as f64 / walk_secs.max(1e-12);
         let compiled_rate = num_patterns as f64 / compiled_secs.max(1e-12);

@@ -13,7 +13,7 @@
 //! scheduling (`ALMOST_JOBS=1` forces the serial reference run).
 
 use almost_attacks::{AttackTarget, OracleGuidedAttack, SatAttack, SatAttackConfig};
-use almost_bench::{banner, lock_benchmark, pct, pool, write_csv};
+use almost_bench::{banner, lock_benchmark, pct, pool, telemetry, write_csv};
 use almost_circuits::IscasBenchmark;
 use almost_core::{Recipe, Scale};
 use almost_locking::CircuitOracle;
@@ -78,6 +78,7 @@ fn run() {
         let started = Instant::now();
         let outcome = attack.attack_with_oracle(&target, &oracle);
         let elapsed = started.elapsed();
+        telemetry::cell_done(|| format!("{} k={key_size} {mode}", bench.name()));
         let line = format!(
             "{:<8} {:>4} {:<7} {:>6} {:>8} {:>10} {:>10} {:>8} {:>8.2}s {:>8}",
             bench.name(),

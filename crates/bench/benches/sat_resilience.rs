@@ -18,7 +18,7 @@ use almost_attacks::{
     render_dip_scaling, DipScalingRow, DoubleDip, DoubleDipConfig, SatAttack, SatAttackConfig,
     SatAttackMode, SolverStats,
 };
-use almost_bench::{banner, lock_benchmark_with, pool, write_csv};
+use almost_bench::{banner, lock_benchmark_with, pool, telemetry, write_csv};
 use almost_circuits::IscasBenchmark;
 use almost_core::Scale;
 use almost_locking::{
@@ -148,6 +148,7 @@ fn run() {
             dd.two_dip_settled && cec_ok(&design, &locked, &base_key),
             dd.solver,
         );
+        telemetry::cell_done(|| format!("{} k={k} {}", bench.name(), scheme.name()));
         vec![sat_row, dd_row]
     });
 

@@ -570,9 +570,10 @@ mod tests {
             let live = aig
                 .outputs()
                 .iter()
-                .filter(|l| {
-                    let p = sim.lit_pattern(**l);
-                    p.iter().any(|&w| w != 0) && p.iter().any(|&w| w != u64::MAX)
+                .filter(|&&l| {
+                    let words: Vec<u64> =
+                        (0..sim.num_words()).map(|w| sim.lit_word(l, w)).collect();
+                    words.iter().any(|&w| w != 0) && words.iter().any(|&w| w != u64::MAX)
                 })
                 .count();
             assert!(

@@ -105,7 +105,6 @@ fn compile_for_oracle(design: &Aig) -> Result<CompiledAig, CompileError> {
             ands: design.num_ands() as u64,
             instructions: stats.instructions as u64,
             registers: stats.registers as u64,
-            dead_skipped: stats.dead_skipped as u64,
             wall_us,
         });
     }

@@ -8,9 +8,9 @@
 //! not merge reach that query; ATPG poses it directly on the good and
 //! the faulty copy.
 
-use crate::cnf::{encode_with_inputs, encode_xor};
 use crate::portfolio::PortfolioSolver;
 use crate::solver::{SatLit, SatResult, SatVar, Solver};
+use almost_aig::cnf::{cone_memo, constant_false, encode_cone, encode_xor};
 use almost_aig::{fraig_with, Aig, FraigConfig, Lit, Var};
 use std::collections::HashMap;
 
@@ -87,14 +87,20 @@ pub fn check_equivalence(a: &Aig, b: &Aig) -> Equivalence {
 
     // Residual outputs: the sweep could not merge them (either truly
     // inequivalent, or equivalent only through a proof it skipped).
-    // Settle them with one unbudgeted portfolio query over the swept —
-    // already internally reduced — network.
+    // Settle them with one unbudgeted portfolio query over the cones of
+    // the residual pairs in the swept — already internally reduced —
+    // network.
     let mut solver = PortfolioSolver::new("cec");
     let input_vars: Vec<SatVar> = (0..swept.num_inputs()).map(|_| solver.new_var()).collect();
-    let cnf = encode_with_inputs(&mut solver, &swept, &input_vars, &HashMap::new());
+    let f = constant_false(&mut solver);
+    let mut memo = cone_memo(&swept, f, &input_vars);
     let diffs: Vec<SatLit> = residual
         .iter()
-        .map(|&i| encode_xor(&mut solver, cnf.output_lits[i], cnf.output_lits[i + n]))
+        .map(|&i| {
+            let la = encode_cone(&mut solver, &swept, &mut memo, swept.outputs()[i]);
+            let lb = encode_cone(&mut solver, &swept, &mut memo, swept.outputs()[i + n]);
+            encode_xor(&mut solver, la, lb)
+        })
         .collect();
     solver.add_clause(&diffs);
     match solver.solve(&[]) {
@@ -115,6 +121,10 @@ pub fn check_equivalence(a: &Aig, b: &Aig) -> Equivalence {
 /// testable, `None` if it is *untestable* (redundant) — the quantity the
 /// redundancy attack counts.
 ///
+/// The good and the faulty copy share the input variables and nothing
+/// else; each encodes only the output cones, and the faulty copy's memo
+/// holds the stuck value for `node`, so its cone is never encoded there.
+///
 /// # Panics
 ///
 /// Panics if `node` is out of range for `aig`.
@@ -122,16 +132,18 @@ pub fn test_stuck_at(aig: &Aig, node: Var, stuck_value: bool) -> Option<Vec<bool
     assert!((node as usize) < aig.num_nodes());
     let mut solver = Solver::new();
     let inputs: Vec<SatVar> = (0..aig.num_inputs()).map(|_| solver.new_var()).collect();
-    let good = encode_with_inputs(&mut solver, aig, &inputs, &HashMap::new());
-    let mut overrides = HashMap::new();
-    overrides.insert(node, stuck_value);
-    let faulty = encode_with_inputs(&mut solver, aig, &inputs, &overrides);
-
-    let diffs: Vec<SatLit> = good
-        .output_lits
+    let f = constant_false(&mut solver);
+    let mut good = cone_memo(aig, f, &inputs);
+    let mut faulty = good.clone();
+    faulty[node as usize] = Some(if stuck_value { !f } else { f });
+    let diffs: Vec<SatLit> = aig
+        .outputs()
         .iter()
-        .zip(&faulty.output_lits)
-        .map(|(&la, &lb)| encode_xor(&mut solver, la, lb))
+        .map(|&o| {
+            let la = encode_cone(&mut solver, aig, &mut good, o);
+            let lb = encode_cone(&mut solver, aig, &mut faulty, o);
+            encode_xor(&mut solver, la, lb)
+        })
         .collect();
     solver.add_clause(&diffs);
 
@@ -150,7 +162,7 @@ pub fn test_stuck_at(aig: &Aig, node: Var, stuck_value: bool) -> Option<Vec<bool
 mod tests {
     use super::*;
     use almost_aig::passes::Script;
-    use almost_aig::{Aig, Pass};
+    use almost_aig::{Aig, CompiledAig, NodeKind, Pass};
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
 
@@ -237,6 +249,71 @@ mod tests {
         aig.add_output(f);
         let pattern = test_stuck_at(&aig, f.var(), false).expect("testable");
         assert_eq!(pattern, vec![true, true]);
+    }
+
+    /// `aig` with node `node` replaced by the constant `value`.
+    fn with_stuck_at(aig: &Aig, node: Var, value: bool) -> Aig {
+        let mut out = Aig::new();
+        let mut map = vec![almost_aig::Lit::FALSE; aig.num_nodes()];
+        for v in aig.iter_vars() {
+            map[v as usize] = match aig.node(v) {
+                NodeKind::Const0 => almost_aig::Lit::FALSE,
+                NodeKind::Input(_) => out.add_input(),
+                NodeKind::And(a, b) => {
+                    let fa = map[a.var() as usize].xor_complement(a.is_complement());
+                    let fb = map[b.var() as usize].xor_complement(b.is_complement());
+                    out.and(fa, fb)
+                }
+            };
+            if v == node {
+                map[v as usize] = almost_aig::Lit::new(0, value);
+            }
+        }
+        for &o in aig.outputs() {
+            out.add_output(map[o.var() as usize].xor_complement(o.is_complement()));
+        }
+        out
+    }
+
+    #[test]
+    fn stuck_at_verdicts_match_brute_force() {
+        let (mut testable, mut untestable) = (0, 0);
+        for seed in 0..16u64 {
+            let num_inputs = 2 + seed as usize % 7;
+            let aig = random_aig(num_inputs, 24, 100 + seed);
+            let patterns: Vec<Vec<bool>> = (0..1usize << num_inputs)
+                .map(|p| (0..num_inputs).map(|i| p >> i & 1 != 0).collect())
+                .collect();
+            let good = CompiledAig::compile(&aig).expect("compiles");
+            let good_out = good.eval_batch(&patterns);
+            for node in aig.iter_ands() {
+                for stuck in [false, true] {
+                    let faulty = with_stuck_at(&aig, node, stuck);
+                    let faulty_out = CompiledAig::compile(&faulty)
+                        .expect("compiles")
+                        .eval_batch(&patterns);
+                    let detectable = good_out != faulty_out;
+                    match test_stuck_at(&aig, node, stuck) {
+                        Some(p) => {
+                            assert_ne!(
+                                aig.eval(&p),
+                                faulty.eval(&p),
+                                "seed {seed} node {node} stuck-at-{stuck}: pattern misses"
+                            );
+                            testable += 1;
+                        }
+                        None => {
+                            assert!(
+                                !detectable,
+                                "seed {seed} node {node} stuck-at-{stuck}: testable fault missed"
+                            );
+                            untestable += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(testable > 0 && untestable > 0, "{testable} / {untestable}");
     }
 
     #[test]

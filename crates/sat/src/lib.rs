@@ -1,5 +1,5 @@
-//! A compact CDCL SAT solver with AIG Tseitin encoding, combinational
-//! equivalence checking (CEC) and stuck-at-fault test generation.
+//! A compact CDCL SAT solver with combinational equivalence checking
+//! (CEC), stuck-at-fault test generation and key-conditioned miters.
 //!
 //! This crate provides the "proof engine" substrate of the ALMOST
 //! reproduction: the synthesis passes are validated by [`equiv`]'s
@@ -20,9 +20,11 @@
 //! `almost-attacks`, and [`miter::KeyMiter::two_dip`] builds the
 //! four-copy 2-DIP miter that defeats point-function defences (SARLock,
 //! Anti-SAT). Every miter encodes through one structurally hashed
-//! [`cnf::StrashEncoder`], so key copies share their key-free logic and
-//! I/O residues share gates; CEC and ATPG keep the plain per-copy
-//! [`cnf::encode_with_inputs`].
+//! [`almost_aig::cnf::StrashEncoder`], so key copies share their key-free
+//! logic and I/O residues share gates; CEC and ATPG encode only the
+//! output cones they query, through the lazy
+//! [`almost_aig::cnf::encode_cone`]. Tseitin encoding itself lives in
+//! `almost_aig::cnf`, next to the fraig sweep that uses it.
 //!
 //! # Example
 //!
@@ -38,7 +40,6 @@
 //! assert_eq!(s.value(b), Some(true));
 //! ```
 
-pub mod cnf;
 pub mod dimacs;
 pub mod equiv;
 pub mod miter;

@@ -64,9 +64,9 @@
 //! they never query the oracle. Like the I/O constraints, each probe binds
 //! `x` to constant literals, so only its key-dependent residue is encoded.
 
-use crate::cnf::{encode_xor, StrashEncoder};
 use crate::portfolio::{PortfolioSolver, PortfolioStats};
 use crate::solver::{SatLit, SatResult, SatVar};
+use almost_aig::cnf::{encode_xor, StrashEncoder};
 use almost_aig::Aig;
 
 /// Outcome of one DIP (or 2-DIP) query.

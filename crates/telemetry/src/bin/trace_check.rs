@@ -193,13 +193,7 @@ fn check_jsonl(text: &str) -> Result<(BTreeSet<u64>, BTreeSet<u64>), String> {
                     .ok_or(format!("line {n}: missing loss"))?;
             }
             "oracle_compile" => {
-                for f in [
-                    "ands",
-                    "instructions",
-                    "registers",
-                    "dead_skipped",
-                    "wall_us",
-                ] {
+                for f in ["ands", "instructions", "registers", "wall_us"] {
                     req_u64(&v, f, n)?;
                 }
             }

@@ -207,12 +207,10 @@ pub enum EventKind {
     OracleCompile {
         /// AND nodes in the source netlist.
         ands: u64,
-        /// Instructions emitted (the output-reachable cone).
+        /// Instructions emitted (one per AND node).
         instructions: u64,
         /// Register-file size of the compiled program.
         registers: u64,
-        /// Dead AND nodes skipped by the compiler.
-        dead_skipped: u64,
         /// Compile wall time in microseconds.
         wall_us: u64,
     },
@@ -449,13 +447,12 @@ impl Event {
                 ands,
                 instructions,
                 registers,
-                dead_skipped,
                 wall_us,
             } => {
                 let _ = write!(
                     s,
                     "\"kind\":\"oracle_compile\",\"ands\":{ands},\"instructions\":{instructions},\
-                     \"registers\":{registers},\"dead_skipped\":{dead_skipped},\"wall_us\":{wall_us}"
+                     \"registers\":{registers},\"wall_us\":{wall_us}"
                 );
             }
             EventKind::FraigPass {
@@ -593,9 +590,8 @@ mod tests {
             },
             EventKind::OracleCompile {
                 ands: 640,
-                instructions: 600,
-                registers: 642,
-                dead_skipped: 40,
+                instructions: 640,
+                registers: 682,
                 wall_us: 85,
             },
             EventKind::FraigPass {

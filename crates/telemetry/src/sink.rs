@@ -297,14 +297,13 @@ impl Sink for ChromeTraceSink {
                 ands,
                 instructions,
                 registers,
-                dead_skipped,
                 wall_us,
             } => {
                 self.push(format!(
                     "{{\"name\":\"oracle compile\",\"cat\":\"oracle\",\"ph\":\"i\",\"ts\":{t},\
                      \"s\":\"t\",\"pid\":1,\"tid\":{tid},\"args\":{{\"ands\":{ands},\
                      \"instructions\":{instructions},\"registers\":{registers},\
-                     \"dead_skipped\":{dead_skipped},\"wall_us\":{wall_us}}}}}"
+                     \"wall_us\":{wall_us}}}}}"
                 ));
             }
             EventKind::FraigPass {
