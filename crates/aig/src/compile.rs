@@ -413,6 +413,25 @@ mod tests {
     }
 
     #[test]
+    fn word_level_matches_sim_vectors() {
+        for seed in 0..4u64 {
+            let aig = random_aig(100 + seed, 9, 70, 5);
+            let code = CompiledAig::compile(&aig).expect("compiles");
+            let num_words = 4;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let input_words: Vec<Vec<u64>> = (0..aig.num_inputs())
+                .map(|_| (0..num_words).map(|_| rng.random()).collect())
+                .collect();
+            let sim = crate::sim::SimVectors::with_input_patterns(&aig, &input_words);
+            let out = code.eval_words(&input_words, num_words);
+            for (o, lit) in aig.outputs().iter().enumerate() {
+                let want: Vec<u64> = (0..num_words).map(|w| sim.lit_word(*lit, w)).collect();
+                assert_eq!(out[o], want, "seed {seed} output {o}");
+            }
+        }
+    }
+
+    #[test]
     fn batch_roundtrip_matches_scalar_eval() {
         let aig = random_aig(7, 8, 50, 3);
         let code = CompiledAig::compile(&aig).expect("compiles");

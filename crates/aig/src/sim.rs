@@ -405,6 +405,34 @@ mod tests {
     }
 
     #[test]
+    fn lits_equal_detects_complement() {
+        let (aig, a, _, _) = xor_aig();
+        let sim = SimVectors::random(&aig, 4, 7);
+        for w in 0..sim.num_words() {
+            assert_eq!(sim.lit_word(a, w), sim.lit_word(a, w));
+            assert_eq!(sim.lit_word(!a, w), !sim.lit_word(a, w));
+        }
+    }
+
+    #[test]
+    fn lit_word_and_cross_compare_agree_with_lit_pattern() {
+        let (aig, a, b, f) = xor_aig();
+        let sim = SimVectors::random(&aig, 4, 11);
+        // The same patterns simulated again, in a separate set of vectors.
+        let inputs: Vec<Vec<u64>> = [a, b]
+            .iter()
+            .map(|&l| (0..4).map(|w| sim.lit_word(l, w)).collect())
+            .collect();
+        let other = SimVectors::with_input_patterns(&aig, &inputs);
+        for w in 0..4 {
+            assert_eq!(sim.lit_word(f, w), sim.lit_word(a, w) ^ sim.lit_word(b, w));
+            assert_eq!(sim.lit_word(!f, w), !sim.lit_word(f, w));
+            assert_eq!(sim.lit_word(f, w), other.lit_word(f, w));
+            assert_ne!(sim.lit_word(f, w), other.lit_word(!f, w));
+        }
+    }
+
+    #[test]
     fn ternary_case_split_finds_hidden_constant() {
         // g = (a & b) & !a == 0, built through two distinct AND nodes so
         // one-level strash simplification cannot see it. All-X ternary
