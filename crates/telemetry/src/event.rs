@@ -627,6 +627,95 @@ mod tests {
         }
     }
 
+    /// One event of every kind, covering string escapes, non-finite
+    /// floats and empty and non-empty worker rows: a table, one event per
+    /// line of [`GOLDEN_LINES`].
+    #[rustfmt::skip]
+    fn golden_kinds() -> Vec<EventKind> {
+        let worker = WorkerTally { executed: 2, stolen: 1, busy_us: 77 };
+        let racer = RaceWorkerTally { conflicts: 9, imported: 2, exported: 1 };
+        vec![
+            EventKind::SpanOpen { scope: Scope::Cell, name: "c1908 \"q\"\n\tx\\y".into() },
+            EventKind::SpanClose { scope: Scope::Search, name: "anneal".into(), dur_us: 12 },
+            EventKind::PoolJob { worker: 1, job: 3, stolen: true, start_us: 5, dur_us: 9 },
+            EventKind::PoolBatch { jobs: 4, workers: 2, per_worker: vec![WorkerTally::default(), worker] },
+            EventKind::PoolBatch { jobs: 0, workers: 0, per_worker: Vec::new() },
+            EventKind::SolverProgress {
+                total: SolverCounters { decisions: 1, propagations: 2, conflicts: 3, restarts: 4 },
+                delta: SolverCounters { decisions: 5, propagations: 6, conflicts: 7, restarts: 8 },
+            },
+            EventKind::BudgetExhausted { engine: "key_miter", budget: 2000, conflicts: 2100, cause: "cancelled" },
+            EventKind::PortfolioRace {
+                engine: "key_miter", workers: 2, winner: 1, dur_us: 512, cancel_us: 33,
+                per_worker: vec![RaceWorkerTally::default(), racer],
+            },
+            EventKind::PortfolioRace {
+                engine: "double_dip_miter", workers: 0, winner: 0, dur_us: 0, cancel_us: 0,
+                per_worker: Vec::new(),
+            },
+            EventKind::SearchStep {
+                step: 0, candidates: 3, current: 0.25, best: f64::NAN, accepted: false,
+                cache: CacheDelta { hits: 1, misses: 2, evictions: 3, live_nodes: 4 },
+            },
+            EventKind::SearchStep {
+                step: 1, candidates: 2, current: f64::INFINITY, best: f64::NEG_INFINITY, accepted: true,
+                cache: CacheDelta::default(),
+            },
+            EventKind::TrainEpoch { epoch: 2, loss: 1.5e-7, wall_us: 100, tape_ops: 10, tape_allocs: 0 },
+            EventKind::TrainEpoch { epoch: 3, loss: f64::NAN, wall_us: 1, tape_ops: 0, tape_allocs: 1 },
+            EventKind::TrainEpoch { epoch: 4, loss: f64::INFINITY, wall_us: 0, tape_ops: 0, tape_allocs: 0 },
+            EventKind::TrainEpoch { epoch: 5, loss: f64::NEG_INFINITY, wall_us: 0, tape_ops: 0, tape_allocs: 0 },
+            EventKind::OracleCompile { ands: 640, instructions: 640, registers: 682, wall_us: 85 },
+            EventKind::FraigPass {
+                classes: 40, proved: 12, refuted: 5, skipped: 1, merges: 12, constants: 2,
+                escalations: 1, sat_calls: 18, sim_words_added: 5, ands_before: 300, ands_after: 250,
+                wall_us: 1234,
+            },
+            EventKind::CellDone { label: "c432 k=8\t\"x\"\\".into() },
+            EventKind::Message { text: "line\nnext\r\u{1}".into() },
+        ]
+    }
+
+    /// The exact JSONL line of every [`golden_kinds`] event at
+    /// `t_us = 1234`, `thread = 7`.
+    const GOLDEN_LINES: &[&str] = &[
+        r#"{"t_us":1234,"thread":7,"kind":"span_open","scope":"cell","name":"c1908 \"q\"\n\tx\\y"}"#,
+        r#"{"t_us":1234,"thread":7,"kind":"span_close","scope":"search","name":"anneal","dur_us":12}"#,
+        r#"{"t_us":1234,"thread":7,"kind":"pool_job","worker":1,"job":3,"stolen":true,"start_us":5,"dur_us":9}"#,
+        r#"{"t_us":1234,"thread":7,"kind":"pool_batch","jobs":4,"workers":2,"per_worker":[{"executed":0,"stolen":0,"busy_us":0},{"executed":2,"stolen":1,"busy_us":77}]}"#,
+        r#"{"t_us":1234,"thread":7,"kind":"pool_batch","jobs":0,"workers":0,"per_worker":[]}"#,
+        r#"{"t_us":1234,"thread":7,"kind":"solver_progress","conflicts":3,"decisions":1,"propagations":2,"restarts":4,"d_conflicts":7,"d_decisions":5,"d_propagations":6,"d_restarts":8}"#,
+        r#"{"t_us":1234,"thread":7,"kind":"budget_exhausted","engine":"key_miter","budget":2000,"conflicts":2100,"cause":"cancelled"}"#,
+        r#"{"t_us":1234,"thread":7,"kind":"portfolio_race","engine":"key_miter","workers":2,"winner":1,"dur_us":512,"cancel_us":33,"per_worker":[{"conflicts":0,"imported":0,"exported":0},{"conflicts":9,"imported":2,"exported":1}]}"#,
+        r#"{"t_us":1234,"thread":7,"kind":"portfolio_race","engine":"double_dip_miter","workers":0,"winner":0,"dur_us":0,"cancel_us":0,"per_worker":[]}"#,
+        r#"{"t_us":1234,"thread":7,"kind":"search_step","step":0,"candidates":3,"current":0.25,"best":0,"accepted":false,"d_hits":1,"d_misses":2,"d_evictions":3,"live_nodes":4}"#,
+        r#"{"t_us":1234,"thread":7,"kind":"search_step","step":1,"candidates":2,"current":1e308,"best":-1e308,"accepted":true,"d_hits":0,"d_misses":0,"d_evictions":0,"live_nodes":0}"#,
+        r#"{"t_us":1234,"thread":7,"kind":"train_epoch","epoch":2,"loss":0.00000015,"wall_us":100,"tape_ops":10,"tape_allocs":0}"#,
+        r#"{"t_us":1234,"thread":7,"kind":"train_epoch","epoch":3,"loss":0,"wall_us":1,"tape_ops":0,"tape_allocs":1}"#,
+        r#"{"t_us":1234,"thread":7,"kind":"train_epoch","epoch":4,"loss":1e308,"wall_us":0,"tape_ops":0,"tape_allocs":0}"#,
+        r#"{"t_us":1234,"thread":7,"kind":"train_epoch","epoch":5,"loss":-1e308,"wall_us":0,"tape_ops":0,"tape_allocs":0}"#,
+        r#"{"t_us":1234,"thread":7,"kind":"oracle_compile","ands":640,"instructions":640,"registers":682,"wall_us":85}"#,
+        r#"{"t_us":1234,"thread":7,"kind":"fraig_pass","classes":40,"proved":12,"refuted":5,"skipped":1,"merges":12,"constants":2,"escalations":1,"sat_calls":18,"sim_words_added":5,"ands_before":300,"ands_after":250,"wall_us":1234}"#,
+        r#"{"t_us":1234,"thread":7,"kind":"cell_done","label":"c432 k=8\t\"x\"\\"}"#,
+        r#"{"t_us":1234,"thread":7,"kind":"message","text":"line\nnext\r\u0001"}"#,
+    ];
+
+    #[test]
+    fn jsonl_lines_match_the_golden_schema() {
+        let kinds = golden_kinds();
+        assert_eq!(kinds.len(), GOLDEN_LINES.len());
+        for (kind, want) in kinds.into_iter().zip(GOLDEN_LINES) {
+            let line = Event {
+                t_us: 1234,
+                thread: 7,
+                kind,
+            }
+            .to_jsonl();
+            assert_eq!(line, *want);
+            json::parse(&line).unwrap_or_else(|e| panic!("{e}\n{line}"));
+        }
+    }
+
     #[test]
     fn levels_split_progress_from_trace() {
         assert_eq!(
