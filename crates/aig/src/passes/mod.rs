@@ -10,7 +10,7 @@
 //! | [`Pass::Refactor`], [`Pass::RefactorZ`] | reconvergence-driven large-cut (≤8 leaves) collapsing and re-synthesis |
 //! | [`Pass::Resub`], [`Pass::ResubZ`] | windowed resubstitution: replace a node by an existing divisor (or a one/three-node combination of two divisors) with *exact* window-truth-table verification |
 //! | [`Pass::Balance`] | level-minimising AND-tree balancing |
-//! | [`Pass::Fraig`] | SAT sweeping ([`crate::fraig`]): sim-signature candidate classes under running hash keys, incremental-SAT equivalence proofs, every counterexample fed back as a signature word (uncapped, so no pair is refuted twice), bounded [`crate::fraig::FraigConfig::recipe`] conflict budgets |
+//! | [`Pass::Fraig`] | SAT sweeping ([`mod@crate::fraig`]): sim-signature candidate classes under running hash keys, incremental-SAT equivalence proofs, every counterexample fed back as a signature word (uncapped, so no pair is refuted twice), bounded [`crate::fraig::FraigConfig::recipe`] conflict budgets |
 //!
 //! The `-z` variants accept zero-gain moves, perturbing structure without
 //! growing the graph — exactly ABC's `rewrite -z` / `refactor -z` /
@@ -338,6 +338,9 @@ pub(crate) mod tests {
 
     /// Builds a random DAG with the given number of inputs and AND nodes.
     pub(crate) fn random_aig(num_inputs: usize, num_ands: usize, seed: u64) -> Aig {
+        // Every AND over one input folds to a constant or the input, so
+        // fewer than two inputs would never reach `num_ands`.
+        assert!(num_inputs >= 2, "random_aig needs at least two inputs");
         let mut rng = StdRng::seed_from_u64(seed);
         let mut aig = Aig::new();
         let mut pool: Vec<crate::aig::Lit> = (0..num_inputs).map(|_| aig.add_input()).collect();

@@ -182,7 +182,7 @@ pub fn probably_equivalent(a: &Aig, b: &Aig, num_words: usize, seed: u64) -> boo
 /// structure: `0 AND X = 0`, `1 AND X = X`. A node that settles to a
 /// definite value with **every input at `X`** is structurally constant —
 /// the cheap constant-detection pre-pass of the fraig engine
-/// ([`crate::fraig`]), which SAT-confirms each candidate before merging.
+/// ([`mod@crate::fraig`]), which SAT-confirms each candidate before merging.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Ternary {
     /// Definitely 0.

@@ -390,12 +390,10 @@ impl<'a> SearchEngine<'a> {
                     current: current_obj,
                     best: best_score.objective,
                     accepted: advanced,
-                    cache: telemetry::CacheDelta {
-                        hits: cache.hits - last_cache.hits,
-                        misses: cache.misses - last_cache.misses,
-                        evictions: cache.evictions - last_cache.evictions,
-                        live_nodes: cache.live_nodes as u64,
-                    },
+                    d_hits: cache.hits - last_cache.hits,
+                    d_misses: cache.misses - last_cache.misses,
+                    d_evictions: cache.evictions - last_cache.evictions,
+                    live_nodes: cache.live_nodes as u64,
                 });
                 last_cache = cache;
             }

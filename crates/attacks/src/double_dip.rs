@@ -254,8 +254,7 @@ impl DoubleDipRun {
     }
 
     /// True when the per-iteration log reconciles with the reported
-    /// oracle query count (see
-    /// [`dip_log_consistent`](crate::report::dip_log_consistent)).
+    /// oracle query count (see [`dip_log_consistent`]).
     pub fn accounting_consistent(&self) -> bool {
         dip_log_consistent(&self.iterations, self.oracle_queries)
     }

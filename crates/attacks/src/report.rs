@@ -101,8 +101,9 @@ pub struct DipIteration {
     /// Cumulative solver conflicts after this iteration.
     pub conflicts: u64,
     /// Cumulative oracle queries *issued by the attack* after this
-    /// iteration. Counted independently of [`Oracle::queries_served`] so
-    /// the two ledgers reconcile — [`dip_log_consistent`] is the audit.
+    /// iteration. Counted independently of
+    /// [`almost_locking::Oracle::queries_served`] so the two ledgers
+    /// reconcile — [`dip_log_consistent`] is the audit.
     pub oracle_queries: usize,
     /// Oracle disagreements found while validating a settled candidate key
     /// (`Some` only on approximate-mode settlement iterations).

@@ -62,18 +62,6 @@ use almost_telemetry as telemetry;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// The telemetry mirror of [`SolverStats`]' search-effort counters
-/// (database-size fields are gauges, not effort, and stay out of the
-/// event stream).
-fn counters(s: SolverStats) -> telemetry::SolverCounters {
-    telemetry::SolverCounters {
-        decisions: s.decisions,
-        propagations: s.propagations,
-        conflicts: s.conflicts,
-        restarts: s.restarts,
-    }
-}
-
 /// A solver variable (0-based index).
 pub type SatVar = u32;
 
@@ -470,16 +458,17 @@ impl Solver {
         let stats = self.stats();
         let last = self.last_progress;
         self.last_progress = stats;
+        // Database-size fields are gauges, not effort, and stay out of
+        // the event stream.
         telemetry::trace(|| telemetry::EventKind::SolverProgress {
-            total: counters(stats),
-            delta: counters(SolverStats {
-                decisions: stats.decisions - last.decisions,
-                propagations: stats.propagations - last.propagations,
-                conflicts: stats.conflicts - last.conflicts,
-                restarts: stats.restarts - last.restarts,
-                learnts_kept: 0,
-                learnts_deleted: 0,
-            }),
+            conflicts: stats.conflicts,
+            decisions: stats.decisions,
+            propagations: stats.propagations,
+            restarts: stats.restarts,
+            d_conflicts: stats.conflicts - last.conflicts,
+            d_decisions: stats.decisions - last.decisions,
+            d_propagations: stats.propagations - last.propagations,
+            d_restarts: stats.restarts - last.restarts,
         });
     }
 

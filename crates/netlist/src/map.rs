@@ -350,6 +350,9 @@ mod tests {
     use rand::{RngExt, SeedableRng};
 
     fn random_aig(num_inputs: usize, num_ands: usize, seed: u64) -> Aig {
+        // Every AND over one input folds to a constant or the input, so
+        // fewer than two inputs would never reach `num_ands`.
+        assert!(num_inputs >= 2, "random_aig needs at least two inputs");
         let mut rng = StdRng::seed_from_u64(seed);
         let mut aig = Aig::new();
         let mut pool: Vec<almost_aig::Lit> = (0..num_inputs).map(|_| aig.add_input()).collect();

@@ -29,7 +29,7 @@ pub enum Equivalence {
 /// The two circuits are copied into one joint netlist over shared
 /// inputs, where the structural hash already identifies every
 /// syntactically shared cone, and the joint network is then swept by
-/// [`almost_aig::fraig`]: simulation signatures partition the nodes into
+/// [`mod@almost_aig::fraig`]: simulation signatures partition the nodes into
 /// candidate classes, and one incremental SAT solver proves (or refutes,
 /// feeding the counterexample back into the signatures) the candidates
 /// pair by pair, from the inputs outward. Output pairs whose cones merge
@@ -167,6 +167,9 @@ mod tests {
     use rand::{RngExt, SeedableRng};
 
     fn random_aig(num_inputs: usize, num_ands: usize, seed: u64) -> Aig {
+        // Every AND over one input folds to a constant or the input, so
+        // fewer than two inputs would never reach `num_ands`.
+        assert!(num_inputs >= 2, "random_aig needs at least two inputs");
         let mut rng = StdRng::seed_from_u64(seed);
         let mut aig = Aig::new();
         let mut pool: Vec<almost_aig::Lit> = (0..num_inputs).map(|_| aig.add_input()).collect();

@@ -3,11 +3,17 @@
 //!
 //! This crate is the event channel the harness stderr lines graduate
 //! into: one vocabulary of typed events ([`event::EventKind`]) emitted by
-//! the pool, the SAT solver, the search engine and the GIN trainer, fanned
-//! out to whatever sinks a run installs — human stderr progress, a JSONL
-//! event log (`ALMOST_TRACE=<path>`), a Perfetto-loadable Chrome trace,
-//! and an end-of-run aggregator that renders summary tables and writes
-//! `BENCH_<name>.json`.
+//! the pool, the SAT solver, the search engine, the synthesis passes and
+//! the GIN trainer, fanned out to whatever sinks a run installs — human
+//! stderr progress, a JSONL event log (`ALMOST_TRACE=<path>`), a
+//! Perfetto-loadable Chrome trace, and an end-of-run aggregator that
+//! writes per-kind counts and totals to `BENCH_<name>.json` (and renders
+//! them on stderr in traced runs).
+//!
+//! Each kind is declared once, in `event.rs`: its JSONL name, level,
+//! typed fields and which fields the summary sums. The JSONL line, the
+//! [`SCHEMA`] table that the `trace_check` binary validates against, the
+//! Chrome trace args and the summary all derive from that declaration.
 //!
 //! ## Zero cost when off
 //!
@@ -37,7 +43,8 @@ pub mod sink;
 pub mod summary;
 
 pub use event::{
-    CacheDelta, Event, EventKind, Level, RaceWorkerTally, Scope, SolverCounters, WorkerTally,
+    Event, EventKind, FieldSpec, JsonType, KindSpec, Level, RaceWorkerTally, Scope, WorkerTally,
+    SCHEMA,
 };
 pub use sink::{
     CaptureSink, ChromeTraceSink, JsonlSink, ProgressSink, Sink, POOL_TRACK_BASE,
@@ -269,7 +276,10 @@ mod tests {
                 current: 0.0,
                 best: 0.0,
                 accepted: false,
-                cache: CacheDelta::default(),
+                d_hits: 0,
+                d_misses: 0,
+                d_evictions: 0,
+                live_nodes: 0,
             });
         }
         let snapshot = lines.lock().expect("lines").clone();

@@ -9,7 +9,8 @@
 //! must never panic on I/O failure (a broken trace file degrades to a
 //! warning, not a crashed experiment).
 
-use crate::event::{Event, EventKind, Level};
+use crate::event::{write_object, Event, EventKind, Level};
+use crate::json::escape;
 use crate::summary::SummaryReport;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -48,7 +49,7 @@ pub struct ProgressSink;
 
 impl Sink for ProgressSink {
     fn record(&mut self, event: &Event) {
-        if event.level() != Level::Progress {
+        if event.kind.level() != Level::Progress {
             return;
         }
         match &event.kind {
@@ -116,15 +117,19 @@ impl Sink for JsonlSink {
 /// Buffers Chrome Trace Event Format fragments and writes a single JSON
 /// array on finish — loadable in Perfetto / `chrome://tracing`.
 ///
-/// Track layout:
+/// Every record's `args` are its event's own JSONL fields; the sink only
+/// decides the presentation. Track layout:
 /// - spans render as complete (`ph:"X"`) slices on `tid` = thread ordinal;
 /// - pool jobs render on dedicated per-worker tracks at
 ///   `tid = POOL_TRACK_BASE + worker`, so occupancy, steals (slices whose
 ///   `args.stolen` is true) and idle gaps are visible at a glance;
+/// - each portfolio race renders one slice per racing solver on
+///   `tid = PORTFOLIO_TRACK_BASE + worker`, the winner's named `won`;
 /// - solver heartbeats become counter (`ph:"C"`) samples;
-/// - search steps, budget exhaustions and cell completions become
-///   instants (`ph:"i"`);
-/// - train epochs render as slices spanning their measured wall time.
+/// - pool batches, search steps, budget exhaustions, oracle compiles and
+///   cell completions become instants (`ph:"i"`);
+/// - train epochs and fraig passes render as slices spanning their
+///   measured wall time.
 pub struct ChromeTraceSink {
     events: Vec<String>,
     /// Open span stack per thread: (thread, scope label, name, open t_us).
@@ -147,20 +152,44 @@ impl ChromeTraceSink {
             path: path.to_path_buf(),
         }
     }
+}
 
-    fn push(&mut self, fragment: String) {
-        self.events.push(fragment);
-    }
+/// How an event renders in the Chrome trace.
+enum Shape {
+    /// A complete slice (`ph:"X"`): start and duration, microseconds.
+    Slice(u64, u64),
+    /// An instant (`ph:"i"`) of this scope: `t`hread, `p`rocess or `g`lobal.
+    Instant(&'static str),
+    /// A counter sample (`ph:"C"`): one series per numeric arg.
+    Counter,
+}
+
+/// One Chrome trace record at time `t` (slices carry their own start);
+/// `args` is a JSON object.
+fn fragment(name: &str, cat: &str, shape: Shape, t: u64, tid: u32, args: &str) -> String {
+    let mut s = format!("{{\"name\":\"{}\",\"cat\":\"{cat}\",", escape(name));
+    let _ = match shape {
+        Shape::Slice(ts, dur) => write!(s, "\"ph\":\"X\",\"ts\":{ts},\"dur\":{dur},"),
+        Shape::Instant(scope) => write!(s, "\"ph\":\"i\",\"ts\":{t},\"s\":\"{scope}\","),
+        Shape::Counter => write!(s, "\"ph\":\"C\",\"ts\":{t},"),
+    };
+    let _ = write!(s, "\"pid\":1,\"tid\":{tid},\"args\":{args}}}");
+    s
 }
 
 impl Sink for ChromeTraceSink {
     fn record(&mut self, event: &Event) {
-        let t = event.t_us;
-        let tid = event.thread;
-        self.threads_seen.insert(tid);
-        match &event.kind {
+        let (t, mut track) = (event.t_us, event.thread);
+        self.threads_seen.insert(track);
+        let mut args = String::new();
+        write_object(&mut args, |a| event.kind.write_fields(a));
+        // A slice spanning the `dur` microseconds before the event.
+        let ending = |dur: u64| Shape::Slice(t.saturating_sub(dur), dur);
+        // The presentation of each kind: name, category, shape and track.
+        let (name, cat, shape) = match &event.kind {
             EventKind::SpanOpen { scope, name } => {
-                self.open.push((tid, scope.label(), name.clone(), t));
+                self.open.push((track, scope.label(), name.clone(), t));
+                return;
             }
             EventKind::SpanClose {
                 scope,
@@ -169,172 +198,73 @@ impl Sink for ChromeTraceSink {
             } => {
                 // Match the innermost open span of the same thread+name;
                 // fall back to the close event's own timing if unmatched.
-                let start =
-                    match self.open.iter().rposition(|(th, sc, nm, _)| {
-                        *th == tid && *sc == scope.label() && nm == name
-                    }) {
-                        Some(i) => self.open.remove(i).3,
-                        None => t.saturating_sub(*dur_us),
-                    };
-                self.push(format!(
-                    "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-                     \"pid\":1,\"tid\":{}}}",
-                    crate::json::escape(name),
-                    scope.label(),
-                    start,
-                    dur_us,
-                    tid
-                ));
+                let open = self.open.iter().rposition(|(th, sc, nm, _)| {
+                    *th == track && *sc == scope.label() && nm == name
+                });
+                let slice = match open {
+                    Some(i) => Shape::Slice(self.open.remove(i).3, *dur_us),
+                    None => ending(*dur_us),
+                };
+                (name.clone(), scope.label(), slice)
             }
             EventKind::PoolJob {
                 worker,
                 job,
-                stolen,
                 start_us,
                 dur_us,
+                ..
             } => {
                 self.workers_seen.insert(*worker);
-                self.push(format!(
-                    "{{\"name\":\"job {job}\",\"cat\":\"pool\",\"ph\":\"X\",\"ts\":{start_us},\
-                     \"dur\":{dur_us},\"pid\":1,\"tid\":{},\"args\":{{\"stolen\":{stolen}}}}}",
-                    POOL_TRACK_BASE + worker
-                ));
+                track = POOL_TRACK_BASE + worker;
+                (
+                    format!("job {job}"),
+                    "pool",
+                    Shape::Slice(*start_us, *dur_us),
+                )
             }
-            EventKind::PoolBatch {
-                jobs,
-                workers,
-                per_worker,
-            } => {
-                let mut args = String::new();
-                for (w, tally) in per_worker.iter().enumerate() {
-                    let _ = write!(
-                        args,
-                        ",\"w{}_executed\":{},\"w{}_stolen\":{},\"w{}_busy_us\":{}",
-                        w, tally.executed, w, tally.stolen, w, tally.busy_us
-                    );
-                }
-                self.push(format!(
-                    "{{\"name\":\"pool batch\",\"cat\":\"pool\",\"ph\":\"i\",\"ts\":{t},\"s\":\"p\",\
-                     \"pid\":1,\"tid\":{tid},\"args\":{{\"jobs\":{jobs},\"workers\":{workers}{args}}}}}"
-                ));
-            }
-            EventKind::SolverProgress { total, .. } => {
-                self.push(format!(
-                    "{{\"name\":\"solver\",\"cat\":\"solver\",\"ph\":\"C\",\"ts\":{t},\"pid\":1,\
-                     \"tid\":{tid},\"args\":{{\"conflicts\":{},\"propagations\":{},\"restarts\":{}}}}}",
-                    total.conflicts, total.propagations, total.restarts
-                ));
-            }
-            EventKind::BudgetExhausted {
-                engine,
-                budget,
-                conflicts,
-                cause,
-            } => {
-                self.push(format!(
-                    "{{\"name\":\"{cause} ({engine})\",\"cat\":\"solver\",\"ph\":\"i\",\
-                     \"ts\":{t},\"s\":\"t\",\"pid\":1,\"tid\":{tid},\
-                     \"args\":{{\"budget\":{budget},\"conflicts\":{conflicts},\"cause\":\"{cause}\"}}}}"
-                ));
+            EventKind::PoolBatch { .. } => ("pool batch".into(), "pool", Shape::Instant("p")),
+            EventKind::SolverProgress { .. } => ("solver".into(), "solver", Shape::Counter),
+            EventKind::BudgetExhausted { engine, cause, .. } => {
+                (format!("{cause} ({engine})"), "solver", Shape::Instant("t"))
             }
             EventKind::PortfolioRace {
                 engine,
-                workers: _,
                 winner,
                 dur_us,
-                cancel_us,
                 per_worker,
+                ..
             } => {
-                // One slice per racing solver on its dedicated track: the
-                // race interval with that worker's effort/exchange args,
-                // so occupancy and winner alternation are visible per
-                // query. The event arrives when every worker has parked.
-                let start = t.saturating_sub(*dur_us);
-                for (w, tally) in per_worker.iter().enumerate() {
-                    let w = w as u32;
+                // One slice per racing solver on its own track, so
+                // occupancy and winner alternation are visible per query.
+                // The event arrives when every worker has parked.
+                for w in 0..per_worker.len() as u32 {
                     self.portfolio_seen.insert(w);
-                    let won = w == *winner;
-                    self.push(format!(
-                        "{{\"name\":\"race ({engine})\",\"cat\":\"portfolio\",\"ph\":\"X\",\
-                         \"ts\":{start},\"dur\":{dur_us},\"pid\":1,\"tid\":{},\
-                         \"args\":{{\"winner\":{won},\"conflicts\":{},\"imported\":{},\
-                         \"exported\":{},\"cancel_us\":{cancel_us}}}}}",
-                        PORTFOLIO_TRACK_BASE + w,
-                        tally.conflicts,
-                        tally.imported,
-                        tally.exported
-                    ));
+                    let name = format!("{} ({engine})", if w == *winner { "won" } else { "race" });
+                    let track = PORTFOLIO_TRACK_BASE + w;
+                    let slice = fragment(&name, "portfolio", ending(*dur_us), t, track, &args);
+                    self.events.push(slice);
                 }
+                return;
             }
-            EventKind::SearchStep {
-                step,
-                candidates,
-                accepted,
-                cache,
-                ..
-            } => {
-                self.push(format!(
-                    "{{\"name\":\"step {step}\",\"cat\":\"search\",\"ph\":\"i\",\"ts\":{t},\
-                     \"s\":\"t\",\"pid\":1,\"tid\":{tid},\"args\":{{\"candidates\":{candidates},\
-                     \"accepted\":{accepted},\"hits\":{},\"misses\":{}}}}}",
-                    cache.hits, cache.misses
-                ));
+            EventKind::SearchStep { step, .. } => {
+                (format!("step {step}"), "search", Shape::Instant("t"))
             }
-            EventKind::TrainEpoch {
-                epoch,
-                loss,
-                wall_us,
-                ..
-            } => {
-                self.push(format!(
-                    "{{\"name\":\"epoch {epoch}\",\"cat\":\"trainer\",\"ph\":\"X\",\
-                     \"ts\":{},\"dur\":{wall_us},\"pid\":1,\"tid\":{tid},\
-                     \"args\":{{\"loss\":{loss}}}}}",
-                    t.saturating_sub(*wall_us)
-                ));
+            EventKind::TrainEpoch { epoch, wall_us, .. } => {
+                (format!("epoch {epoch}"), "trainer", ending(*wall_us))
             }
-            EventKind::OracleCompile {
-                ands,
-                instructions,
-                registers,
-                wall_us,
-            } => {
-                self.push(format!(
-                    "{{\"name\":\"oracle compile\",\"cat\":\"oracle\",\"ph\":\"i\",\"ts\":{t},\
-                     \"s\":\"t\",\"pid\":1,\"tid\":{tid},\"args\":{{\"ands\":{ands},\
-                     \"instructions\":{instructions},\"registers\":{registers},\
-                     \"wall_us\":{wall_us}}}}}"
-                ));
+            EventKind::OracleCompile { .. } => {
+                ("oracle compile".into(), "oracle", Shape::Instant("t"))
             }
-            EventKind::FraigPass {
-                classes,
-                proved,
-                refuted,
-                merges,
-                sat_calls,
-                ands_before,
-                ands_after,
-                wall_us,
-                ..
-            } => {
-                self.push(format!(
-                    "{{\"name\":\"fraig pass\",\"cat\":\"fraig\",\"ph\":\"X\",\
-                     \"ts\":{},\"dur\":{wall_us},\"pid\":1,\"tid\":{tid},\
-                     \"args\":{{\"classes\":{classes},\"proved\":{proved},\
-                     \"refuted\":{refuted},\"merges\":{merges},\"sat_calls\":{sat_calls},\
-                     \"ands_before\":{ands_before},\"ands_after\":{ands_after}}}}}",
-                    t.saturating_sub(*wall_us)
-                ));
+            EventKind::FraigPass { wall_us, .. } => {
+                ("fraig pass".into(), "fraig", ending(*wall_us))
             }
             EventKind::CellDone { label } => {
-                self.push(format!(
-                    "{{\"name\":\"cell done: {}\",\"cat\":\"cell\",\"ph\":\"i\",\"ts\":{t},\
-                     \"s\":\"g\",\"pid\":1,\"tid\":{tid}}}",
-                    crate::json::escape(label)
-                ));
+                (format!("cell done: {label}"), "cell", Shape::Instant("g"))
             }
-            EventKind::Message { .. } => {}
-        }
+            EventKind::Message { .. } => return,
+        };
+        let record = fragment(&name, cat, shape, t, track, &args);
+        self.events.push(record);
     }
 
     fn finish(&mut self) {
@@ -342,16 +272,9 @@ impl Sink for ChromeTraceSink {
         // across finish) so the trace stays well-formed.
         let open = std::mem::take(&mut self.open);
         for (tid, scope, name, start) in open {
-            let now = crate::clock::now_us();
-            self.push(format!(
-                "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-                 \"pid\":1,\"tid\":{}}}",
-                crate::json::escape(&name),
-                scope,
-                start,
-                now.saturating_sub(start),
-                tid
-            ));
+            let dur = crate::clock::now_us().saturating_sub(start);
+            let slice = fragment(&name, scope, Shape::Slice(start, dur), start, tid, "{}");
+            self.events.push(slice);
         }
         // Name the tracks: real threads first, then pool-worker tracks.
         let mut meta = Vec::new();
@@ -511,6 +434,33 @@ mod tests {
         });
         assert!(worker_meta, "worker track is named");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn chrome_trace_stays_valid_json_with_non_finite_floats() {
+        // One event of every kind, among them a NaN and infinite losses
+        // and infinite search objectives.
+        let path = std::env::temp_dir().join(format!(
+            "almost_telemetry_nonfinite_{}.trace.json",
+            std::process::id()
+        ));
+        let mut sink = ChromeTraceSink::new(&path);
+        for (t_us, kind) in crate::event::tests::golden_kinds().into_iter().enumerate() {
+            let (t_us, thread) = (t_us as u64, 0);
+            sink.record(&Event { t_us, thread, kind });
+        }
+        sink.finish();
+        let text = std::fs::read_to_string(&path).expect("trace written");
+        let _ = std::fs::remove_file(&path);
+        let parsed = json::parse(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+        let step = parsed
+            .as_arr()
+            .expect("array")
+            .iter()
+            .find(|e| e.get("name").and_then(|c| c.as_str()) == Some("step 1"));
+        let args = step.and_then(|e| e.get("args")).expect("step 1 args");
+        assert_eq!(args.get("current").and_then(|v| v.as_f64()), Some(1e308));
+        assert_eq!(args.get("best").and_then(|v| v.as_f64()), Some(-1e308));
     }
 
     #[test]

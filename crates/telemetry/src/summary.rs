@@ -1,197 +1,120 @@
 //! End-of-run aggregation.
 //!
-//! [`SummarySink`] folds the event stream into one [`SummaryReport`]:
-//! pool occupancy, solver effort, search-cache behaviour and trainer
-//! throughput, summed across every instance that emitted (the delta
-//! convention in `event.rs` makes that a plain accumulation). On finish
-//! it renders a compact stderr table — the table harnesses used to
-//! hand-build — and writes a machine-readable `BENCH_<name>.json`.
+//! [`SummarySink`] folds the event stream into one [`SummaryReport`]: per
+//! event kind, how many events arrived and the totals of the fields the
+//! schema in `event.rs` marks `[sum]` (the delta convention there makes
+//! those plain sums across every instance that emitted). On finish it
+//! writes a machine-readable `BENCH_<name>.json` and, in traced runs,
+//! renders the same data as a stderr table. A kind that never arrived is
+//! absent from both: an untraced run sees only progress events and the
+//! harness span, so it reports no layer counters rather than zeros.
 
-use crate::event::{Event, EventKind};
+use crate::event::{Event, KindSpec, SCHEMA};
+use crate::json::escape;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-/// Aggregated run statistics (also serialised as `BENCH_<name>.json`).
-#[derive(Clone, Debug, Default, PartialEq)]
+/// Per-kind event counts and field totals of one run (also serialised
+/// as `BENCH_<name>.json`).
+#[derive(Clone, Debug, PartialEq)]
 pub struct SummaryReport {
     /// Harness name (the `BENCH_*.json` stem).
     pub name: String,
     /// Wall time from init to finish, microseconds.
     pub wall_us: u64,
-    /// Cells completed.
-    pub cells: u64,
-    /// Pool jobs executed.
-    pub pool_jobs: u64,
-    /// Of those, stolen from a sibling queue.
-    pub pool_stolen: u64,
-    /// Summed worker busy time, microseconds.
-    pub pool_busy_us: u64,
-    /// Pool batches dispatched.
-    pub pool_batches: u64,
-    /// Solver conflicts (summed deltas across all solver instances).
-    pub solver_conflicts: u64,
-    /// Solver propagations (summed deltas).
-    pub solver_propagations: u64,
-    /// Solver restarts (summed deltas).
-    pub solver_restarts: u64,
-    /// Budget-exhaustion events.
-    pub budget_exhaustions: u64,
-    /// Portfolio races run.
-    pub portfolio_races: u64,
-    /// Glue clauses imported across all portfolio workers (summed).
-    pub portfolio_imported: u64,
-    /// Glue clauses exported across all portfolio workers (summed).
-    pub portfolio_exported: u64,
-    /// Search temperature steps.
-    pub search_steps: u64,
-    /// Candidates proposed across all steps.
-    pub search_candidates: u64,
-    /// Steps that accepted a candidate.
-    pub search_accepted: u64,
-    /// Synthesis-cache hits (summed deltas).
-    pub cache_hits: u64,
-    /// Synthesis-cache misses (summed deltas).
-    pub cache_misses: u64,
-    /// Synthesis-cache evictions (summed deltas).
-    pub cache_evictions: u64,
-    /// Fraig sweeps completed.
-    pub fraig_passes: u64,
-    /// Nodes merged by fraig sweeps (summed).
-    pub fraig_merges: u64,
-    /// Fraig candidate pairs refuted by SAT (summed).
-    pub fraig_refuted: u64,
-    /// SAT queries posed by fraig sweeps (summed).
-    pub fraig_sat_calls: u64,
-    /// Summed fraig sweep wall time, microseconds.
-    pub fraig_wall_us: u64,
-    /// Training epochs.
-    pub train_epochs: u64,
-    /// Summed epoch wall time, microseconds.
-    pub train_wall_us: u64,
-    /// Final epoch's loss (last `TrainEpoch` seen).
-    pub train_last_loss: f64,
-    /// Tape nodes recorded (summed deltas).
-    pub tape_ops: u64,
-    /// Fresh tape buffers allocated (summed deltas).
-    pub tape_allocs: u64,
+    /// Indexed like [`SCHEMA`]: events seen, and the totals of the kind's
+    /// [`KindSpec::columns`].
+    kinds: Vec<(u64, Vec<u64>)>,
 }
 
 impl SummaryReport {
-    /// The `BENCH_<name>.json` payload.
+    fn new(name: &str) -> Self {
+        SummaryReport {
+            name: name.to_string(),
+            wall_us: 0,
+            kinds: SCHEMA
+                .iter()
+                .map(|k| (0, vec![0; k.columns().len()]))
+                .collect(),
+        }
+    }
+
+    /// Events of `kind` seen (0 for a kind that never arrived).
+    pub fn count(&self, kind: &str) -> u64 {
+        self.kinds[index(kind)].0
+    }
+
+    /// The total of `field` over the events of `kind`. A summed row
+    /// field is named `<list>.<row field>`, e.g. `per_worker.imported`.
+    ///
+    /// # Panics
+    /// If the schema does not sum `field` of `kind`.
+    pub fn total(&self, kind: &str, field: &str) -> u64 {
+        let i = index(kind);
+        let column = SCHEMA[i]
+            .columns()
+            .iter()
+            .position(|c| c == field)
+            .unwrap_or_else(|| panic!("the schema does not sum {kind}.{field}"));
+        self.kinds[i].1[column]
+    }
+
+    /// The kinds that arrived, in schema order, with their counts and
+    /// named totals.
+    fn seen(&self) -> impl Iterator<Item = (&'static KindSpec, u64, Vec<(String, u64)>)> + '_ {
+        SCHEMA
+            .iter()
+            .zip(&self.kinds)
+            .filter(|(_, (count, _))| *count > 0)
+            .map(|(spec, (count, totals))| {
+                let named = spec.columns().into_iter().zip(totals.iter().copied());
+                (spec, *count, named.collect())
+            })
+    }
+
+    /// The `BENCH_<name>.json` payload: `name`, `wall_us`, then one object
+    /// per kind that arrived, holding its `count` and its totals.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        let _ = write!(
-            s,
-            "  \"name\": \"{}\",\n  \"wall_us\": {},\n  \"cells\": {},\n  \"pool\": {{\"jobs\": {}, \"stolen\": {}, \"busy_us\": {}, \"batches\": {}}},\n  \"solver\": {{\"conflicts\": {}, \"propagations\": {}, \"restarts\": {}, \"budget_exhaustions\": {}}},\n  \"portfolio\": {{\"races\": {}, \"imported\": {}, \"exported\": {}}},\n  \"search\": {{\"steps\": {}, \"candidates\": {}, \"accepted\": {}, \"cache_hits\": {}, \"cache_misses\": {}, \"cache_evictions\": {}}},\n  \"fraig\": {{\"passes\": {}, \"merges\": {}, \"refuted\": {}, \"sat_calls\": {}, \"wall_us\": {}}},\n  \"trainer\": {{\"epochs\": {}, \"wall_us\": {}, \"last_loss\": {}, \"tape_ops\": {}, \"tape_allocs\": {}}}\n",
-            crate::json::escape(&self.name),
-            self.wall_us,
-            self.cells,
-            self.pool_jobs,
-            self.pool_stolen,
-            self.pool_busy_us,
-            self.pool_batches,
-            self.solver_conflicts,
-            self.solver_propagations,
-            self.solver_restarts,
-            self.budget_exhaustions,
-            self.portfolio_races,
-            self.portfolio_imported,
-            self.portfolio_exported,
-            self.search_steps,
-            self.search_candidates,
-            self.search_accepted,
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_evictions,
-            self.fraig_passes,
-            self.fraig_merges,
-            self.fraig_refuted,
-            self.fraig_sat_calls,
-            self.fraig_wall_us,
-            self.train_epochs,
-            self.train_wall_us,
-            if self.train_last_loss.is_finite() { self.train_last_loss } else { 0.0 },
-            self.tape_ops,
-            self.tape_allocs,
+        let mut s = format!(
+            "{{\n  \"name\": \"{}\",\n  \"wall_us\": {}",
+            escape(&self.name),
+            self.wall_us
         );
-        s.push('}');
-        s.push('\n');
+        for (spec, count, totals) in self.seen() {
+            let _ = write!(s, ",\n  \"{}\": {{\"count\": {count}", spec.name);
+            for (column, total) in totals {
+                let _ = write!(s, ", \"{column}\": {total}");
+            }
+            s.push('}');
+        }
+        s.push_str("\n}\n");
         s
     }
 
-    /// The stderr summary table (only sections that saw activity).
+    /// The stderr summary table: one row per kind that arrived.
     pub fn render(&self) -> String {
-        let mut s = String::new();
-        let _ = writeln!(
-            s,
-            "[telemetry] {} summary: {:.2}s wall, {} cells",
+        let mut s = format!(
+            "[telemetry] {} summary: {:.2}s wall\n",
             self.name,
-            self.wall_us as f64 / 1e6,
-            self.cells
+            self.wall_us as f64 / 1e6
         );
-        if self.pool_jobs > 0 {
-            let _ = writeln!(
-                s,
-                "[telemetry]   pool    | {} jobs ({} stolen) over {} batches, {:.2}s busy",
-                self.pool_jobs,
-                self.pool_stolen,
-                self.pool_batches,
-                self.pool_busy_us as f64 / 1e6
-            );
-        }
-        if self.solver_conflicts > 0 || self.budget_exhaustions > 0 {
-            let _ = writeln!(
-                s,
-                "[telemetry]   solver  | {} conflicts, {} propagations, {} restarts, {} budget exhaustions",
-                self.solver_conflicts,
-                self.solver_propagations,
-                self.solver_restarts,
-                self.budget_exhaustions
-            );
-        }
-        if self.portfolio_races > 0 {
-            let _ = writeln!(
-                s,
-                "[telemetry]   portfolio | {} races, {} clauses imported, {} exported",
-                self.portfolio_races, self.portfolio_imported, self.portfolio_exported
-            );
-        }
-        if self.search_steps > 0 {
-            let _ = writeln!(
-                s,
-                "[telemetry]   search  | {} steps, {} candidates ({} accepted), cache {}h/{}m/{}e",
-                self.search_steps,
-                self.search_candidates,
-                self.search_accepted,
-                self.cache_hits,
-                self.cache_misses,
-                self.cache_evictions
-            );
-        }
-        if self.fraig_passes > 0 {
-            let _ = writeln!(
-                s,
-                "[telemetry]   fraig   | {} passes, {} merges ({} refuted), {} SAT calls in {:.2}s",
-                self.fraig_passes,
-                self.fraig_merges,
-                self.fraig_refuted,
-                self.fraig_sat_calls,
-                self.fraig_wall_us as f64 / 1e6
-            );
-        }
-        if self.train_epochs > 0 {
-            let _ = writeln!(
-                s,
-                "[telemetry]   trainer | {} epochs in {:.2}s, final loss {:.4}, {} tape ops ({} fresh buffers)",
-                self.train_epochs,
-                self.train_wall_us as f64 / 1e6,
-                self.train_last_loss,
-                self.tape_ops,
-                self.tape_allocs
-            );
+        for (spec, count, totals) in self.seen() {
+            let _ = write!(s, "[telemetry]   {:<16} | {count} events", spec.name);
+            for (i, (column, total)) in totals.iter().enumerate() {
+                let _ = write!(s, "{} {column} {total}", if i == 0 { ";" } else { "," });
+            }
+            s.push('\n');
         }
         s
     }
+}
+
+/// The [`SCHEMA`] position of `kind`.
+fn index(kind: &str) -> usize {
+    SCHEMA
+        .iter()
+        .position(|k| k.name == kind)
+        .unwrap_or_else(|| panic!("unknown event kind {kind:?}"))
 }
 
 /// The aggregating sink installed by `init_harness`.
@@ -208,10 +131,7 @@ impl SummarySink {
     /// A new aggregator for harness `name`.
     pub fn new(name: &str, out_dir: Option<PathBuf>, render_stderr: bool) -> Self {
         SummarySink {
-            report: SummaryReport {
-                name: name.to_string(),
-                ..SummaryReport::default()
-            },
+            report: SummaryReport::new(name),
             start_us: crate::clock::now_us(),
             out_dir,
             render_stderr,
@@ -221,75 +141,13 @@ impl SummarySink {
 
 impl super::sink::Sink for SummarySink {
     fn record(&mut self, event: &Event) {
-        let r = &mut self.report;
-        match &event.kind {
-            EventKind::PoolJob { stolen, dur_us, .. } => {
-                r.pool_jobs += 1;
-                r.pool_stolen += u64::from(*stolen);
-                r.pool_busy_us += dur_us;
-            }
-            EventKind::PoolBatch { .. } => r.pool_batches += 1,
-            EventKind::SolverProgress { delta, .. } => {
-                r.solver_conflicts += delta.conflicts;
-                r.solver_propagations += delta.propagations;
-                r.solver_restarts += delta.restarts;
-            }
-            EventKind::BudgetExhausted { .. } => r.budget_exhaustions += 1,
-            EventKind::PortfolioRace { per_worker, .. } => {
-                r.portfolio_races += 1;
-                for w in per_worker {
-                    r.portfolio_imported += w.imported;
-                    r.portfolio_exported += w.exported;
-                }
-            }
-            EventKind::SearchStep {
-                candidates,
-                accepted,
-                cache,
-                ..
-            } => {
-                r.search_steps += 1;
-                r.search_candidates += u64::from(*candidates);
-                r.search_accepted += u64::from(*accepted);
-                r.cache_hits += cache.hits;
-                r.cache_misses += cache.misses;
-                r.cache_evictions += cache.evictions;
-            }
-            EventKind::TrainEpoch {
-                loss,
-                wall_us,
-                tape_ops,
-                tape_allocs,
-                ..
-            } => {
-                r.train_epochs += 1;
-                r.train_wall_us += wall_us;
-                r.train_last_loss = *loss;
-                r.tape_ops += tape_ops;
-                r.tape_allocs += tape_allocs;
-            }
-            EventKind::FraigPass {
-                merges,
-                refuted,
-                sat_calls,
-                wall_us,
-                ..
-            } => {
-                r.fraig_passes += 1;
-                r.fraig_merges += merges;
-                r.fraig_refuted += refuted;
-                r.fraig_sat_calls += sat_calls;
-                r.fraig_wall_us += wall_us;
-            }
-            EventKind::CellDone { .. } => r.cells += 1,
-            // Oracle compiles are one-shot setup costs; the throughput
-            // story lives in the oracle_throughput harness, not the
-            // (schema-pinned) summary report.
-            EventKind::SpanOpen { .. }
-            | EventKind::SpanClose { .. }
-            | EventKind::OracleCompile { .. }
-            | EventKind::Message { .. } => {}
-        }
+        let (count, totals) = &mut self.report.kinds[event.kind.index()];
+        *count += 1;
+        let mut column = 0;
+        event.kind.sum(&mut |v| {
+            totals[column] += v;
+            column += 1;
+        });
     }
 
     fn finish(&mut self) {
@@ -314,7 +172,7 @@ impl super::sink::Sink for SummarySink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{CacheDelta, SolverCounters};
+    use crate::event::EventKind;
     use crate::json;
     use crate::sink::Sink;
 
@@ -326,15 +184,14 @@ mod tests {
                 t_us: i,
                 thread: 0,
                 kind: EventKind::SolverProgress {
-                    total: SolverCounters {
-                        conflicts: (i + 1) * 10,
-                        ..Default::default()
-                    },
-                    delta: SolverCounters {
-                        conflicts: 10,
-                        propagations: 5,
-                        ..Default::default()
-                    },
+                    conflicts: (i + 1) * 10,
+                    decisions: 0,
+                    propagations: 0,
+                    restarts: 0,
+                    d_conflicts: 10,
+                    d_decisions: 0,
+                    d_propagations: 5,
+                    d_restarts: 0,
                 },
             });
         }
@@ -347,12 +204,10 @@ mod tests {
                 current: 0.5,
                 best: 0.5,
                 accepted: true,
-                cache: CacheDelta {
-                    hits: 2,
-                    misses: 6,
-                    evictions: 1,
-                    live_nodes: 10,
-                },
+                d_hits: 2,
+                d_misses: 6,
+                d_evictions: 1,
+                live_nodes: 10,
             },
         });
         sink.record(&Event {
@@ -362,16 +217,20 @@ mod tests {
         });
         sink.finish();
         let report = sink.take_summary().expect("summary");
-        assert_eq!(report.solver_conflicts, 30, "summed deltas, not totals");
-        assert_eq!(report.solver_propagations, 15);
-        assert_eq!(report.search_candidates, 8);
-        assert_eq!(report.cache_misses, 6);
-        assert_eq!(report.cells, 1);
+        assert_eq!(
+            report.total("solver_progress", "d_conflicts"),
+            30,
+            "summed deltas, not totals"
+        );
+        assert_eq!(report.total("solver_progress", "d_propagations"), 15);
+        assert_eq!(report.total("search_step", "candidates"), 8);
+        assert_eq!(report.total("search_step", "d_misses"), 6);
+        assert_eq!(report.count("cell_done"), 1);
         let v = json::parse(&report.to_json()).expect("BENCH json parses");
         assert_eq!(v.get("name").and_then(|n| n.as_str()), Some("unit"));
         assert_eq!(
-            v.get("solver")
-                .and_then(|s| s.get("conflicts"))
+            v.get("solver_progress")
+                .and_then(|s| s.get("d_conflicts"))
                 .and_then(|c| c.as_u64()),
             Some(30)
         );

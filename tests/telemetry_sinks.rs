@@ -220,9 +220,9 @@ fn sinks_are_schema_valid_and_inert() {
         let report = telemetry::finish().expect("summary report");
         std::env::remove_var("ALMOST_TRACE");
 
-        assert!(report.pool_jobs > 0, "pool jobs aggregated");
-        assert!(report.train_epochs == 2, "train epochs aggregated");
-        assert!(report.search_steps == 3, "search steps aggregated");
+        assert!(report.count("pool_job") > 0, "pool jobs aggregated");
+        assert!(report.count("train_epoch") == 2, "train epochs aggregated");
+        assert!(report.count("search_step") == 3, "search steps aggregated");
 
         let workers = check_jsonl(&jsonl);
         assert_eq!(
@@ -260,8 +260,8 @@ fn sinks_are_schema_valid_and_inert() {
         Some("telemetry_sinks_it")
     );
     assert!(
-        v.get("pool")
-            .and_then(|p| p.get("jobs"))
+        v.get("pool_job")
+            .and_then(|p| p.get("count"))
             .and_then(Value::as_u64)
             .unwrap_or(0)
             > 0
