@@ -16,13 +16,15 @@
 //! Release builds additionally pin the two fraig configurations on
 //! deploy-scale sweeps (c5315 and c7552 under 128 RLL key gates, after
 //! `wWfFsSb`), where counterexamples are frequent: a change to the sweep
-//! solver's search that moves one merge moves a digest here. They also pin
-//! every step of the `wWfFsSbgwb` recipe chained on the same two networks:
-//! at this scale the resynthesis node budgets cut candidates short most
-//! often, so a change to how candidates are costed shows here first.
+//! solver's search that moves one merge moves a digest here, and one that
+//! moves a query, decision or conflict moves the pinned search counters.
+//! They also pin every step of the `wWfFsSbgwb` recipe chained on the same
+//! two networks: at this scale the resynthesis node budgets cut candidates
+//! short most often, so a change to how candidates are costed shows here
+//! first.
 
 use almost_repro::aig::aiger::write_aag;
-use almost_repro::aig::{fraig_with, Aig, FraigConfig, Lit, Pass, Script};
+use almost_repro::aig::{fraig_with, Aig, FraigConfig, FraigStats, Lit, Pass, Script};
 use almost_repro::circuits::IscasBenchmark;
 use almost_repro::locking::{LockingScheme, Rll};
 use almost_repro::netlist::{map_aig, CellLibrary, MapConfig, MappedNetlist};
@@ -188,15 +190,32 @@ fn pass_and_mapping_outputs_are_byte_identical() {
     );
 }
 
-/// `(input, config, digest)`: the `g` letter's output
+/// `(input, config, digest, search)`: the `g` letter's output
 /// ([`FraigConfig::recipe`]) and the CEC sweep's output
-/// ([`FraigConfig::default`]) on deploy-scale restructured inputs.
-const FRAIG_GOLDEN: &[(&str, &str, u64)] = &[
-    ("c5315_rll128_wWfFsSb", "g", 0x449e0fa8a334b34c),
-    ("c5315_rll128_wWfFsSb", "fraig", 0x449e0fa8a334b34c),
-    ("c7552_rll128_wWfFsSb", "g", 0x0ce0fc20406c018a),
-    ("c7552_rll128_wWfFsSb", "fraig", 0x0ce0fc20406c018a),
+/// ([`FraigConfig::default`]) on deploy-scale restructured inputs, with
+/// the sweep's search pinned as `[sat_calls, proved, refuted,
+/// sim_words_added, decisions, conflicts]` of its [`FraigStats`]: a
+/// change to the sweep's bookkeeping must not move one query, decision or
+/// conflict, even where the output would survive it.
+#[rustfmt::skip]
+const FRAIG_GOLDEN: &[(&str, &str, u64, [u64; 6])] = &[
+    ("c5315_rll128_wWfFsSb", "g", 0x449e0fa8a334b34c, [38, 10, 28, 28, 1079, 55]),
+    ("c5315_rll128_wWfFsSb", "fraig", 0x449e0fa8a334b34c, [37, 10, 27, 27, 1079, 53]),
+    ("c7552_rll128_wWfFsSb", "g", 0x0ce0fc20406c018a, [78, 15, 63, 63, 9705, 62]),
+    ("c7552_rll128_wWfFsSb", "fraig", 0x0ce0fc20406c018a, [76, 15, 61, 61, 8970, 61]),
 ];
+
+/// The [`FRAIG_GOLDEN`] search counters of one sweep.
+fn search_stats(stats: &FraigStats) -> [u64; 6] {
+    [
+        stats.sat_calls,
+        stats.proved,
+        stats.refuted,
+        stats.sim_words_added,
+        stats.decisions,
+        stats.conflicts,
+    ]
+}
 
 #[test]
 fn deploy_scale_fraig_sweeps_are_byte_identical() {
@@ -204,28 +223,36 @@ fn deploy_scale_fraig_sweeps_are_byte_identical() {
         return;
     }
     let recipe = Script::from_mnemonics("wWfFsSb").expect("valid recipe");
-    let mut actual: Vec<(String, String, u64)> = Vec::new();
+    let mut actual: Vec<(String, String, u64, [u64; 6])> = Vec::new();
     for (name, bench, seed) in [
         ("c5315_rll128_wWfFsSb", IscasBenchmark::C5315, 5315),
         ("c7552_rll128_wWfFsSb", IscasBenchmark::C7552, 7552),
     ] {
         let aig = recipe.apply(&locked(bench, 128, seed));
-        let (swept, _) = fraig_with(&aig, &FraigConfig::recipe());
-        actual.push((name.into(), "g".into(), aig_digest(&swept)));
-        let (swept, _) = fraig_with(&aig, &FraigConfig::default());
-        actual.push((name.into(), "fraig".into(), aig_digest(&swept)));
+        for (config_name, config) in [
+            ("g", FraigConfig::recipe()),
+            ("fraig", FraigConfig::default()),
+        ] {
+            let (swept, stats) = fraig_with(&aig, &config);
+            actual.push((
+                name.into(),
+                config_name.into(),
+                aig_digest(&swept),
+                search_stats(&stats),
+            ));
+        }
     }
     let table: String = actual
         .iter()
-        .map(|(n, s, d)| format!("    (\"{n}\", \"{s}\", 0x{d:016x}),\n"))
+        .map(|(n, s, d, st)| format!("    (\"{n}\", \"{s}\", 0x{d:016x}, {st:?}),\n"))
         .collect();
-    let expected: Vec<(String, String, u64)> = FRAIG_GOLDEN
+    let expected: Vec<(String, String, u64, [u64; 6])> = FRAIG_GOLDEN
         .iter()
-        .map(|&(n, s, d)| (n.to_string(), s.to_string(), d))
+        .map(|&(n, s, d, st)| (n.to_string(), s.to_string(), d, st))
         .collect();
     assert!(
         actual == expected,
-        "fraig sweep digests moved; actual table:\n{table}"
+        "fraig sweep digests or search counters moved; actual table:\n{table}"
     );
 }
 
