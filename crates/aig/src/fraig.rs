@@ -22,11 +22,14 @@
 //!    are proved equal to that AND's fanins), so that AND's simulation row
 //!    is its signature. Nodes
 //!    whose signatures differ (under both phases) are *certainly* different;
-//!    only signature-equal nodes become merge candidates. Signatures are
-//!    hashed complement-canonically (complement the row if its first bit is
-//!    set), so one hash lookup finds both same-phase and opposite-phase
-//!    candidates. The hash is FNV folded word by word and kept per node as
-//!    a running key, so appending a word updates every key in `O(1)`.
+//!    only signature-equal nodes become merge candidates. Representatives
+//!    are bucketed by a complement-canonical FNV hash (complement the row
+//!    if its first bit is set) of their *initial* words only, so one hash
+//!    lookup finds both same-phase and opposite-phase candidates, and a
+//!    node's bucket is fixed for the life of the sweep. Within a bucket
+//!    the full rows, counterexample words included, decide who is a
+//!    candidate: a bucket can hold representatives that counterexamples
+//!    have since split, and they are skipped by an exact row comparison.
 //! 3. **Incremental SAT** — a candidate pair is handed to a single
 //!    incremental [`Solver`] that sweeps the whole netlist: the two cones
 //!    are Tseitin-encoded lazily ([`crate::cnf::encode_cone`], one memo
@@ -45,7 +48,9 @@
 //!    yields a counterexample, which is **fed back into the simulation
 //!    vectors**: a new word whose bit 0 is the exact counterexample and
 //!    whose remaining 63 bits are random perturbations of it, splitting
-//!    every not-actually-equal class the cex distinguishes. Feedback is
+//!    every not-actually-equal class the cex distinguishes. Appending a
+//!    word touches no bucket, so feedback costs one simulation word, not a
+//!    rebuild of the class table. Feedback is
 //!    never capped: every refutation splits its pair, so no pair is ever
 //!    refuted twice and a class of lookalikes (near-constant logic that
 //!    random patterns never set) costs one SAT call per split rather than
@@ -76,7 +81,6 @@
 //! rows of the `synthesis_golden` suite pin deploy-scale sweeps of both
 //! configurations.
 
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -192,7 +196,6 @@ pub fn fraig_with(aig: &Aig, config: &FraigConfig) -> (Aig, FraigStats) {
     let mut sweeper = Sweeper::new(aig, config);
     let result = sweeper.run();
     let mut stats = sweeper.stats;
-    stats.classes = sweeper.members.len() as u64 - 1;
     stats.ands_before = aig.num_ands() as u64;
     stats.ands_after = result.num_ands() as u64;
     let solver = sweeper.solver.stats();
@@ -227,8 +230,8 @@ enum Outcome {
 enum Scan {
     /// Proved equal to this representative literal.
     Merged(Lit),
-    /// A counterexample word was appended; signatures (and the class key)
-    /// changed — redo the lookup.
+    /// A counterexample word was appended and signatures changed: scan
+    /// the bucket again.
     Rescan,
     /// No provably-equal member: the node becomes a representative.
     NewRep,
@@ -243,9 +246,9 @@ struct Sweeper<'a> {
     /// Per `out` var, the source literal computing the same function,
     /// whose row of `sim` is the var's signature.
     sig: Vec<Lit>,
-    /// Running complement-canonical FNV hash of each signature row: the
-    /// class key, updated word by word as counterexamples are appended.
-    keys: Vec<u64>,
+    /// Signature words hashed into a class key: the initial random words,
+    /// never the counterexample words appended after them.
+    key_words: usize,
     rng: StdRng,
     /// Representative literal per `out` var — identity unless the node was
     /// proved equal to an earlier one.
@@ -265,15 +268,13 @@ struct Sweeper<'a> {
     /// The current query's cone vars, and the walk's stack (reused).
     cone: Vec<Var>,
     cone_stack: Vec<Var>,
-    /// Complement-canonical signature hash → the first and last member of
-    /// its class. Members chain through `next_member` in insertion
-    /// (topological) order. Seeded with the constant node.
+    /// Class key ([`Sweeper::class_key`]) → the first and last
+    /// representative of its bucket. Representatives chain through
+    /// `next_member` in insertion (topological) order, and a bucket is
+    /// never relinked. Seeded with the constant node.
     classes: HashMap<u64, (Var, Var), FastBuild>,
-    /// The next member of a representative's class, or [`NO_MEMBER`].
+    /// The next representative of a bucket, or [`NO_MEMBER`].
     next_member: Vec<Var>,
-    /// All class representatives in insertion order, for deterministic
-    /// class-table rebuilds after a signature extension.
-    members: Vec<Var>,
     stats: FraigStats,
 }
 
@@ -305,7 +306,6 @@ impl<'a> Sweeper<'a> {
         let sig: Vec<Lit> = std::iter::once(Lit::FALSE)
             .chain(src.inputs().iter().map(|&v| Lit::positive(v)))
             .collect();
-        let keys = sig.iter().map(|&lit| signature_key(&sim, lit)).collect();
         let mut sweeper = Sweeper {
             config,
             src,
@@ -313,7 +313,7 @@ impl<'a> Sweeper<'a> {
             out,
             sim,
             sig,
-            keys,
+            key_words: num_words,
             rng,
             sat_of,
             solver,
@@ -324,10 +324,9 @@ impl<'a> Sweeper<'a> {
             cone_stack: Vec::new(),
             classes: HashMap::default(),
             next_member: vec![NO_MEMBER; src.num_inputs() + 1],
-            members: vec![0],
             stats: FraigStats::default(),
         };
-        sweeper.link_member(0);
+        sweeper.link_member(0, sweeper.class_key(0));
         sweeper
     }
 
@@ -379,27 +378,27 @@ impl<'a> Sweeper<'a> {
     }
 
     /// Registers a freshly created AND `cv`, whose function is the source
-    /// literal `sig`'s, and computes its class key.
+    /// literal `sig`'s.
     fn push_node(&mut self, cv: Var, sig: Lit) {
-        self.keys.push(signature_key(&self.sim, sig));
         self.sig.push(sig);
         self.sat_of.push(None);
         self.next_member.push(NO_MEMBER);
         self.repr.push(Lit::positive(cv));
     }
 
-    /// Appends representative `m` to the tail of its class's member chain.
-    fn link_member(&mut self, m: Var) {
-        self.next_member[m as usize] = NO_MEMBER;
-        match self.classes.entry(self.keys[m as usize]) {
-            Entry::Occupied(mut class) => {
-                let tail = &mut class.get_mut().1;
-                self.next_member[*tail as usize] = m;
-                *tail = m;
-            }
-            Entry::Vacant(class) => {
-                class.insert((m, m));
-            }
+    /// The class key of `out` var `v`: the complement-canonical FNV hash
+    /// of its signature's initial words, the same before and after any
+    /// counterexample word is appended.
+    fn class_key(&self, v: Var) -> u64 {
+        signature_key(&self.sim, self.sig[v as usize], self.key_words)
+    }
+
+    /// Appends representative `m` to the tail of bucket `key`.
+    fn link_member(&mut self, m: Var, key: u64) {
+        let (_, tail) = self.classes.entry(key).or_insert((m, m));
+        if *tail != m {
+            self.next_member[*tail as usize] = m;
+            *tail = m;
         }
     }
 
@@ -428,33 +427,35 @@ impl<'a> Sweeper<'a> {
     /// Finds the representative literal for a fresh node: merges it into a
     /// proven-equivalent class, or registers it as a new representative.
     fn classify(&mut self, cv: Var) -> Lit {
+        let key = self.class_key(cv);
         loop {
-            let key = self.keys[cv as usize];
             match self.scan_class(cv, key) {
                 Scan::Merged(rep) => return rep,
                 Scan::Rescan => continue,
                 Scan::NewRep => {
-                    self.link_member(cv);
-                    self.members.push(cv);
+                    self.link_member(cv, key);
+                    self.stats.classes += 1;
                     return Lit::positive(cv);
                 }
             }
         }
     }
 
+    /// Queries `cv` against every representative of bucket `key` whose
+    /// full signature row equals `cv`'s, in insertion order: exactly the
+    /// class members a table keyed by the full rows would hold.
     fn scan_class(&mut self, cv: Var, key: u64) -> Scan {
         let Some(&(first, _)) = self.classes.get(&key) else {
             return Scan::NewRep;
         };
         let phase = self.phase(cv);
-        // Only a refutation edits the class table, and it ends the scan.
         let mut next = first;
         while next != NO_MEMBER {
             let m = next;
             next = self.next_member[m as usize];
             let flip = phase != self.phase(m);
             if !self.sig_rows_equal(cv, m, flip) {
-                continue; // hash collision or an already-split pair
+                continue; // hash collision or a pair a counterexample split
             }
             let rep = Lit::new(m, flip);
             match self.prove_equal(Lit::positive(cv), rep) {
@@ -486,12 +487,18 @@ impl<'a> Sweeper<'a> {
         self.sim.lit_word(self.sig[v as usize], 0) & 1 != 0
     }
 
+    /// Are the full signature rows of `a` and `b` (complemented if
+    /// `flip`) equal? Compared newest word first: a bucket's members agree
+    /// on the initial words (up to a hash collision), and a split pair
+    /// differs in the counterexample word that split it.
     fn sig_rows_equal(&self, a: Var, b: Var, flip: bool) -> bool {
         let (la, lb) = (
             self.sig[a as usize],
             self.sig[b as usize].xor_complement(flip),
         );
-        (0..self.sim.num_words()).all(|w| self.sim.lit_word(la, w) == self.sim.lit_word(lb, w))
+        (0..self.sim.num_words())
+            .rev()
+            .all(|w| self.sim.lit_word(la, w) == self.sim.lit_word(lb, w))
     }
 
     /// One equivalence query `x == y` against the incremental sweep
@@ -597,11 +604,8 @@ impl<'a> Sweeper<'a> {
     /// Appends one simulation word derived from a counterexample: bit 0 is
     /// the exact cex, bits 1..63 random perturbations of it (≈ 1/8 flip
     /// density). Called on every refutation, without a cap: the vectors
-    /// grow by one word per refuted SAT call. Each node's class key is
-    /// folded forward by the new word (the same value a full re-hash of
-    /// the extended row gives), and the class table is relinked from the
-    /// keys in the original insertion order (the map keeps its capacity,
-    /// so no rebuild allocates).
+    /// grow by one word per refuted SAT call. Class keys hash only the
+    /// initial words, so the class table is left as it is.
     fn append_cex(&mut self, cex: &[bool]) {
         let word: Vec<u64> = cex
             .iter()
@@ -616,15 +620,6 @@ impl<'a> Sweeper<'a> {
             .collect();
         self.sim.push_word(&word);
         self.stats.sim_words_added += 1;
-        let w = self.sim.num_words() - 1;
-        for (key, &lit) in self.keys.iter_mut().zip(&self.sig) {
-            let phase = self.sim.lit_word(lit, 0) & 1 != 0;
-            *key = fnv_fold(*key, self.sim.lit_word(lit, w), phase);
-        }
-        self.classes.clear();
-        for i in 0..self.members.len() {
-            self.link_member(self.members[i]);
-        }
     }
 }
 
@@ -701,17 +696,13 @@ pub fn ternary_constant_scan(aig: &Aig) -> Vec<Ternary> {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x100_0000_01b3;
 
-/// Folds one signature word into a complement-canonical FNV key (`flip`:
-/// the row's first bit is set, so the row hashes complemented).
-#[inline]
-fn fnv_fold(key: u64, word: u64, flip: bool) -> u64 {
-    (key ^ if flip { !word } else { word }).wrapping_mul(FNV_PRIME)
-}
-
-/// Complement-canonical FNV hash of the whole signature row of `lit`.
-fn signature_key(sim: &SimVectors, lit: Lit) -> u64 {
-    let flip = sim.lit_word(lit, 0) & 1 != 0;
-    (0..sim.num_words()).fold(FNV_OFFSET, |h, w| fnv_fold(h, sim.lit_word(lit, w), flip))
+/// Complement-canonical FNV hash of the first `words` signature words of
+/// `lit` (complemented when the row's first bit is set).
+fn signature_key(sim: &SimVectors, lit: Lit, words: usize) -> u64 {
+    let flip = if sim.lit_word(lit, 0) & 1 != 0 { !0 } else { 0 };
+    (0..words).fold(FNV_OFFSET, |h, w| {
+        (h ^ sim.lit_word(lit, w) ^ flip).wrapping_mul(FNV_PRIME)
+    })
 }
 
 /// A fresh sweep-solver variable that is not a decision variable:
@@ -804,7 +795,7 @@ mod tests {
     }
 
     #[test]
-    fn running_keys_equal_a_full_rehash() {
+    fn class_keys_hash_the_initial_words_only() {
         let aig = random_aig(10, 120, 5);
         let config = FraigConfig::recipe();
         let mut sweeper = Sweeper::new(&aig, &config);
@@ -815,16 +806,6 @@ mod tests {
             num_words as u64,
             config.sim_words as u64 + sweeper.stats.sim_words_added
         );
-        assert_eq!(sweeper.keys.len(), sweeper.out.num_nodes());
-        for (v, &lit) in sweeper.sig.iter().enumerate() {
-            assert_eq!(
-                sweeper.keys[v],
-                signature_key(&sweeper.sim, lit),
-                "node {v}"
-            );
-        }
-        // Every sweep node's signature is its own simulation on the same
-        // patterns: the source row it borrows is the right one.
         let input_words: Vec<Vec<u64>> = aig
             .inputs()
             .iter()
@@ -834,6 +815,41 @@ mod tests {
                     .collect()
             })
             .collect();
+        // Each key is the hash of the initial words: computed now, after
+        // every counterexample word was appended, it equals the hash of
+        // the full row of a simulation that never saw one.
+        let initial_words: Vec<Vec<u64>> = input_words
+            .iter()
+            .map(|row| row[..config.sim_words].to_vec())
+            .collect();
+        let initial = SimVectors::with_input_patterns(&aig, &initial_words);
+        for (v, &lit) in sweeper.sig.iter().enumerate() {
+            assert_eq!(
+                sweeper.class_key(v as Var),
+                signature_key(&initial, lit, initial.num_words()),
+                "node {v}"
+            );
+        }
+        // And each representative still sits, once, in the bucket of the
+        // key it was linked under, in insertion order.
+        let mut linked = 0;
+        for (&key, &(first, last)) in &sweeper.classes {
+            let mut m = first;
+            loop {
+                assert_eq!(sweeper.class_key(m), key, "representative {m}");
+                linked += 1;
+                let next = sweeper.next_member[m as usize];
+                if m == last {
+                    assert_eq!(next, NO_MEMBER);
+                    break;
+                }
+                assert!(next > m, "bucket out of insertion order");
+                m = next;
+            }
+        }
+        assert_eq!(linked, sweeper.stats.classes + 1, "constant included");
+        // Every sweep node's signature is its own simulation on the same
+        // patterns: the source row it borrows is the right one.
         let own = SimVectors::with_input_patterns(&sweeper.out, &input_words);
         for (v, &lit) in sweeper.sig.iter().enumerate() {
             for w in 0..num_words {

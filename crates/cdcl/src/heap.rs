@@ -85,6 +85,14 @@ impl ActivityHeap {
         self.sift_up(i);
     }
 
+    /// Removes every queued variable, in time linear in the queue's length.
+    pub fn clear(&mut self) {
+        for e in &self.heap {
+            self.pos[e.var as usize] = ABSENT;
+        }
+        self.heap.clear();
+    }
+
     /// Removes and returns the variable ordered first (highest activity,
     /// lowest index on ties).
     pub fn pop(&mut self) -> Option<SatVar> {
@@ -197,6 +205,23 @@ mod tests {
         assert!(!h.contains(0));
         assert_eq!(h.pop(), Some(1));
         assert!(h.is_empty());
+        assert_eq!(h.pop(), None);
+    }
+
+    #[test]
+    fn clear_empties_the_heap_and_allows_reinsertion() {
+        let act = vec![1.0, 2.0, 3.0];
+        let mut h = ActivityHeap::new();
+        for v in 0..3 {
+            h.insert(v, &act);
+        }
+        h.clear();
+        assert!(h.is_empty());
+        assert!((0..3).all(|v| !h.contains(v)));
+        h.insert(0, &act);
+        h.insert(2, &act);
+        assert_eq!(h.pop(), Some(2));
+        assert_eq!(h.pop(), Some(0));
         assert_eq!(h.pop(), None);
     }
 

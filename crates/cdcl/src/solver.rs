@@ -272,6 +272,9 @@ pub struct Solver {
     order: ActivityHeap,
     /// Per-variable decision flag (see [`Solver::set_decision_var`]).
     decision: Vec<bool>,
+    /// Number of *open* decision variables: flagged and unassigned.
+    /// `decide` stops at zero without draining the heap entry by entry.
+    open_decisions: usize,
     cla_inc: f64,
     seen: Vec<bool>,
     /// Conflict-analysis scratch: the clause being learnt, reused across
@@ -332,6 +335,7 @@ impl Solver {
             var_inc: 1.0,
             order: ActivityHeap::new(),
             decision: Vec::new(),
+            open_decisions: 0,
             cla_inc: 1.0,
             seen: Vec::new(),
             learnt: Vec::new(),
@@ -368,6 +372,7 @@ impl Solver {
         });
         self.seen.push(false);
         self.decision.push(true);
+        self.open_decisions += 1;
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
         self.order.insert(v, &self.activity);
@@ -418,11 +423,21 @@ impl Solver {
     /// variables: UNSAT never depends on the flags, and a SAT answer
     /// falsifies no clause and satisfies every clause whose variables are
     /// all decision variables. Turning a flag on queues the variable if it
-    /// is unassigned; turning it off lets `decide` drop it lazily.
+    /// is unassigned; turning it off lets `decide` drop it lazily, or skip
+    /// it with the rest of the heap once no flagged variable is unassigned.
+    /// Setting a flag to the value it already has is a no-op.
     pub fn set_decision_var(&mut self, var: SatVar, on: bool) {
+        if self.decision[var as usize] == on {
+            return;
+        }
         self.decision[var as usize] = on;
-        if on && self.lit_value(SatLit::positive(var)) == Value::Unassigned {
-            self.order.insert(var, &self.activity);
+        if self.lit_value(SatLit::positive(var)) == Value::Unassigned {
+            if on {
+                self.open_decisions += 1;
+                self.order.insert(var, &self.activity);
+            } else {
+                self.open_decisions -= 1;
+            }
         }
     }
 
@@ -489,16 +504,22 @@ impl Solver {
     }
 
     /// True when every unassigned decision variable is queued in the
-    /// decision heap — the invariant that makes [`Solver::solve`]'s
-    /// `decide` loop complete. Exposed for the property tests; not part of
-    /// the stable API.
+    /// decision heap, and the open-decision count is the number of them —
+    /// the invariants that make [`Solver::solve`]'s `decide` complete.
+    /// Exposed for the property tests; not part of the stable API.
     #[doc(hidden)]
     pub fn decision_heap_consistent(&self) -> bool {
-        (0..self.num_vars() as SatVar).all(|v| {
-            !self.decision[v as usize]
+        let mut open = 0;
+        let queued = (0..self.num_vars() as SatVar).all(|v| {
+            if !self.decision[v as usize]
                 || self.lit_value(SatLit::positive(v)) != Value::Unassigned
-                || self.order.contains(v)
-        })
+            {
+                return true;
+            }
+            open += 1;
+            self.order.contains(v)
+        });
+        queued && open == self.open_decisions
     }
 
     #[inline]
@@ -692,6 +713,7 @@ impl Solver {
         self.phase[v] = !lit.is_negative();
         self.level[v] = self.trail_lim.len() as u32;
         self.reason[v] = reason;
+        self.open_decisions -= usize::from(self.decision[v]);
         self.trail.push(lit);
     }
 
@@ -919,6 +941,7 @@ impl Solver {
                 self.vals[lit.index()] = Value::Unassigned;
                 self.vals[(!lit).index()] = Value::Unassigned;
                 if self.decision[lit.var() as usize] {
+                    self.open_decisions += 1;
                     self.order.insert(lit.var(), &self.activity);
                 }
             }
@@ -937,7 +960,16 @@ impl Solver {
     /// every unassigned decision variable), and ties on activity resolve to
     /// the lowest index, so the pick is deterministic. Dropping entries
     /// never reorders the rest: the heap's order is strict and total.
+    ///
+    /// With no decision variable open, the answer is `None` at once and
+    /// the heap is emptied wholesale: popping it dry would end in the same
+    /// empty heap, one sift per entry later. A sweep query whose cone is
+    /// settled by propagation thus costs its decisions, not its cone.
     fn decide(&mut self) -> Option<SatLit> {
+        if self.open_decisions == 0 {
+            self.order.clear();
+            return None;
+        }
         while let Some(v) = self.order.pop() {
             if self.decision[v as usize] && self.lit_value(SatLit::positive(v)) == Value::Unassigned
             {

@@ -10,10 +10,12 @@
 //!    rebuild the solver performs), and the keys the heap stores inline
 //!    follow the activities through bumps, pops and re-insertions;
 //! 3. the solver's backtracking re-inserts exactly the unassigned
-//!    variables, so `decide()` can never miss one.
+//!    variables, so `decide()` can never miss one, and its count of open
+//!    decision variables (flagged and unassigned), at which `decide()`
+//!    stops, stays exact through decision-flag flips.
 
 use almost_sat::heap::ActivityHeap;
-use almost_sat::solver::{SatLit, SatVar, Solver};
+use almost_sat::solver::{SatLit, SatResult, SatVar, Solver};
 use proptest::prelude::*;
 
 /// Deterministic xorshift stream for generating activities and clauses.
@@ -158,5 +160,68 @@ proptest! {
         prop_assert!(solver.decision_heap_consistent());
         let _ = solver.solve(&[]);
         prop_assert!(solver.decision_heap_consistent());
+    }
+
+    /// Invariant 3b: decision-flag flips (on and off, on assigned and
+    /// unassigned variables) interleaved with clause additions, solves
+    /// and tiny-budget solves keep the heap and the open-decision count
+    /// exact after every step. No answer is lost to a flag: an `Unsat`
+    /// is only ever returned where a fresh solver with every flag on
+    /// agrees, and a `Sat` model falsifies no clause.
+    #[test]
+    fn decision_flag_flips_keep_the_open_count(
+        seed in 0u64..1_000_000,
+        nvars in 4u64..16,
+        steps in 8usize..64,
+    ) {
+        let mut next = stream(seed ^ 0xF1A9);
+        let mut solver = Solver::new();
+        let vars: Vec<SatVar> = (0..nvars).map(|_| solver.new_var()).collect();
+        let mut clauses: Vec<Vec<SatLit>> = Vec::new();
+        let random_lit = |next: &mut dyn FnMut() -> u64| {
+            SatLit::new(vars[(next() % nvars) as usize], next().is_multiple_of(2))
+        };
+        for _ in 0..steps {
+            let op = next() % 5;
+            let assumptions: Vec<SatLit> = (0..next() % 2).map(|_| random_lit(&mut next)).collect();
+            let result = match op {
+                0 | 1 => {
+                    let v = vars[(next() % nvars) as usize];
+                    solver.set_decision_var(v, next().is_multiple_of(2));
+                    None
+                }
+                2 => {
+                    let cl: Vec<SatLit> = (0..1 + next() % 3).map(|_| random_lit(&mut next)).collect();
+                    solver.add_clause(&cl);
+                    clauses.push(cl);
+                    None
+                }
+                3 => Some(solver.solve(&assumptions)),
+                _ => solver.solve_limited(&assumptions, next() % 3),
+            };
+            prop_assert!(solver.decision_heap_consistent(), "step op {}", op);
+            match result {
+                Some(SatResult::Unsat) => {
+                    let mut fresh = Solver::new();
+                    for _ in 0..nvars {
+                        fresh.new_var();
+                    }
+                    for cl in &clauses {
+                        fresh.add_clause(cl);
+                    }
+                    prop_assert_eq!(fresh.solve(&assumptions), SatResult::Unsat);
+                }
+                Some(SatResult::Sat) => {
+                    for cl in &clauses {
+                        prop_assert!(
+                            cl.iter().any(|&l| solver.value(l.var()) != Some(l.is_negative())),
+                            "model falsifies {:?}",
+                            cl
+                        );
+                    }
+                }
+                None => {}
+            }
+        }
     }
 }
