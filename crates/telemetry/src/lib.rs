@@ -12,8 +12,9 @@
 //!
 //! Each kind is declared once, in `event.rs`: its JSONL name, level,
 //! typed fields and which fields the summary sums. The JSONL line, the
-//! [`SCHEMA`] table that the `trace_check` binary validates against, the
-//! Chrome trace args and the summary all derive from that declaration.
+//! [`SCHEMA`] table that the [`check`] validators (and the `trace_check`
+//! binary around them) hold a log to, the Chrome trace args and the
+//! summary all derive from that declaration.
 //!
 //! ## Zero cost when off
 //!
@@ -36,6 +37,7 @@
 //! assert!(report.is_some());
 //! ```
 
+pub mod check;
 pub mod clock;
 pub mod event;
 pub mod json;
@@ -65,6 +67,10 @@ static TRACING: AtomicBool = AtomicBool::new(false);
 
 static SINKS: Mutex<Vec<Box<dyn Sink>>> = Mutex::new(Vec::new());
 
+/// The harness span [`init_harness`] opened, with its start time, until
+/// [`finish`] closes it.
+static HARNESS: Mutex<Option<(String, u64)>> = Mutex::new(None);
+
 /// Whether any telemetry registry is active (sinks installed).
 #[inline]
 pub fn active() -> bool {
@@ -80,9 +86,11 @@ pub fn tracing() -> bool {
 
 /// Installs `sinks`, replacing any existing registry (the old sinks are
 /// finished first). `consume_trace` controls the [`tracing`] flag: the
-/// stderr progress sink alone does not need trace events.
+/// stderr progress sink alone does not need trace events. A harness span
+/// still open belongs to the old sinks and is dropped with them.
 pub fn install(sinks: Vec<Box<dyn Sink>>, consume_trace: bool) {
     clock::pin_epoch();
+    HARNESS.lock().expect("harness span").take();
     let mut reg = SINKS.lock().expect("telemetry registry");
     for sink in reg.iter_mut() {
         sink.finish();
@@ -96,7 +104,8 @@ pub fn install(sinks: Vec<Box<dyn Sink>>, consume_trace: bool) {
 /// when the `ALMOST_TRACE=<path>` environment variable is set — a JSONL
 /// event log at `<path>` plus a Chrome trace at `<path minus extension>
 /// .trace.json`. `out_dir` is where `BENCH_<name>.json` lands (pass the
-/// harness CSV directory); `None` skips the JSON summary file.
+/// harness CSV directory); `None` skips the JSON summary file. Opens the
+/// harness span, which [`finish`] closes: call both on one thread.
 pub fn init_harness(name: &str, out_dir: Option<&Path>) {
     let mut sinks: Vec<Box<dyn Sink>> = vec![Box::new(ProgressSink)];
     let mut consume_trace = false;
@@ -121,15 +130,31 @@ pub fn init_harness(name: &str, out_dir: Option<&Path>) {
         consume_trace,
     )));
     install(sinks, consume_trace);
-    emit(Event::now(EventKind::SpanOpen {
+    let open = Event::now(EventKind::SpanOpen {
         scope: Scope::Harness,
         name: name.to_string(),
-    }));
+    });
+    *HARNESS.lock().expect("harness span") = Some((name.to_string(), open.t_us));
+    emit(open);
 }
 
-/// Finishes and removes all sinks, returning the aggregated report if a
+/// Closes the harness span [`init_harness`] opened, if any, then finishes
+/// and removes all sinks, returning the aggregated report if a
 /// [`SummarySink`] was installed. Idempotent; safe with no registry.
 pub fn finish() -> Option<SummaryReport> {
+    let harness = HARNESS.lock().expect("harness span").take();
+    if let Some((name, t0)) = harness {
+        let t = clock::now_us();
+        emit(Event {
+            t_us: t,
+            thread: clock::thread_ordinal(),
+            kind: EventKind::SpanClose {
+                scope: Scope::Harness,
+                name,
+                dur_us: t.saturating_sub(t0),
+            },
+        });
+    }
     let mut reg = SINKS.lock().expect("telemetry registry");
     let mut report = None;
     for sink in reg.iter_mut() {

@@ -1,11 +1,11 @@
-//! End-to-end coverage of the telemetry sinks (ISSUE 6 satellite):
+//! End-to-end coverage of the telemetry sinks:
 //!
-//! - every line the JSONL sink emits parses as schema-valid JSON;
-//! - span open/close events balance per thread (at most the harness
-//!   root span may stay open — `finish()` flushes sinks before the
-//!   process exits);
-//! - the Chrome trace is valid JSON with one named job-slice track per
-//!   pool worker, and the worker→track-id mapping is stable across runs;
+//! - the JSONL log and the Chrome trace pass the library validators
+//!   (`telemetry::check`): every line carries exactly its kind's schema
+//!   fields with their types, span open/close events balance per thread
+//!   with every span closed (the harness span too), and the trace has one
+//!   named job-slice track per pool worker, at `tid = 1000 + worker` in
+//!   every run;
 //! - the data rows a harness would write to CSV are byte-identical with
 //!   `ALMOST_TRACE` set vs unset (telemetry is provably inert);
 //! - the end-of-run aggregator writes a parseable `BENCH_*.json`.
@@ -21,9 +21,10 @@ use almost_repro::ml::gin::{GinClassifier, Graph};
 use almost_repro::ml::tensor::Matrix;
 use almost_repro::ml::train::{train, TrainConfig};
 use almost_repro::telemetry;
+use almost_repro::telemetry::check::{check_chrome, check_jsonl};
 use almost_repro::telemetry::json::{parse, Value};
-use std::collections::{BTreeMap, BTreeSet};
-use std::path::{Path, PathBuf};
+use std::collections::BTreeSet;
+use std::path::PathBuf;
 use std::sync::Arc;
 
 struct StructuralObjective;
@@ -113,92 +114,6 @@ fn harness_body() -> Vec<String> {
     rows
 }
 
-/// Validates one JSONL event log; returns the set of pool workers seen.
-fn check_jsonl(path: &Path) -> BTreeSet<u64> {
-    let text = std::fs::read_to_string(path).expect("jsonl written");
-    assert!(!text.is_empty(), "trace log has events");
-    let mut span_stacks: BTreeMap<u64, Vec<String>> = BTreeMap::new();
-    let mut workers = BTreeSet::new();
-    let mut kinds = BTreeSet::new();
-    for (i, line) in text.lines().enumerate() {
-        let v = parse(line).unwrap_or_else(|e| panic!("line {}: {e}\n{line}", i + 1));
-        let thread = v.get("thread").and_then(Value::as_u64).expect("thread");
-        let kind = v
-            .get("kind")
-            .and_then(Value::as_str)
-            .expect("kind")
-            .to_string();
-        assert!(
-            v.get("t_us").and_then(Value::as_u64).is_some(),
-            "t_us: {line}"
-        );
-        match kind.as_str() {
-            "span_open" => {
-                let name = v.get("name").and_then(Value::as_str).expect("name");
-                span_stacks
-                    .entry(thread)
-                    .or_default()
-                    .push(name.to_string());
-            }
-            "span_close" => {
-                let name = v.get("name").and_then(Value::as_str).expect("name");
-                let popped = span_stacks.entry(thread).or_default().pop();
-                assert_eq!(popped.as_deref(), Some(name), "LIFO span close: {line}");
-            }
-            "pool_job" => {
-                workers.insert(v.get("worker").and_then(Value::as_u64).expect("worker"));
-            }
-            _ => {}
-        }
-        kinds.insert(kind);
-    }
-    for (thread, stack) in &span_stacks {
-        assert!(
-            stack.len() <= 1,
-            "thread {thread} ends with unclosed spans: {stack:?}"
-        );
-    }
-    for expected in [
-        "span_open",
-        "span_close",
-        "pool_job",
-        "pool_batch",
-        "search_step",
-        "train_epoch",
-    ] {
-        assert!(kinds.contains(expected), "no {expected} event in the log");
-    }
-    workers
-}
-
-/// Validates the Chrome trace; returns the pool-worker track ids (both
-/// named and carrying job slices).
-fn check_chrome(path: &Path) -> BTreeSet<u64> {
-    let text = std::fs::read_to_string(path).expect("chrome trace written");
-    let v = parse(&text).expect("chrome trace is valid JSON");
-    let events = v.as_arr().expect("top-level array");
-    let mut named: BTreeSet<u64> = BTreeSet::new();
-    let mut sliced: BTreeSet<u64> = BTreeSet::new();
-    for e in events {
-        let ph = e.get("ph").and_then(Value::as_str).expect("ph");
-        let tid = e.get("tid").and_then(Value::as_u64).expect("tid");
-        if ph == "M" && tid >= 1000 {
-            let name = e
-                .get("args")
-                .and_then(|a| a.get("name"))
-                .and_then(Value::as_str)
-                .expect("thread_name args");
-            assert_eq!(name, format!("pool-worker-{}", tid - 1000));
-            named.insert(tid);
-        }
-        if ph == "X" && e.get("cat").and_then(Value::as_str) == Some("pool") {
-            sliced.insert(tid);
-        }
-    }
-    assert_eq!(named, sliced, "every worker track is named and has slices");
-    named
-}
-
 #[test]
 fn sinks_are_schema_valid_and_inert() {
     std::env::set_var("ALMOST_JOBS", "2");
@@ -210,7 +125,6 @@ fn sinks_are_schema_valid_and_inert() {
     let baseline = harness_body();
 
     // Two traced runs, each with its own trace path.
-    let mut worker_tracks: Vec<BTreeSet<u64>> = Vec::new();
     let mut traced_rows: Vec<Vec<String>> = Vec::new();
     for run in 0..2 {
         let jsonl: PathBuf = dir.join(format!("run{run}.jsonl"));
@@ -224,24 +138,27 @@ fn sinks_are_schema_valid_and_inert() {
         assert!(report.count("train_epoch") == 2, "train epochs aggregated");
         assert!(report.count("search_step") == 3, "search steps aggregated");
 
-        let workers = check_jsonl(&jsonl);
+        let log = std::fs::read_to_string(&jsonl).expect("jsonl written");
+        let shape = check_jsonl(&log).unwrap_or_else(|e| panic!("run {run}: {e}"));
+        for expected in [
+            "span_open",
+            "span_close",
+            "pool_job",
+            "pool_batch",
+            "search_step",
+            "train_epoch",
+        ] {
+            assert!(shape.kinds.contains_key(expected), "no {expected} event");
+        }
         assert_eq!(
-            workers,
+            shape.pool_workers,
             BTreeSet::from([0, 1]),
             "both ALMOST_JOBS=2 workers executed jobs"
         );
-        let tracks = check_chrome(&jsonl.with_extension("trace.json"));
-        assert_eq!(
-            tracks,
-            workers.iter().map(|w| 1000 + w).collect::<BTreeSet<u64>>(),
-            "one Chrome track per pool worker at tid = 1000 + worker"
-        );
-        worker_tracks.push(tracks);
+        let trace =
+            std::fs::read_to_string(jsonl.with_extension("trace.json")).expect("trace written");
+        check_chrome(&trace, &shape).unwrap_or_else(|e| panic!("run {run}: {e}"));
     }
-    assert_eq!(
-        worker_tracks[0], worker_tracks[1],
-        "worker-track ids are stable across runs"
-    );
 
     // Inertness: the data rows are byte-identical traced or not.
     for (run, rows) in traced_rows.iter().enumerate() {
