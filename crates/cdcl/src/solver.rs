@@ -509,17 +509,12 @@ impl Solver {
     /// Exposed for the property tests; not part of the stable API.
     #[doc(hidden)]
     pub fn decision_heap_consistent(&self) -> bool {
-        let mut open = 0;
-        let queued = (0..self.num_vars() as SatVar).all(|v| {
-            if !self.decision[v as usize]
-                || self.lit_value(SatLit::positive(v)) != Value::Unassigned
-            {
-                return true;
-            }
-            open += 1;
-            self.order.contains(v)
-        });
-        queued && open == self.open_decisions
+        let open = |&v: &SatVar| {
+            self.decision[v as usize] && self.lit_value(SatLit::positive(v)) == Value::Unassigned
+        };
+        let vars = 0..self.num_vars() as SatVar;
+        vars.clone().filter(open).all(|v| self.order.contains(v))
+            && vars.filter(open).count() == self.open_decisions
     }
 
     #[inline]
