@@ -4,7 +4,7 @@
 //! the same function (up to complement) of the primary inputs. This module
 //! rebuilds an [`Aig`] node by node in topological order, and before
 //! admitting each freshly strashed AND it asks: *is this node equivalent to
-//! one we already have?* The answer is computed in three tiers, cheapest
+//! one we already have?* The answer is computed in four tiers, cheapest
 //! first:
 //!
 //! 1. **Ternary simulation** — a cofactor scan over the source netlist
@@ -30,7 +30,21 @@
 //!    the full rows, counterexample words included, decide who is a
 //!    candidate: a bucket can hold representatives that counterexamples
 //!    have since split, and they are skipped by an exact row comparison.
-//! 3. **Incremental SAT** — a candidate pair is handed to a single
+//! 3. **Shared-cut truth tables** — each candidate pair (a node and one
+//!    representative, or a node and the constant) gets one
+//!    reconvergence-driven cut of *both* nodes in the swept network, of
+//!    at most [`MAX_WINDOW_LEAVES`] leaves, grown and simulated by the
+//!    [`Window`] kernel `refactor` and `resub` use. Both nodes are
+//!    functions of the same leaves, so equal tables (up to the pair's
+//!    phase) prove the pair equal on every input: the node merges without
+//!    encoding a clause. Unequal tables prove nothing, because the leaves
+//!    need not be independent — a leaf combination on which the tables
+//!    differ may be one that no input pattern produces (two leaves that
+//!    are complements of each other, say) — so such a pair falls through
+//!    to SAT. A restructuring pass rewrites logic inside windows of this
+//!    size, which is why most of the pairs a recipe leaves behind end
+//!    here.
+//! 4. **Incremental SAT** — a candidate pair is handed to a single
 //!    incremental [`Solver`] that sweeps the whole netlist: the two cones
 //!    are Tseitin-encoded lazily ([`crate::cnf::encode_cone`], one memo
 //!    shared across all queries), a fresh
@@ -93,6 +107,7 @@ use rand::{RngExt, SeedableRng};
 use crate::aig::{Aig, Lit, NodeKind, Var};
 use crate::cnf::{cone_memo, constant_false, encode_cone};
 use crate::hash::FastBuild;
+use crate::passes::window::{Window, MAX_WINDOW_LEAVES};
 use crate::sim::{SimVectors, Ternary};
 
 /// Tuning knobs for a fraig sweep.
@@ -149,8 +164,13 @@ pub struct FraigStats {
     /// Candidate equivalence classes formed (signature representatives,
     /// excluding the built-in constant class).
     pub classes: u64,
-    /// Candidate pairs proved equivalent by SAT (UNSAT verdicts).
+    /// Candidate pairs proved equivalent: UNSAT verdicts or equal cut
+    /// tables.
     pub proved: u64,
+    /// Candidate pairs proved by equal tables over a shared cut of at most
+    /// [`MAX_WINDOW_LEAVES`] leaves, without a SAT call (a subset of
+    /// `proved`).
+    pub cut_proved: u64,
     /// Candidate pairs refuted by SAT (a counterexample was found).
     pub refuted: u64,
     /// Candidate pairs skipped on budget exhaustion (only with
@@ -205,6 +225,7 @@ pub fn fraig_with(aig: &Aig, config: &FraigConfig) -> (Aig, FraigStats) {
     telemetry::trace(|| telemetry::EventKind::FraigPass {
         classes: stats.classes,
         proved: stats.proved,
+        cut_proved: stats.cut_proved,
         refuted: stats.refuted,
         skipped: stats.skipped,
         merges: stats.merges,
@@ -275,6 +296,8 @@ struct Sweeper<'a> {
     classes: HashMap<u64, (Var, Var), FastBuild>,
     /// The next representative of a bucket, or [`NO_MEMBER`].
     next_member: Vec<Var>,
+    /// The cut tier's window over `out`.
+    window: Window,
     stats: FraigStats,
 }
 
@@ -324,6 +347,7 @@ impl<'a> Sweeper<'a> {
             cone_stack: Vec::new(),
             classes: HashMap::default(),
             next_member: vec![NO_MEMBER; src.num_inputs() + 1],
+            window: Window::new(src.num_nodes()),
             stats: FraigStats::default(),
         };
         sweeper.link_member(0, sweeper.class_key(0));
@@ -407,11 +431,9 @@ impl<'a> Sweeper<'a> {
     /// budget skip falls back to the ordinary class machinery.
     fn merge_constant(&mut self, cv: Var, constant: Lit) -> Lit {
         self.stats.ternary_constants += 1;
-        match self.prove_equal(Lit::positive(cv), constant) {
+        match self.prove_pair(cv, constant) {
             Outcome::Proved => {
-                self.stats.proved += 1;
-                self.stats.merges += 1;
-                self.stats.constants += 1;
+                self.count_merge(constant);
                 constant
             }
             Outcome::Refuted(_) => {
@@ -458,13 +480,9 @@ impl<'a> Sweeper<'a> {
                 continue; // hash collision or a pair a counterexample split
             }
             let rep = Lit::new(m, flip);
-            match self.prove_equal(Lit::positive(cv), rep) {
+            match self.prove_pair(cv, rep) {
                 Outcome::Proved => {
-                    self.stats.proved += 1;
-                    self.stats.merges += 1;
-                    if m == 0 {
-                        self.stats.constants += 1;
-                    }
+                    self.count_merge(rep);
                     return Scan::Merged(rep);
                 }
                 Outcome::Refuted(cex) => {
@@ -499,6 +517,47 @@ impl<'a> Sweeper<'a> {
         (0..self.sim.num_words())
             .rev()
             .all(|w| self.sim.lit_word(la, w) == self.sim.lit_word(lb, w))
+    }
+
+    /// Counts a proved merge into `rep`.
+    fn count_merge(&mut self, rep: Lit) {
+        self.stats.proved += 1;
+        self.stats.merges += 1;
+        if rep.is_const() {
+            self.stats.constants += 1;
+        }
+    }
+
+    /// Proves or refutes `cv == rep`: by the cut tier when it settles the
+    /// pair, otherwise by [`Sweeper::prove_equal`].
+    fn prove_pair(&mut self, cv: Var, rep: Lit) -> Outcome {
+        if self.cut_tables_equal(cv, rep) {
+            self.stats.cut_proved += 1;
+            return Outcome::Proved;
+        }
+        self.prove_equal(Lit::positive(cv), rep)
+    }
+
+    /// Are `cv` and `rep` equal as functions of one reconvergence-driven
+    /// cut of both (of `cv` alone when `rep` is a constant)? Equal tables
+    /// prove the pair; unequal ones prove nothing, since the cut's leaves
+    /// may be correlated.
+    fn cut_tables_equal(&mut self, cv: Var, rep: Lit) -> bool {
+        let pair = [cv, rep.var()];
+        let roots = if rep.is_const() {
+            &pair[..1]
+        } else {
+            &pair[..]
+        };
+        let leaves = self
+            .window
+            .reconvergence_cut(&self.out, roots, MAX_WINDOW_LEAVES);
+        self.window.load(&self.out, roots, &leaves);
+        self.window.table(cv)
+            == self
+                .window
+                .table(rep.var())
+                .xor_complement(rep.is_complement())
     }
 
     /// One equivalence query `x == y` against the incremental sweep
@@ -860,6 +919,40 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn unequal_cut_tables_fall_through_to_sat() {
+        // x = AND of ten inputs, chained so that no prefix of its chain is
+        // y = AND of five of them; f = x & y is x (x implies y), but no
+        // 8-leaf cut of {f, x} reaches every input. On the cut the tables
+        // differ where a leaf of x's chain is 1 and a leaf of y's is 0, a
+        // combination no input pattern produces.
+        let mut aig = Aig::new();
+        let ins: Vec<Lit> = (0..10).map(|_| aig.add_input()).collect();
+        let chain = |aig: &mut Aig, order: &[usize]| {
+            order[1..]
+                .iter()
+                .fold(ins[order[0]], |acc, &i| aig.and(acc, ins[i]))
+        };
+        let x = chain(&mut aig, &[5, 0, 6, 1, 7, 2, 8, 3, 9, 4]);
+        let y = chain(&mut aig, &[5, 6, 7, 8, 9]);
+        let f = aig.and(x, y);
+        assert!(f.var() != x.var(), "fixture must not strash");
+        aig.add_output(f);
+        aig.add_output(x);
+
+        let mut window = Window::new(aig.num_nodes());
+        let roots = [f.var(), x.var()];
+        let leaves = window.reconvergence_cut(&aig, &roots, MAX_WINDOW_LEAVES);
+        window.load(&aig, &roots, &leaves);
+        assert_ne!(window.table(f.var()), window.table(x.var()));
+
+        let (swept, stats) = fraig_with(&aig, &FraigConfig::default());
+        assert_eq!(swept.outputs()[0], swept.outputs()[1], "{stats:?}");
+        assert_eq!(stats.cut_proved, 0, "{stats:?}");
+        assert!(stats.proved > 0 && stats.sat_calls > 0, "{stats:?}");
+        assert!(probably_equivalent(&aig, &swept, 16, 3));
     }
 
     #[test]

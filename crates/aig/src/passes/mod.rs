@@ -77,7 +77,7 @@ mod balance;
 mod refactor;
 mod resub;
 mod rewrite;
-mod window;
+pub(crate) mod window;
 
 pub use balance::balance;
 pub use refactor::refactor;

@@ -36,7 +36,7 @@ fn refactor_with(aig: &Aig, zero_cost: bool, resynth: &mut Resynth) -> Aig {
         let default = new.and(fa, fb);
         map[v as usize] = default;
 
-        let leaves = window.reconvergence_cut(aig, v, MAX_LEAVES);
+        let leaves = window.reconvergence_cut(aig, &[v], MAX_LEAVES);
         if leaves.len() < 3 {
             continue; // too small to beat plain copying
         }
@@ -44,7 +44,7 @@ fn refactor_with(aig: &Aig, zero_cost: bool, resynth: &mut Resynth) -> Aig {
         if credit <= 1 && !zero_cost {
             continue;
         }
-        window.load(aig, v, &leaves);
+        window.load(aig, &[v], &leaves);
         leaves_new.clear();
         leaves_new.extend(leaves.iter().map(|&l| map[l as usize]));
 

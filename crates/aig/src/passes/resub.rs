@@ -66,7 +66,7 @@ pub fn resub(aig: &Aig, zero_cost: bool) -> Aig {
         let default = new.and(fa, fb);
         map[v as usize] = default;
 
-        let leaves = window.reconvergence_cut(aig, v, MAX_LEAVES);
+        let leaves = window.reconvergence_cut(aig, &[v], MAX_LEAVES);
         if leaves.len() < 2 {
             continue;
         }
@@ -79,7 +79,7 @@ pub fn resub(aig: &Aig, zero_cost: bool) -> Aig {
 
         // One simulation of the window gives the target's table and every
         // divisor's, all as functions of the same leaves.
-        window.load(aig, v, &leaves);
+        window.load(aig, &[v], &leaves);
         let target_tt = window.table(v);
 
         // Divisors: the leaves themselves, then window nodes outside the

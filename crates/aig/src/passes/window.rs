@@ -1,5 +1,9 @@
 //! Reconvergence-driven cut growth and the window kernel, shared by
-//! `refactor` and `resub`.
+//! `refactor`, `resub` and the fraig sweep.
+//!
+//! A window is grown for a *root set*: `refactor` and `resub` pass one
+//! node, the sweep a candidate pair, whose shared cut lets one
+//! simulation compare the two nodes as functions of the same leaves.
 
 use crate::aig::{Aig, Var};
 use crate::truth::Tt8;
@@ -39,10 +43,12 @@ impl Deref for WindowLeaves {
     }
 }
 
-/// The window kernel shared by `refactor` and `resub`: grows a
-/// reconvergence-driven cut of a node, collects the cut's interior
-/// "volume" and simulates it into 8-variable truth tables, reusing its
-/// buffers from one window to the next.
+/// The window kernel shared by `refactor`, `resub` and the fraig sweep:
+/// grows a reconvergence-driven cut of a root set, collects the cut's
+/// interior "volume" and simulates it into 8-variable truth tables,
+/// reusing its buffers from one window to the next. The buffers grow
+/// with the graph, so one window serves a graph that is still being
+/// built.
 ///
 /// Leaf membership is one array read: `stamp[v] == epoch` iff `v` is a
 /// leaf of the cut being grown or, during [`Window::load`], a leaf or an
@@ -74,15 +80,24 @@ impl Window {
         self.epoch
     }
 
-    /// Grows a reconvergence-driven cut of `root` with at most
+    /// Sizes the per-node buffers for `aig` (new nodes carry no stamp).
+    fn fit(&mut self, aig: &Aig) {
+        if self.stamp.len() < aig.num_nodes() {
+            self.stamp.resize(aig.num_nodes(), 0);
+            self.tables.resize(aig.num_nodes(), Tt8::ZERO);
+        }
+    }
+
+    /// Grows a reconvergence-driven cut of the nodes `roots` with at most
     /// `max_leaves` leaves.
     ///
-    /// Starting from the fanins of `root`, the leaf whose expansion
-    /// increases the leaf count least (reconvergent leaves may even
-    /// *decrease* it) is expanded repeatedly until no expansion fits within
-    /// `max_leaves`; ties go to the first such leaf in the working order,
-    /// which an expansion changes by moving the last leaf into the expanded
-    /// one's place.
+    /// Starting from the fanins of the roots, in root order, the leaf
+    /// whose expansion increases the leaf count least (reconvergent leaves
+    /// may even *decrease* it) is expanded repeatedly until no expansion
+    /// fits within `max_leaves`; ties go to the first such leaf in the
+    /// working order, which an expansion changes by moving the last leaf
+    /// into the expanded one's place. A root in the cone of another root
+    /// may itself end up a leaf.
     ///
     /// Returns the sorted leaf variables. An expansion never takes the cut
     /// past `max_leaves`, so the leaves fit inline and nothing is
@@ -90,25 +105,33 @@ impl Window {
     ///
     /// # Panics
     ///
-    /// Panics if `root` is not an AND node or `max_leaves` exceeds
-    /// [`MAX_WINDOW_LEAVES`].
-    pub fn reconvergence_cut(&mut self, aig: &Aig, root: Var, max_leaves: usize) -> WindowLeaves {
+    /// Panics if a root is not an AND node, `max_leaves` exceeds
+    /// [`MAX_WINDOW_LEAVES`], or the roots' fanins alone do.
+    pub fn reconvergence_cut(
+        &mut self,
+        aig: &Aig,
+        roots: &[Var],
+        max_leaves: usize,
+    ) -> WindowLeaves {
         assert!(
             max_leaves <= MAX_WINDOW_LEAVES,
             "a window has at most {MAX_WINDOW_LEAVES} leaves"
         );
-        let (a, b) = aig
-            .and_fanins(root)
-            .expect("reconvergence cut root must be an AND node");
+        self.fit(aig);
         let epoch = self.next_epoch();
         let mut leaves = WindowLeaves {
             vars: [0; MAX_WINDOW_LEAVES],
             len: 0,
         };
-        for f in [a.var(), b.var()] {
-            if self.stamp[f as usize] != epoch {
-                self.stamp[f as usize] = epoch;
-                leaves.push(f);
+        for &root in roots {
+            let (a, b) = aig
+                .and_fanins(root)
+                .expect("reconvergence cut roots must be AND nodes");
+            for f in [a.var(), b.var()] {
+                if self.stamp[f as usize] != epoch {
+                    self.stamp[f as usize] = epoch;
+                    leaves.push(f);
+                }
             }
         }
 
@@ -153,22 +176,25 @@ impl Window {
         leaves
     }
 
-    /// Loads the window of `root` over `leaves` (a cut of `root`, at most 8
-    /// nodes): the volume is every node on a path from the leaves to `root`,
-    /// including `root` and excluding the leaves, and each of those nodes
-    /// gets its table as a function of the leaves (leaf `i` is variable
-    /// `i`).
+    /// Loads the window of `roots` over `leaves` (a cut of the roots, at
+    /// most 8 nodes): the volume is every node on a path from the leaves
+    /// to a root, including the roots and excluding the leaves, and each
+    /// of those nodes gets its table as a function of the leaves (leaf `i`
+    /// is variable `i`).
     ///
     /// # Panics
     ///
     /// Panics if `leaves` has more than 8 entries.
-    pub fn load(&mut self, aig: &Aig, root: Var, leaves: &[Var]) {
+    pub fn load(&mut self, aig: &Aig, roots: &[Var], leaves: &[Var]) {
+        self.fit(aig);
         let epoch = self.next_epoch();
         self.volume.clear();
         for &leaf in leaves {
             self.stamp[leaf as usize] = epoch;
         }
-        self.collect(aig, root);
+        for &root in roots {
+            self.collect(aig, root);
+        }
         self.tables[0] = Tt8::ZERO;
         for (i, &leaf) in leaves.iter().enumerate() {
             self.tables[leaf as usize] = Tt8::var(i);
@@ -198,8 +224,8 @@ impl Window {
         self.volume.push(v);
     }
 
-    /// The volume of the loaded window, in topological order (the root is
-    /// last).
+    /// The volume of the loaded window, in topological order (with one
+    /// root, the root is last).
     pub fn volume(&self) -> &[Var] {
         &self.volume
     }
@@ -223,7 +249,7 @@ mod tests {
         let y = aig.and(ins[2], ins[3]);
         let z = aig.and(x, y);
         aig.add_output(z);
-        let cut = Window::new(aig.num_nodes()).reconvergence_cut(&aig, z.var(), 8);
+        let cut = Window::new(aig.num_nodes()).reconvergence_cut(&aig, &[z.var()], 8);
         let mut want: Vec<Var> = ins.iter().map(|l| l.var()).collect();
         want.sort_unstable();
         assert_eq!(&cut[..], &want[..]);
@@ -235,7 +261,7 @@ mod tests {
         let ins: Vec<_> = (0..16).map(|_| aig.add_input()).collect();
         let f = aig.and_many(&ins);
         aig.add_output(f);
-        let cut = Window::new(aig.num_nodes()).reconvergence_cut(&aig, f.var(), 6);
+        let cut = Window::new(aig.num_nodes()).reconvergence_cut(&aig, &[f.var()], 6);
         assert!(cut.len() <= 6);
     }
 
@@ -250,7 +276,7 @@ mod tests {
         let ac = aig.and(a, c);
         let f = aig.and(ab, ac);
         aig.add_output(f);
-        let cut = Window::new(aig.num_nodes()).reconvergence_cut(&aig, f.var(), 8);
+        let cut = Window::new(aig.num_nodes()).reconvergence_cut(&aig, &[f.var()], 8);
         let mut want = [a.var(), b.var(), c.var()];
         want.sort_unstable();
         assert_eq!(&cut[..], &want[..]);
@@ -266,10 +292,10 @@ mod tests {
         aig.add_output(z);
         let leaves: Vec<Var> = ins.iter().map(|l| l.var()).collect();
         let mut window = Window::new(aig.num_nodes());
-        window.load(&aig, z.var(), &leaves);
+        window.load(&aig, &[z.var()], &leaves);
         assert_eq!(window.volume(), &[x.var(), y.var(), z.var()]);
         // Reloading a sub-window reuses the buffers.
-        window.load(&aig, x.var(), &leaves[..2]);
+        window.load(&aig, &[x.var()], &leaves[..2]);
         assert_eq!(window.volume(), &[x.var()]);
         assert_eq!(window.table(x.var()), Tt8::var(0).and(Tt8::var(1)));
     }

@@ -119,6 +119,22 @@ proptest! {
     }
 
     #[test]
+    fn cut_tier_sweeps_are_exhaustively_equivalent(
+        seed in 0u64..1_000,
+        num_inputs in 6usize..15,
+        num_ands in 20usize..120,
+    ) {
+        // Every input pattern, not a sample: a cut proof that merged two
+        // different functions would show on some pattern.
+        let aig = random_aig(num_inputs, num_ands, seed);
+        for config in [FraigConfig::default(), FraigConfig::recipe()] {
+            let (swept, stats) = fraig_with(&aig, &config);
+            prop_assert!(stats.cut_proved <= stats.proved);
+            prop_assert_eq!(exhaustive_outputs(&aig), exhaustive_outputs(&swept));
+        }
+    }
+
+    #[test]
     fn ternary_scan_matches_scalar_cofactor_walks(
         seed in 0u64..1_000,
         num_inputs in 1usize..80,
@@ -129,6 +145,37 @@ proptest! {
         let aig = random_aig(num_inputs, num_ands, seed);
         prop_assert_eq!(ternary_constant_scan(&aig), scalar_ternary_scan(&aig));
     }
+}
+
+/// Every output of `aig` on every input pattern (pattern `p` sets input
+/// `i` to bit `i` of `p`), 64 patterns a word.
+fn exhaustive_outputs(aig: &Aig) -> Vec<Vec<u64>> {
+    let num_words = (1usize << aig.num_inputs()).div_ceil(64);
+    let input_words: Vec<Vec<u64>> = (0..aig.num_inputs())
+        .map(|i| {
+            (0..num_words)
+                .map(|w| (0..64).fold(0, |acc, b| acc | ((((w * 64 + b) >> i) & 1) as u64) << b))
+                .collect()
+        })
+        .collect();
+    CompiledAig::compile(aig)
+        .expect("compile")
+        .eval_words(&input_words, num_words)
+}
+
+#[test]
+fn cut_tier_proves_pairs_on_random_aigs() {
+    // The same inputs as the exhaustive property: the cut tier must
+    // actually settle pairs there, not only stay sound.
+    let proved_by_cut = (0..16u64)
+        .filter(|&seed| {
+            let aig = random_aig(6 + (seed % 9) as usize, 80, seed);
+            let (swept, stats) = fraig_with(&aig, &FraigConfig::default());
+            assert_eq!(exhaustive_outputs(&aig), exhaustive_outputs(&swept));
+            stats.cut_proved > 0
+        })
+        .count();
+    assert!(proved_by_cut > 0, "no seed had a cut proof");
 }
 
 /// The reference cofactor scan: two scalar ternary walks per split input.
@@ -283,8 +330,11 @@ fn swept_network_is_identical_across_solver_widths() {
     // UNSAT verdict is an UNSAT verdict regardless of which worker found
     // it — so the *merged network* must be bit-identical at any width.
     // `hard_conflicts: 1` trips the in-line budget on every non-trivial
-    // query, forcing the portfolio path to actually run.
-    let aig = random_aig(8, 80, 99);
+    // query, forcing the portfolio path to actually run. The graph is wide
+    // enough (24 inputs, 300 ANDs) that some candidate pairs outgrow an
+    // 8-leaf cut and reach SAT; on a small one the cut tier proves every
+    // pair and nothing escalates.
+    let aig = random_aig(24, 300, 99);
     let config = FraigConfig {
         hard_conflicts: 1,
         escalate: true,

@@ -226,7 +226,7 @@ fn arena_cuts_match_the_reference_on_locked_circuits() {
             let mut window = Window::new(aig.num_nodes());
             for v in aig.iter_ands() {
                 assert_eq!(
-                    &window.reconvergence_cut(aig, v, 8)[..],
+                    &window.reconvergence_cut(aig, &[v], 8)[..],
                     &reference_reconvergence_cut(aig, v, 8)[..]
                 );
             }
@@ -514,7 +514,7 @@ proptest! {
         let mut window = Window::new(aig.num_nodes());
         for v in aig.iter_ands() {
             prop_assert_eq!(
-                &window.reconvergence_cut(&aig, v, max_leaves)[..],
+                &window.reconvergence_cut(&aig, &[v], max_leaves)[..],
                 &reference_reconvergence_cut(&aig, v, max_leaves)[..]
             );
         }
@@ -532,11 +532,11 @@ proptest! {
             return Ok(());
         };
         let mut window = Window::new(aig.num_nodes());
-        let leaves = window.reconvergence_cut(&aig, v, 8);
+        let leaves = window.reconvergence_cut(&aig, &[v], 8);
         prop_assert!(leaves.len() <= 8);
         let tt = cut_function(&aig, v, &leaves); // would panic if not a cut
         prop_assert!(tt.nvars() == leaves.len());
-        window.load(&aig, v, &leaves);
+        window.load(&aig, &[v], &leaves);
         prop_assert_eq!(window.volume().last(), Some(&v));
         prop_assert_eq!(window.table(v).to_tt(leaves.len()), tt);
     }
@@ -548,8 +548,8 @@ proptest! {
         let aig = random_aig(8, 70, seed);
         let mut window = Window::new(aig.num_nodes());
         for v in aig.iter_ands() {
-            let leaves = window.reconvergence_cut(&aig, v, 8);
-            window.load(&aig, v, &leaves);
+            let leaves = window.reconvergence_cut(&aig, &[v], 8);
+            window.load(&aig, &[v], &leaves);
             for &w in window.volume() {
                 prop_assert_eq!(
                     window.table(w).to_tt(leaves.len()),

@@ -128,8 +128,8 @@ fn bench_cut_layer(c: &mut Criterion) {
         b.iter(|| {
             let mut volume = 0;
             for v in aig.iter_ands() {
-                let leaves = window.reconvergence_cut(&aig, v, 8);
-                window.load(&aig, v, &leaves);
+                let leaves = window.reconvergence_cut(&aig, &[v], 8);
+                window.load(&aig, &[v], &leaves);
                 volume += window.volume().len();
             }
             black_box(volume)

@@ -70,7 +70,7 @@ mod tests {
 {"t_us":6,"thread":0,"kind":"search_step","step":0,"candidates":2,"current":1.5,"best":0,"accepted":true,"d_hits":1,"d_misses":1,"d_evictions":0,"live_nodes":3}
 {"t_us":7,"thread":0,"kind":"train_epoch","epoch":0,"loss":0.5,"wall_us":4,"tape_ops":9,"tape_allocs":1}
 {"t_us":8,"thread":0,"kind":"oracle_compile","ands":6,"instructions":6,"registers":9,"wall_us":1}
-{"t_us":9,"thread":0,"kind":"fraig_pass","classes":4,"proved":2,"refuted":1,"skipped":0,"merges":2,"constants":0,"escalations":0,"sat_calls":3,"sim_words_added":1,"ands_before":10,"ands_after":8,"wall_us":5}
+{"t_us":9,"thread":0,"kind":"fraig_pass","classes":4,"proved":2,"cut_proved":1,"refuted":1,"skipped":0,"merges":2,"constants":0,"escalations":0,"sat_calls":3,"sim_words_added":1,"ands_before":10,"ands_after":8,"wall_us":5}
 {"t_us":10,"thread":0,"kind":"cell_done","label":"c17"}
 {"t_us":11,"thread":0,"kind":"message","text":"done"}
 {"t_us":12,"thread":0,"kind":"span_close","scope":"cell","name":"c17","dur_us":12}

@@ -510,8 +510,12 @@ kinds! {
         /// Candidate equivalence classes formed (signature
         /// representatives, excluding the constant class).
         classes: u64 [sum],
-        /// Candidate pairs proved equivalent (UNSAT verdicts).
+        /// Candidate pairs proved equivalent (UNSAT verdicts or equal cut
+        /// tables).
         proved: u64 [sum],
+        /// Candidate pairs proved by equal tables over a shared cut of at
+        /// most 8 leaves, without a SAT call (a subset of `proved`).
+        cut_proved: u64 [sum],
         /// Candidate pairs refuted (a counterexample was found).
         refuted: u64 [sum],
         /// Candidate pairs skipped on budget exhaustion.
@@ -669,7 +673,7 @@ pub(crate) mod tests {
             EventKind::TrainEpoch { epoch: 5, loss: f64::NEG_INFINITY, wall_us: 0, tape_ops: 0, tape_allocs: 0 },
             EventKind::OracleCompile { ands: 640, instructions: 640, registers: 682, wall_us: 85 },
             EventKind::FraigPass {
-                classes: 40, proved: 12, refuted: 5, skipped: 1, merges: 12, constants: 2,
+                classes: 40, proved: 12, cut_proved: 4, refuted: 5, skipped: 1, merges: 12, constants: 2,
                 escalations: 1, sat_calls: 18, sim_words_added: 5, ands_before: 300, ands_after: 250,
                 wall_us: 1234,
             },
@@ -697,7 +701,7 @@ pub(crate) mod tests {
         r#"{"t_us":1234,"thread":7,"kind":"train_epoch","epoch":4,"loss":1e308,"wall_us":0,"tape_ops":0,"tape_allocs":0}"#,
         r#"{"t_us":1234,"thread":7,"kind":"train_epoch","epoch":5,"loss":-1e308,"wall_us":0,"tape_ops":0,"tape_allocs":0}"#,
         r#"{"t_us":1234,"thread":7,"kind":"oracle_compile","ands":640,"instructions":640,"registers":682,"wall_us":85}"#,
-        r#"{"t_us":1234,"thread":7,"kind":"fraig_pass","classes":40,"proved":12,"refuted":5,"skipped":1,"merges":12,"constants":2,"escalations":1,"sat_calls":18,"sim_words_added":5,"ands_before":300,"ands_after":250,"wall_us":1234}"#,
+        r#"{"t_us":1234,"thread":7,"kind":"fraig_pass","classes":40,"proved":12,"cut_proved":4,"refuted":5,"skipped":1,"merges":12,"constants":2,"escalations":1,"sat_calls":18,"sim_words_added":5,"ands_before":300,"ands_after":250,"wall_us":1234}"#,
         r#"{"t_us":1234,"thread":7,"kind":"cell_done","label":"c432 k=8\t\"x\"\\"}"#,
         r#"{"t_us":1234,"thread":7,"kind":"message","text":"line\nnext\r\u0001"}"#,
     ];

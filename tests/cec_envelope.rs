@@ -12,8 +12,9 @@
 //!   the attack report's verdict column needs.
 //!
 //! Plus effort ceilings, deterministic counts rather than times: the
-//! full-strength sweep of the c6288 pair stays within its SAT-call and
-//! decision ceilings, and the recipe-config sweep of a restructured
+//! full-strength sweep of the c6288 pair stays within its proof,
+//! SAT-call and decision ceilings (its proofs are settled by 8-leaf cut
+//! tables, not SAT), and the recipe-config sweep of a restructured
 //! locked c7552 refutes its lookalike candidates by simulation, not pair
 //! by pair in SAT, and its solver decides only on each query's two cones.
 //!
@@ -29,19 +30,26 @@ use rand::SeedableRng;
 use std::collections::HashMap;
 use std::time::Instant;
 
-/// SAT-call ceiling for the full-strength sweep of the c6288 pair in
-/// [`fraig_cec_settles_restructured_c6288_with_headroom`]. The sweep
-/// makes 151 calls, one proof per absorption wrapper, with no
-/// refutation and no escalation; a sweep that proves pairs but does not
-/// substitute the representative downstream re-proves every node after a
-/// wrapper (2,173 calls). The ceiling keeps the ~4x headroom of
-/// [`RECIPE_SWEEP_SAT_CALLS`].
-const C6288_PAIR_SAT_CALLS: u64 = 600;
+/// Ceiling on the proofs the full-strength sweep of the c6288 pair in
+/// [`fraig_cec_settles_restructured_c6288_with_headroom`] attempts: SAT
+/// calls plus cut proofs. The sweep proves 151 pairs, one per absorption
+/// wrapper, with no refutation and no escalation; a sweep that proves
+/// pairs but does not substitute the representative downstream re-proves
+/// every node after a wrapper (2,173 proofs). The ceiling keeps the ~4x
+/// headroom of [`RECIPE_SWEEP_SAT_CALLS`].
+const C6288_PAIR_PROOFS: u64 = 600;
 
-/// Sweep-solver decision ceiling for the same sweep. It makes 5,553
-/// decisions (the non-substituting sweep makes 29,584); the ceiling keeps
-/// the ~1.45x headroom of [`RECIPE_SWEEP_DECISIONS`].
-const C6288_PAIR_DECISIONS: u64 = 8_000;
+/// SAT-call ceiling for the same sweep. Every one of its proofs is
+/// settled by an 8-leaf cut table, so it makes no SAT call (151 before
+/// the cut tier); the ceiling lets a few pairs whose cut tables differ
+/// reach SAT.
+const C6288_PAIR_SAT_CALLS: u64 = 20;
+
+/// Sweep-solver decision ceiling for the same sweep. It makes none (5,553
+/// before the cut tier, 29,584 for the non-substituting sweep); the
+/// ceiling allows [`C6288_PAIR_SAT_CALLS`] queries at the ~37 decisions
+/// per query the sweep averaged before.
+const C6288_PAIR_DECISIONS: u64 = 800;
 
 /// SAT-call ceiling for the recipe-config sweep in
 /// [`recipe_fraig_splits_lookalike_classes_by_simulation`]. With every
@@ -84,6 +92,12 @@ fn fraig_cec_settles_restructured_c6288_with_headroom() {
 
     let (_, stats) = fraig_with(&joint(&original, &restructured), &FraigConfig::default());
     println!("c6288 redundified pair, full-strength fraig: {stats:?}");
+    assert!(
+        stats.sat_calls + stats.cut_proved <= C6288_PAIR_PROOFS,
+        "c6288 pair sweep attempted {} SAT calls plus cut proofs (ceiling {C6288_PAIR_PROOFS}): \
+         {stats:?}",
+        stats.sat_calls + stats.cut_proved
+    );
     assert!(
         stats.sat_calls <= C6288_PAIR_SAT_CALLS,
         "c6288 pair sweep made {} SAT calls (ceiling {C6288_PAIR_SAT_CALLS}): {stats:?}",
