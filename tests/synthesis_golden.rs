@@ -199,10 +199,10 @@ fn pass_and_mapping_outputs_are_byte_identical() {
 /// conflict, even where the output would survive it.
 #[rustfmt::skip]
 const FRAIG_GOLDEN: &[(&str, &str, u64, [u64; 6])] = &[
-    ("c5315_rll128_wWfFsSb", "g", 0x449e0fa8a334b34c, [38, 10, 28, 28, 1079, 55]),
-    ("c5315_rll128_wWfFsSb", "fraig", 0x449e0fa8a334b34c, [37, 10, 27, 27, 1079, 53]),
-    ("c7552_rll128_wWfFsSb", "g", 0x0ce0fc20406c018a, [78, 15, 63, 63, 9705, 62]),
-    ("c7552_rll128_wWfFsSb", "fraig", 0x0ce0fc20406c018a, [76, 15, 61, 61, 8970, 61]),
+    ("c5315_rll128_wWfFsSb", "g", 0x449e0fa8a334b34c, [28, 10, 28, 28, 1027, 13]),
+    ("c5315_rll128_wWfFsSb", "fraig", 0x449e0fa8a334b34c, [27, 10, 27, 27, 1027, 11]),
+    ("c7552_rll128_wWfFsSb", "g", 0x0ce0fc20406c018a, [70, 15, 63, 63, 9584, 47]),
+    ("c7552_rll128_wWfFsSb", "fraig", 0x0ce0fc20406c018a, [68, 15, 61, 61, 8850, 47]),
 ];
 
 /// The [`FRAIG_GOLDEN`] search counters of one sweep.
