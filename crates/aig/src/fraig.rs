@@ -922,6 +922,33 @@ mod tests {
     }
 
     #[test]
+    fn equal_tables_on_a_shared_cut_merge_without_sat() {
+        // f = (a & b) & c and g = ((a & b) & (c | d)) & (c | !d): the
+        // same function, and f is not in g's cone. Only a cut of both
+        // nodes gives them tables over the same leaves; d, created first,
+        // is leaf 0 of g's own cut but absent from f's.
+        let mut aig = Aig::new();
+        let d = aig.add_input();
+        let a = aig.add_input();
+        let b = aig.add_input();
+        let c = aig.add_input();
+        let ab = aig.and(a, b);
+        let f = aig.and(ab, c);
+        let c_or_d = aig.or(c, d);
+        let c_or_nd = aig.or(c, !d);
+        let abd = aig.and(ab, c_or_d);
+        let g = aig.and(abd, c_or_nd);
+        assert!(g.var() != f.var(), "fixture must not strash");
+        aig.add_output(f);
+        aig.add_output(g);
+
+        let (swept, stats) = fraig_with(&aig, &FraigConfig::default());
+        assert_eq!(swept.outputs()[0], swept.outputs()[1], "{stats:?}");
+        assert_eq!(stats.cut_proved, 1, "{stats:?}");
+        assert_eq!(stats.sat_calls, 0, "{stats:?}");
+    }
+
+    #[test]
     fn unequal_cut_tables_fall_through_to_sat() {
         // x = AND of ten inputs, chained so that no prefix of its chain is
         // y = AND of five of them; f = x & y is x (x implies y), but no

@@ -125,9 +125,14 @@ proptest! {
         num_ands in 20usize..120,
     ) {
         // Every input pattern, not a sample: a cut proof that merged two
-        // different functions would show on some pattern.
+        // different functions would show on some pattern. One simulation
+        // word lets many lookalike pairs reach the cut tier.
         let aig = random_aig(num_inputs, num_ands, seed);
-        for config in [FraigConfig::default(), FraigConfig::recipe()] {
+        let one_word = FraigConfig {
+            sim_words: 1,
+            ..FraigConfig::default()
+        };
+        for config in [FraigConfig::default(), FraigConfig::recipe(), one_word] {
             let (swept, stats) = fraig_with(&aig, &config);
             prop_assert!(stats.cut_proved <= stats.proved);
             prop_assert_eq!(exhaustive_outputs(&aig), exhaustive_outputs(&swept));
@@ -330,11 +335,27 @@ fn swept_network_is_identical_across_solver_widths() {
     // UNSAT verdict is an UNSAT verdict regardless of which worker found
     // it — so the *merged network* must be bit-identical at any width.
     // `hard_conflicts: 1` trips the in-line budget on every non-trivial
-    // query, forcing the portfolio path to actually run. The graph is wide
-    // enough (24 inputs, 300 ANDs) that some candidate pairs outgrow an
-    // 8-leaf cut and reach SAT; on a small one the cut tier proves every
-    // pair and nothing escalates.
-    let aig = random_aig(24, 300, 99);
+    // query, forcing the portfolio path to actually run. The graph is
+    // three XOR chains over the same ten inputs, each in its own input
+    // order: their outputs are equal, but the chains share no
+    // intermediate function on fewer than nine inputs, so each proof
+    // outgrows an 8-leaf cut and reaches SAT (on a small graph the cut
+    // tier proves every pair and nothing escalates). Random simulation
+    // splits every inequivalent pair, so every escalated query is a
+    // proof: a refutation's counterexample would depend on the winning
+    // worker and could change which later queries escalate.
+    let mut aig = Aig::new();
+    let ins: Vec<Lit> = (0..10).map(|_| aig.add_input()).collect();
+    for order in [
+        [0, 1, 2, 3, 4, 5, 6, 7, 8, 9],
+        [9, 8, 7, 6, 5, 4, 3, 2, 1, 0],
+        [0, 2, 4, 6, 8, 1, 3, 5, 7, 9],
+    ] {
+        let out = order[1..]
+            .iter()
+            .fold(ins[order[0]], |acc, &i| aig.xor(acc, ins[i]));
+        aig.add_output(out);
+    }
     let config = FraigConfig {
         hard_conflicts: 1,
         escalate: true,
