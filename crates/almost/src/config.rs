@@ -1,8 +1,17 @@
 //! Experiment scaling: `quick` (laptop-friendly defaults used by `cargo
 //! bench`) vs `paper` (the §IV-A hyperparameters).
 //!
-//! Selected via the `ALMOST_SCALE` environment variable (`quick` is the
-//! default; set `ALMOST_SCALE=paper` to reproduce at full scale).
+//! Selected via the `ALMOST_SCALE` environment variable, which takes one
+//! of three values:
+//!
+//! - `quick` (the default when unset): [`Scale::Quick`];
+//! - `ci`: also [`Scale::Quick`] for every harness; the value only opts
+//!   the release test job into the full-size scenarios that read
+//!   `ALMOST_SCALE` themselves (the c1355 SARLock-over-RLL Double DIP
+//!   scenario in `tests/double_dip_recovery.rs`);
+//! - `paper`: [`Scale::Paper`], the full-scale reproduction (hours).
+//!
+//! Any other value runs at quick scale with a warning on stderr.
 
 use crate::proxy::ProxyConfig;
 use crate::sa::SaConfig;
@@ -20,11 +29,27 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads `ALMOST_SCALE` (default [`Scale::Quick`]).
+    /// Reads `ALMOST_SCALE` (default [`Scale::Quick`]; see the
+    /// [module documentation](self) for its values). An unknown value
+    /// selects [`Scale::Quick`] and warns on stderr.
     pub fn from_env() -> Scale {
-        match std::env::var("ALMOST_SCALE").as_deref() {
-            Ok("paper") | Ok("PAPER") => Scale::Paper,
-            _ => Scale::Quick,
+        let value = match std::env::var("ALMOST_SCALE") {
+            Err(std::env::VarError::NotPresent) => return Scale::Quick,
+            value => value.unwrap_or_default(),
+        };
+        Scale::parse(&value).unwrap_or_else(|| {
+            eprintln!("warning: ALMOST_SCALE={value:?} is not quick, ci or paper; using quick");
+            Scale::Quick
+        })
+    }
+
+    /// The scale an `ALMOST_SCALE` value selects, or `None` for a value
+    /// other than `quick`, `ci` or `paper` (lower or upper case).
+    fn parse(value: &str) -> Option<Scale> {
+        match value {
+            "quick" | "QUICK" | "ci" | "CI" => Some(Scale::Quick),
+            "paper" | "PAPER" => Some(Scale::Paper),
+            _ => None,
         }
     }
 
@@ -151,6 +176,23 @@ mod tests {
         let s = Scale::Quick;
         assert_eq!(s.label(), "quick");
         assert!(s.proxy_config(1).initial_samples < 500);
+    }
+
+    #[test]
+    fn scale_values_parse_and_unknown_ones_are_rejected() {
+        for (value, scale) in [
+            ("quick", Scale::Quick),
+            ("QUICK", Scale::Quick),
+            ("ci", Scale::Quick),
+            ("CI", Scale::Quick),
+            ("paper", Scale::Paper),
+            ("PAPER", Scale::Paper),
+        ] {
+            assert_eq!(Scale::parse(value), Some(scale), "{value}");
+        }
+        for value in ["", "full", "Paper", "ci ", "fast"] {
+            assert_eq!(Scale::parse(value), None, "{value:?}");
+        }
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //!
 //! Each `benches/*.rs` target is a `harness = false` binary that prints the
 //! same rows/series the paper reports and writes CSV files under
-//! `target/exp/`. Scale is selected with `ALMOST_SCALE=quick|paper`
-//! (default `quick`); see `almost_core::config::Scale`.
+//! `target/exp/`. Scale is selected with `ALMOST_SCALE=quick|ci|paper`
+//! (default `quick`; `ci` runs the harnesses at quick scale); see
+//! `almost_core::config::Scale`.
 //!
 //! The attack harnesses (`sat_attack`, `sat_resilience`, `table2_attacks`)
 //! and the figure harnesses (`fig4_sa_search`, `fig5_resynthesis`,

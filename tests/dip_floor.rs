@@ -10,9 +10,8 @@
 //!
 //! Every attack run has a `max_iterations` hang-guard a little above the
 //! floor, so a regression that *breaks* a defence fails fast instead of
-//! hanging the suite. Key size 8 (256-DIP loops) runs everywhere; the
-//! `ALMOST_SCALE=ci` release job additionally covers it with the paper's
-//! conflict budgets (see `.github/workflows/ci.yml`).
+//! hanging the suite. Every key size, 8 (256-DIP loops) included, runs in
+//! debug and release alike: these tests do not read `ALMOST_SCALE`.
 
 use almost_repro::attacks::{SatAttack, SatAttackConfig, SatAttackMode, SatAttackRun};
 use almost_repro::circuits::IscasBenchmark;
