@@ -178,7 +178,8 @@ impl Window {
 
     /// Loads the window of `roots` over `leaves` (a cut of the roots, at
     /// most 8 nodes): the volume is every node on a path from the leaves
-    /// to a root, including the roots and excluding the leaves, and each
+    /// to a root, including each root that is not itself a leaf and
+    /// excluding the leaves, and each
     /// of those nodes gets its table as a function of the leaves (leaf `i`
     /// is variable `i`).
     ///

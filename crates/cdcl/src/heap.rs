@@ -173,6 +173,13 @@ impl ActivityHeap {
         Some((self.zero_from * 64) as SatVar + bit)
     }
 
+    /// Removes a queued `var` from the zero-activity bitset (its `pos` is
+    /// left to the caller).
+    fn unset_zero(&mut self, var: SatVar) {
+        self.zero[var as usize / 64] &= !(1 << (var % 64));
+        self.zero_len -= 1;
+    }
+
     /// Restores the order after `var`'s activity rose to `act[var]`
     /// (VSIDS bumps only ever raise activities, so sifting up suffices; a
     /// first bump moves the variable out of the zero-activity tier).
@@ -183,8 +190,7 @@ impl ActivityHeap {
         let activity = act[var as usize];
         if p == IN_ZERO_TIER {
             if activity != 0.0 {
-                self.zero[var as usize / 64] &= !(1 << (var % 64));
-                self.zero_len -= 1;
+                self.unset_zero(var);
                 self.push(Entry { activity, var });
             }
         } else if p != ABSENT {
@@ -210,8 +216,7 @@ impl ActivityHeap {
                 let var = (word * 64) as SatVar + bits.trailing_zeros();
                 bits &= bits - 1;
                 if act[var as usize] != 0.0 {
-                    self.zero[word] &= !(1 << (var % 64));
-                    self.zero_len -= 1;
+                    self.unset_zero(var);
                     entries.push(Entry {
                         activity: act[var as usize],
                         var,
