@@ -86,6 +86,8 @@ pub use rewrite::rewrite;
 pub use window::{Window, WindowLeaves, MAX_WINDOW_LEAVES};
 
 use crate::aig::Aig;
+use rand::rngs::StdRng;
+use rand::RngExt;
 use std::fmt;
 use std::str::FromStr;
 
@@ -225,7 +227,8 @@ impl fmt::Display for ParsePassError {
 
 impl std::error::Error for ParsePassError {}
 
-/// An ordered sequence of passes.
+/// A synthesis recipe: an ordered sequence of passes. It prints and
+/// parses as its mnemonic string (`bwfbwWbFWb` is [`Script::resyn2`]).
 ///
 /// # Example
 ///
@@ -238,22 +241,26 @@ impl std::error::Error for ParsePassError {}
 /// let ab = aig.and(a, b);
 /// let f = aig.xor(ab, c);
 /// aig.add_output(f);
-/// let out = Script::resyn2().apply(&aig);
+/// let recipe = Script::resyn2();
+/// assert_eq!(recipe.to_string(), "bwfbwWbFWb");
+/// let out = recipe.apply(&aig);
 /// assert_eq!(out.num_inputs(), 3);
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq, Hash, Default)]
-pub struct Script(pub Vec<Pass>);
+pub struct Script {
+    passes: Vec<Pass>,
+}
 
 impl Script {
-    /// The empty script.
-    pub fn new() -> Self {
-        Script(Vec::new())
+    /// A recipe from explicit passes.
+    pub fn new(passes: Vec<Pass>) -> Self {
+        Script { passes }
     }
 
     /// The classic `resyn2` script (`b; rw; rf; b; rw; rwz; b; rfz; rwz; b`),
     /// the paper's baseline recipe. Conveniently exactly L = 10 steps.
     pub fn resyn2() -> Self {
-        Script(vec![
+        Script::new(vec![
             Pass::Balance,
             Pass::Rewrite,
             Pass::Refactor,
@@ -267,36 +274,72 @@ impl Script {
         ])
     }
 
+    /// A uniformly random recipe of `len` steps.
+    pub fn random(len: usize, rng: &mut StdRng) -> Self {
+        (0..len)
+            .map(|_| Pass::ALL[rng.random_range(0..Pass::ALL.len())])
+            .collect()
+    }
+
+    /// The simulated-annealing neighbourhood move: replace one random
+    /// position with a different random pass.
+    pub fn mutate(&self, rng: &mut StdRng) -> Self {
+        let mut passes = self.passes.clone();
+        if passes.is_empty() {
+            return Script { passes };
+        }
+        let pos = rng.random_range(0..passes.len());
+        let current = passes[pos];
+        loop {
+            let candidate = Pass::ALL[rng.random_range(0..Pass::ALL.len())];
+            if candidate != current {
+                passes[pos] = candidate;
+                break;
+            }
+        }
+        Script { passes }
+    }
+
     /// Applies all passes in order.
     pub fn apply(&self, aig: &Aig) -> Aig {
         let mut current = aig.clone();
-        for pass in &self.0 {
+        for pass in &self.passes {
             current = pass.apply(&current);
         }
         current
     }
 
-    /// The passes of the script.
+    /// The passes of the recipe.
     pub fn passes(&self) -> &[Pass] {
-        &self.0
+        &self.passes
     }
 
-    /// Script length.
+    /// Recipe length.
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.passes.len()
     }
 
-    /// True if the script has no passes.
+    /// True if the recipe has no passes.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.passes.is_empty()
     }
 
-    /// Encodes the script as a mnemonic string (e.g. `bwfbwWbFWb`).
-    pub fn to_mnemonics(&self) -> String {
-        self.0.iter().map(|p| p.mnemonic()).collect()
+    /// Length of the longest common prefix with `other`.
+    pub fn common_prefix_len(&self, other: &Script) -> usize {
+        self.passes
+            .iter()
+            .zip(&other.passes)
+            .take_while(|(a, b)| a == b)
+            .count()
     }
 
-    /// Parses a mnemonic string.
+    /// The ABC command form, e.g. `balance; rewrite; refactor`.
+    pub fn commands(&self) -> String {
+        let commands: Vec<&str> = self.passes.iter().map(|p| p.command()).collect();
+        commands.join("; ")
+    }
+
+    /// Parses a mnemonic string (e.g. `bwfbwWbFWb`).
     ///
     /// # Errors
     ///
@@ -304,28 +347,21 @@ impl Script {
     pub fn from_mnemonics(s: &str) -> Result<Self, ParsePassError> {
         s.chars()
             .map(|c| Pass::from_mnemonic(c).ok_or_else(|| ParsePassError(c.to_string())))
-            .collect::<Result<Vec<_>, _>>()
-            .map(Script)
+            .collect()
     }
 }
 
 impl fmt::Display for Script {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut first = true;
-        for p in &self.0 {
-            if !first {
-                f.write_str("; ")?;
-            }
-            first = false;
-            f.write_str(p.command())?;
-        }
-        Ok(())
+        self.passes
+            .iter()
+            .try_for_each(|p| fmt::Write::write_char(f, p.mnemonic()))
     }
 }
 
 impl FromIterator<Pass> for Script {
     fn from_iter<T: IntoIterator<Item = Pass>>(iter: T) -> Self {
-        Script(iter.into_iter().collect())
+        Script::new(iter.into_iter().collect())
     }
 }
 
@@ -333,8 +369,7 @@ impl FromIterator<Pass> for Script {
 pub(crate) mod tests {
     use super::*;
     use crate::sim::probably_equivalent;
-    use rand::rngs::StdRng;
-    use rand::{RngExt, SeedableRng};
+    use rand::SeedableRng;
 
     /// Builds a random DAG with the given number of inputs and AND nodes.
     pub(crate) fn random_aig(num_inputs: usize, num_ands: usize, seed: u64) -> Aig {
@@ -394,7 +429,7 @@ pub(crate) mod tests {
     #[test]
     fn mnemonic_roundtrip() {
         let script = Script::resyn2();
-        let s = script.to_mnemonics();
+        let s = script.to_string();
         assert_eq!(Script::from_mnemonics(&s).expect("parses"), script);
         assert!(Script::from_mnemonics("bxq").is_err());
     }
@@ -414,7 +449,8 @@ pub(crate) mod tests {
     #[test]
     fn display_formats() {
         assert_eq!(Pass::RewriteZ.to_string(), "rewrite -z");
-        let s = Script(vec![Pass::Balance, Pass::Rewrite]);
-        assert_eq!(s.to_string(), "balance; rewrite");
+        let s = Script::new(vec![Pass::Balance, Pass::Rewrite]);
+        assert_eq!(s.to_string(), "bw");
+        assert_eq!(s.commands(), "balance; rewrite");
     }
 }

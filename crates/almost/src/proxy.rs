@@ -17,6 +17,8 @@ use crate::engine::{Score, SearchEngine, SearchObjective};
 use crate::recipe::{Recipe, RECIPE_LENGTH};
 use crate::sa::SaConfig;
 use almost_aig::Aig;
+/// The self-referencing generator the proxies' training data comes from.
+pub use almost_attacks::subgraph::generate_samples;
 use almost_attacks::subgraph::{extract_all_localities, SubgraphConfig, NUM_FEATURES};
 use almost_locking::{relock, LockedCircuit, Rll};
 use almost_ml::gin::{GinClassifier, Graph};
@@ -220,38 +222,6 @@ impl SearchObjective for AdversarialLossObjective<'_> {
     }
 }
 
-/// Generates labelled localities: re-lock, synthesise with a recipe drawn
-/// from `next_recipe`, extract the new key gates' subgraphs. Stops short
-/// of `count` (with nothing, at worst) once `base` cannot take a
-/// `relock_key_size`-bit relock.
-pub fn generate_samples(
-    base: &Aig,
-    mut next_recipe: impl FnMut(&mut StdRng) -> Recipe,
-    count: usize,
-    relock_key_size: usize,
-    subgraph: &SubgraphConfig,
-    rng: &mut StdRng,
-) -> Vec<Graph> {
-    let scheme = Rll::new(relock_key_size);
-    let mut data = Vec::with_capacity(count);
-    while data.len() < count {
-        let Ok(relocked) = relock(&scheme, base, rng) else {
-            break;
-        };
-        let recipe = next_recipe(rng);
-        let synthesised = recipe.apply(&relocked.aig);
-        let positions: Vec<usize> = relocked.key_input_positions().collect();
-        data.extend(extract_all_localities(
-            &synthesised,
-            &positions,
-            relocked.key.bits(),
-            subgraph,
-        ));
-    }
-    data.truncate(count);
-    data
-}
-
 /// Trains a proxy model of the given kind on `locked` (Algorithm 1 for
 /// [`ProxyKind::Adversarial`]).
 pub fn train_proxy(locked: &LockedCircuit, kind: ProxyKind, config: &ProxyConfig) -> ProxyModel {
@@ -259,24 +229,17 @@ pub fn train_proxy(locked: &LockedCircuit, kind: ProxyKind, config: &ProxyConfig
     let base = &locked.aig;
 
     // Initial dataset.
-    let mut data = match kind {
-        ProxyKind::Resyn2 => generate_samples(
-            base,
-            |_| Recipe::resyn2(),
-            config.initial_samples,
-            config.relock_key_size,
-            &config.subgraph,
-            &mut rng,
-        ),
-        ProxyKind::Random | ProxyKind::Adversarial => generate_samples(
-            base,
-            |r| Recipe::random(RECIPE_LENGTH, r),
-            config.initial_samples,
-            config.relock_key_size,
-            &config.subgraph,
-            &mut rng,
-        ),
-    };
+    let mut data = generate_samples(
+        base,
+        |r| match kind {
+            ProxyKind::Resyn2 => Recipe::resyn2(),
+            ProxyKind::Random | ProxyKind::Adversarial => Recipe::random(RECIPE_LENGTH, r),
+        },
+        config.initial_samples,
+        config.relock_key_size,
+        &config.subgraph,
+        &mut rng,
+    );
 
     let mut classifier =
         GinClassifier::new(NUM_FEATURES, config.hidden, config.layers, config.seed);

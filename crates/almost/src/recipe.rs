@@ -2,16 +2,11 @@
 //! seven-transformation alphabet, plus a prefix-sharing synthesis cache
 //! organised as a trie over pass paths.
 
-use almost_aig::{Aig, Pass, Script};
-use rand::rngs::StdRng;
-use rand::RngExt;
-use std::fmt;
+use almost_aig::{Aig, Pass};
 use std::sync::Arc;
 
-/// The paper's recipe length (L = 10).
-pub const RECIPE_LENGTH: usize = 10;
-
-/// A fixed-length synthesis recipe.
+/// A synthesis recipe: the one pass-sequence type, [`almost_aig::Script`],
+/// under the paper's name.
 ///
 /// # Example
 ///
@@ -21,107 +16,10 @@ pub const RECIPE_LENGTH: usize = 10;
 /// assert_eq!(r.len(), 10);
 /// assert_eq!(r.to_string(), "bwfbwWbFWb");
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash)]
-pub struct Recipe {
-    passes: Vec<Pass>,
-}
+pub use almost_aig::Script as Recipe;
 
-impl Recipe {
-    /// A recipe from explicit passes.
-    pub fn new(passes: Vec<Pass>) -> Self {
-        Recipe { passes }
-    }
-
-    /// The `resyn2` baseline (exactly [`RECIPE_LENGTH`] steps).
-    pub fn resyn2() -> Self {
-        Recipe {
-            passes: Script::resyn2().0,
-        }
-    }
-
-    /// A uniformly random recipe of `len` steps.
-    pub fn random(len: usize, rng: &mut StdRng) -> Self {
-        Recipe {
-            passes: (0..len)
-                .map(|_| Pass::ALL[rng.random_range(0..Pass::ALL.len())])
-                .collect(),
-        }
-    }
-
-    /// The SA neighbourhood move: replace one random position with a
-    /// different random pass.
-    pub fn mutate(&self, rng: &mut StdRng) -> Recipe {
-        let mut passes = self.passes.clone();
-        if passes.is_empty() {
-            return Recipe { passes };
-        }
-        let pos = rng.random_range(0..passes.len());
-        let current = passes[pos];
-        loop {
-            let candidate = Pass::ALL[rng.random_range(0..Pass::ALL.len())];
-            if candidate != current {
-                passes[pos] = candidate;
-                break;
-            }
-        }
-        Recipe { passes }
-    }
-
-    /// Applies the recipe to an AIG.
-    pub fn apply(&self, aig: &Aig) -> Aig {
-        self.as_script().apply(aig)
-    }
-
-    /// The underlying pass sequence.
-    pub fn passes(&self) -> &[Pass] {
-        &self.passes
-    }
-
-    /// Recipe length.
-    pub fn len(&self) -> usize {
-        self.passes.len()
-    }
-
-    /// True for the empty recipe.
-    pub fn is_empty(&self) -> bool {
-        self.passes.is_empty()
-    }
-
-    /// View as a [`Script`].
-    pub fn as_script(&self) -> Script {
-        Script(self.passes.clone())
-    }
-
-    /// Parses a mnemonic string (e.g. `bwfbwWbFWb`).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on unknown mnemonics.
-    pub fn from_mnemonics(s: &str) -> Result<Self, almost_aig::passes::ParsePassError> {
-        Script::from_mnemonics(s).map(|sc| Recipe { passes: sc.0 })
-    }
-
-    /// Length of the longest common prefix with `other`.
-    pub fn common_prefix_len(&self, other: &Recipe) -> usize {
-        self.passes
-            .iter()
-            .zip(&other.passes)
-            .take_while(|(a, b)| a == b)
-            .count()
-    }
-}
-
-impl fmt::Display for Recipe {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.as_script().to_mnemonics())
-    }
-}
-
-impl fmt::Debug for Recipe {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Recipe({self})")
-    }
-}
+/// The paper's recipe length (L = 10).
+pub const RECIPE_LENGTH: usize = 10;
 
 /// Default node budget of a [`RecipeTrie`] (cached intermediates, root
 /// excluded). A paper-scale SA search at `proposals = 1` (100 steps,
@@ -378,6 +276,7 @@ impl RecipeTrie {
 mod tests {
     use super::*;
     use almost_aig::sim::probably_equivalent;
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn test_aig() -> Aig {

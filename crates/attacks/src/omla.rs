@@ -8,9 +8,8 @@
 //! applied to the victim key-inputs' localities.
 
 use crate::report::{AttackOutcome, AttackTarget, OracleLessAttack};
-use crate::subgraph::{extract_all_localities, SubgraphConfig, NUM_FEATURES};
+use crate::subgraph::{extract_all_localities, generate_samples, SubgraphConfig, NUM_FEATURES};
 use almost_aig::{Aig, Script};
-use almost_locking::{relock, Rll};
 use almost_ml::gin::{GinClassifier, Graph};
 use almost_ml::tape::Tape;
 use almost_ml::train::{train, TrainConfig};
@@ -77,23 +76,14 @@ impl Omla {
         recipe: &Script,
         rng: &mut StdRng,
     ) -> Vec<Graph> {
-        let mut data = Vec::with_capacity(self.config.training_samples);
-        let scheme = Rll::new(self.config.relock_key_size);
-        while data.len() < self.config.training_samples {
-            let Ok(relocked) = relock(&scheme, deployed, rng) else {
-                break; // circuit too small to relock further
-            };
-            let resynth = recipe.apply(&relocked.aig);
-            let positions: Vec<usize> = relocked.key_input_positions().collect();
-            data.extend(extract_all_localities(
-                &resynth,
-                &positions,
-                relocked.key.bits(),
-                &self.config.subgraph,
-            ));
-        }
-        data.truncate(self.config.training_samples);
-        data
+        generate_samples(
+            deployed,
+            |_| recipe.clone(),
+            self.config.training_samples,
+            self.config.relock_key_size,
+            &self.config.subgraph,
+            rng,
+        )
     }
 
     /// Trains a classifier on manufactured data for the given deployment.
@@ -169,7 +159,7 @@ impl OracleLessAttack for Omla {
 mod tests {
     use super::*;
     use almost_circuits::IscasBenchmark;
-    use almost_locking::LockingScheme;
+    use almost_locking::{LockingScheme, Rll};
 
     fn quick_config() -> OmlaConfig {
         OmlaConfig {
@@ -227,7 +217,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let base = IscasBenchmark::C880.build();
         let locked = Rll::new(32).lock(&base, &mut rng).expect("lockable");
-        let target = AttackTarget::new(locked, Script::new());
+        let target = AttackTarget::new(locked, Script::default());
         let outcome = Omla::new(quick_config()).attack(&target);
         assert!(
             outcome.accuracy > 0.7,
@@ -241,7 +231,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let base = IscasBenchmark::C432.build();
         let locked = Rll::new(12).lock(&base, &mut rng).expect("lockable");
-        let target = AttackTarget::new(locked, Script::new());
+        let target = AttackTarget::new(locked, Script::default());
         let omla = Omla::new(quick_config());
         let model = GinClassifier::new(NUM_FEATURES, 12, 2, 1);
         let probs = omla.predict_bits(&model, &target.deployed, &target.key_positions());

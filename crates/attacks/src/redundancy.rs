@@ -154,7 +154,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let base = IscasBenchmark::C432.build();
         let locked = Rll::new(6).lock(&base, &mut rng).expect("lockable");
-        let target = AttackTarget::new(locked, Script::new());
+        let target = AttackTarget::new(locked, Script::default());
         let att = Redundancy::new(RedundancyConfig {
             fault_samples: 8,
             seed: 2,

@@ -462,7 +462,7 @@ mod tests {
         // simulation will not hit. Only the proof can refute it.
         let design = almost_circuits::IscasBenchmark::C432.build();
         let scheme = almost_locking::SarLock::new(design.num_inputs());
-        let (target, _) = crate::testutil::locked_target(&design, &scheme, Script::new(), 7);
+        let (target, _) = crate::testutil::locked_target(&design, &scheme, Script::default(), 7);
         let truth = target.locked.key.bits().to_vec();
         let score = |recovered: Vec<bool>| {
             let no_time = std::time::Duration::ZERO;

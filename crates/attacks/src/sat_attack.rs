@@ -425,7 +425,7 @@ mod tests {
         assert!(!run.proved_exact, "a contradiction proves nothing");
         assert!(run.recovered.is_empty(), "no key is made up");
         assert!(run.accounting_consistent());
-        let target = crate::report::AttackTarget::new(locked, Script::new());
+        let target = crate::report::AttackTarget::new(locked, Script::default());
         let liar = crate::testutil::AlternatingLiar::new(&target.locked);
         let outcome = SatAttack::exact().attack_with_oracle(&target, &liar);
         assert!(outcome.inconsistent_oracle);

@@ -30,7 +30,7 @@ impl Default for ScopeConfig {
     fn default() -> Self {
         ScopeConfig {
             // A light script keeps the 2-per-bit synthesis affordable.
-            script: Script(vec![Pass::Balance, Pass::Rewrite, Pass::Refactor]),
+            script: Script::new(vec![Pass::Balance, Pass::Rewrite, Pass::Refactor]),
             max_bits: None,
         }
     }
@@ -166,7 +166,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let base = IscasBenchmark::C432.build();
         let locked = Rll::new(8).lock(&base, &mut rng).expect("lockable");
-        let target = AttackTarget::new(locked, Script::new());
+        let target = AttackTarget::new(locked, Script::default());
         let outcome = Scope::default().attack(&target);
         assert_eq!(outcome.predicted.len(), 8);
         assert!((0.0..=1.0).contains(&outcome.accuracy));

@@ -4,9 +4,8 @@
 //! tensor-based model" point of comparison the paper discusses in §II.
 
 use crate::report::{AttackOutcome, AttackTarget, OracleLessAttack};
-use crate::subgraph::{extract_all_localities, SubgraphConfig};
+use crate::subgraph::{extract_all_localities, generate_samples, SubgraphConfig};
 use almost_aig::{Aig, Script};
-use almost_locking::{relock, Rll};
 use almost_ml::gin::Graph;
 use almost_ml::nn::Linear;
 use almost_ml::optim::Adam;
@@ -110,22 +109,14 @@ impl Snapshot {
     /// Trains the MLP on self-referenced localities.
     pub fn train_model(&self, deployed: &Aig, recipe: &Script) -> SnapshotModel {
         let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let scheme = Rll::new(self.config.relock_key_size);
-        let mut data: Vec<Graph> = Vec::new();
-        while data.len() < self.config.training_samples {
-            let Ok(relocked) = relock(&scheme, deployed, &mut rng) else {
-                break;
-            };
-            let resynth = recipe.apply(&relocked.aig);
-            let positions: Vec<usize> = relocked.key_input_positions().collect();
-            data.extend(extract_all_localities(
-                &resynth,
-                &positions,
-                relocked.key.bits(),
-                &self.config.subgraph,
-            ));
-        }
-        data.truncate(self.config.training_samples);
+        let data = generate_samples(
+            deployed,
+            |_| recipe.clone(),
+            self.config.training_samples,
+            self.config.relock_key_size,
+            &self.config.subgraph,
+            &mut rng,
+        );
 
         let hops = self.config.subgraph.hops;
         let input_dim = (hops + 1) * crate::subgraph::NUM_FEATURES;
@@ -214,7 +205,7 @@ impl OracleLessAttack for Snapshot {
 mod tests {
     use super::*;
     use almost_circuits::IscasBenchmark;
-    use almost_locking::LockingScheme;
+    use almost_locking::{LockingScheme, Rll};
 
     #[test]
     fn flatten_has_fixed_width() {
@@ -245,7 +236,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(31);
         let base = IscasBenchmark::C880.build();
         let locked = Rll::new(32).lock(&base, &mut rng).expect("lockable");
-        let target = AttackTarget::new(locked, Script::new());
+        let target = AttackTarget::new(locked, Script::default());
         let cfg = SnapshotConfig {
             epochs: 30,
             training_samples: 160,

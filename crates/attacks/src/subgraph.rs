@@ -5,11 +5,15 @@
 //! h-hop undirected neighbourhood of a key-input node; node features
 //! describe gate kind, fanin complementation (where the XOR-vs-XNOR signal
 //! survives bubble pushing), fanout and distance — the information OMLA's
-//! GNN learns from.
+//! GNN learns from. [`generate_samples`] manufactures labelled localities
+//! by relocking and resynthesising, the protocol every model here trains
+//! with.
 
-use almost_aig::{Aig, NodeKind, Var};
+use almost_aig::{Aig, NodeKind, Script, Var};
+use almost_locking::{relock, Rll};
 use almost_ml::gin::Graph;
 use almost_ml::tensor::Matrix;
+use rand::rngs::StdRng;
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Locality-extraction parameters.
@@ -58,6 +62,40 @@ pub fn extract_all_localities(
         .zip(labels)
         .map(|(&pos, &label)| locality(aig, &fanouts, &key_vars, aig.inputs()[pos], label, config))
         .collect()
+}
+
+/// Manufactures labelled localities by the self-referencing protocol that
+/// OMLA, SnapShot and the ALMOST proxies train with: relock `base` with
+/// `relock_key_size` fresh RLL key gates, synthesise it with the recipe
+/// `next_recipe` draws (after the relock, from the same stream) and
+/// extract the new key gates' localities, labelled with their key bits,
+/// until `count` are made. Stops short (with nothing, at worst) once
+/// `base` cannot take such a relock.
+pub fn generate_samples(
+    base: &Aig,
+    mut next_recipe: impl FnMut(&mut StdRng) -> Script,
+    count: usize,
+    relock_key_size: usize,
+    subgraph: &SubgraphConfig,
+    rng: &mut StdRng,
+) -> Vec<Graph> {
+    let scheme = Rll::new(relock_key_size);
+    let mut data = Vec::with_capacity(count);
+    while data.len() < count {
+        let Ok(relocked) = relock(&scheme, base, rng) else {
+            break;
+        };
+        let synthesised = next_recipe(rng).apply(&relocked.aig);
+        let positions: Vec<usize> = relocked.key_input_positions().collect();
+        data.extend(extract_all_localities(
+            &synthesised,
+            &positions,
+            relocked.key.bits(),
+            subgraph,
+        ));
+    }
+    data.truncate(count);
+    data
 }
 
 /// The locality of key input `center`, labelled with `label`.

@@ -73,7 +73,7 @@ fn run() {
     );
     let results = pool::map_indexed(jobs, |_, (bench, key_size, mode, attack)| {
         let locked = lock_benchmark(bench, key_size);
-        let target = AttackTarget::new(locked, Recipe::resyn2().as_script());
+        let target = AttackTarget::new(locked, Recipe::resyn2());
         let oracle = CircuitOracle::from_locked(&target.locked);
         let started = Instant::now();
         let outcome = attack.attack_with_oracle(&target, &oracle);

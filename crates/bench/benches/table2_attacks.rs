@@ -9,7 +9,6 @@
 //! recovers a functionally correct key under *both* recipes — synthesis
 //! tuning is a defence against learning, not against oracle access.
 
-use almost_aig::Script;
 use almost_attacks::{
     AttackTarget, DoubleDip, Omla, OmlaConfig, OracleGuidedAttack, OracleLessAttack, Redundancy,
     RedundancyConfig, SatAttack, SatAttackConfig, Scope, ScopeConfig,
@@ -68,7 +67,7 @@ fn run() {
 
             let mut accs: Vec<(String, String, f64)> = Vec::new();
             for (recipe_name, recipe) in recipes {
-                let target = AttackTarget::new(locked.clone(), recipe.as_script());
+                let target = AttackTarget::new(locked.clone(), recipe);
                 let omla = Omla::new(omla_cfg(scale)).attack(&target);
                 let scope = Scope::new(ScopeConfig {
                     max_bits: scale.attack_bit_sample(),
@@ -146,8 +145,8 @@ fn run() {
             // `sat_resilience` harness prints the scaling table.)
             let compound = Stacked::new(Rll::new(8), SarLock::new(8));
             let locked = lock_benchmark_with(&compound, bench, key_size as u64);
-            let deployed = AttackTarget::new(locked.clone(), Recipe::resyn2().as_script());
-            let raw = AttackTarget::new(locked, Script::new());
+            let deployed = AttackTarget::new(locked.clone(), Recipe::resyn2());
+            let raw = AttackTarget::new(locked, Recipe::default());
             let sat_oracle = CircuitOracle::from_locked(&deployed.locked);
             let sat = SatAttack::new(SatAttackConfig::approximate(16, 2_000))
                 .attack_with_oracle(&deployed, &sat_oracle);

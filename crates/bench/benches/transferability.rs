@@ -47,7 +47,7 @@ fn run() {
     // CSV rows match a serial run.
     let jobs: Vec<usize> = (0..recipes.len()).collect();
     let per_model: Vec<Vec<f64>> = pool::map_indexed(jobs, |_, j| {
-        let model = omla.train_model(&locked.aig, &recipes[j].1.as_script());
+        let model = omla.train_model(&locked.aig, recipes[j].1);
         let accs: Vec<f64> = deployments
             .iter()
             .map(|deployed| {

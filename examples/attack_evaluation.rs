@@ -62,7 +62,7 @@ fn main() {
         ("ALMOST", search.recipe.clone()),
     ] {
         println!("\n--- defence: {label} ---");
-        let target = AttackTarget::new(locked.clone(), recipe.as_script());
+        let target = AttackTarget::new(locked.clone(), recipe);
         for attack in &attacks {
             let outcome = attack.attack(&target);
             println!(

@@ -37,7 +37,7 @@ fn main() {
     println!(
         "S_ALMOST:       {} ({})",
         outcome.recipe,
-        outcome.recipe.as_script()
+        outcome.recipe.commands()
     );
     println!(
         "deployed:       {} AND nodes (locked had {})",

@@ -97,7 +97,7 @@ fn main() {
     // bench harnesses), keeping stdout to the report itself.
     telemetry::progress(|| format!("  [cache] {}", engine.stats().summary()));
 
-    println!("\nresyn2 as a script: {}", Script::resyn2());
+    println!("\nresyn2 as a script: {}", Script::resyn2().commands());
     println!("Every recipe preserves function (SAT-checked in the test suite).");
     telemetry::finish();
 }

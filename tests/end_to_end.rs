@@ -81,7 +81,7 @@ fn omla_recovers_keys_without_synthesis_defence() {
     use almost_repro::locking::{LockingScheme, Rll};
     use rand::SeedableRng;
     let locked = Rll::new(32).lock(&design, &mut rng).expect("lockable");
-    let target = AttackTarget::new(locked, almost_repro::aig::Script::new());
+    let target = AttackTarget::new(locked, almost_repro::aig::Script::default());
     let omla = Omla::new(OmlaConfig {
         hidden: 12,
         layers: 2,
