@@ -372,11 +372,6 @@ impl Aig {
         matches!(self.nodes[var as usize], NodeKind::And(..))
     }
 
-    /// Returns true if `var` is a primary input.
-    pub fn is_input(&self, var: Var) -> bool {
-        matches!(self.nodes[var as usize], NodeKind::Input(_))
-    }
-
     /// Total number of nodes including the constant and inputs.
     pub fn num_nodes(&self) -> usize {
         self.nodes.len()
@@ -420,11 +415,6 @@ impl Aig {
     /// Renames input `index`.
     pub fn set_input_name(&mut self, index: usize, name: impl Into<String>) {
         self.input_names[index] = name.into();
-    }
-
-    /// Renames output `index`.
-    pub fn set_output_name(&mut self, index: usize, name: impl Into<String>) {
-        self.output_names[index] = name.into();
     }
 
     /// Iterates over all node indices in topological order (fanins first).
@@ -660,26 +650,6 @@ impl Aig {
             .iter()
             .map(|l| memo[&l.var()].xor_complement(l.is_complement()))
             .collect()
-    }
-
-    /// Returns the set of nodes in the transitive fanin cone of `root`
-    /// (including `root`, excluding the constant).
-    pub fn cone_of(&self, root: Var) -> Vec<Var> {
-        let mut seen = vec![false; self.nodes.len()];
-        let mut stack = vec![root];
-        let mut cone = Vec::new();
-        while let Some(v) = stack.pop() {
-            if seen[v as usize] || v == 0 {
-                continue;
-            }
-            seen[v as usize] = true;
-            cone.push(v);
-            if let NodeKind::And(a, b) = self.nodes[v as usize] {
-                stack.push(a.var());
-                stack.push(b.var());
-            }
-        }
-        cone
     }
 }
 

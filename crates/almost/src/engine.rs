@@ -221,16 +221,6 @@ impl<'a> SearchEngine<'a> {
         }
     }
 
-    /// An engine with an explicit synthesis-cache node budget.
-    pub fn with_budget(base: Aig, budget: usize, objective: &'a dyn SearchObjective) -> Self {
-        SearchEngine {
-            trie: RecipeTrie::with_budget(base, budget),
-            objective,
-            candidates: 0,
-            elapsed: Duration::ZERO,
-        }
-    }
-
     /// The base network candidates are synthesised from.
     pub fn base(&self) -> &Aig {
         self.trie.base()

@@ -132,14 +132,6 @@ impl Omla {
             .map(|g| model.predict_with(&mut tape, g))
             .collect()
     }
-
-    /// Full evaluation path used by the ALMOST framework: accuracy of
-    /// `model` against the true key of `target`.
-    pub fn evaluate_model(&self, model: &GinClassifier, target: &AttackTarget) -> f64 {
-        let probs = self.predict_bits(model, &target.deployed, &target.key_positions());
-        let predicted: Vec<Option<bool>> = probs.iter().map(|&p| Some(p >= 0.5)).collect();
-        AttackOutcome::score("OMLA", predicted, target.locked.key.bits()).accuracy
-    }
 }
 
 impl OracleLessAttack for Omla {

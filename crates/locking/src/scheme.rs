@@ -67,14 +67,6 @@ impl LockedCircuit {
         self.key_input_start..self.key_input_start + self.key.len()
     }
 
-    /// The AIG node indices of the key-input nodes themselves (stable
-    /// through synthesis in input order, though node ids change).
-    pub fn key_input_vars(&self) -> Vec<Var> {
-        self.key_input_positions()
-            .map(|i| self.aig.inputs()[i])
-            .collect()
-    }
-
     /// Re-derives key-input vars after the AIG field has been replaced by a
     /// synthesised version (input order is preserved by all passes).
     pub fn with_aig(mut self, aig: Aig) -> Self {

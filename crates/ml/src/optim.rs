@@ -46,11 +46,6 @@ impl Adam {
         self.lr
     }
 
-    /// Sets the learning rate.
-    pub fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
     /// Applies one update step.
     ///
     /// # Panics
