@@ -24,7 +24,7 @@
 //! All randomness lives on the calling thread, in a fixed draw order:
 //! the `K` mutations of a step are drawn first, then the batch is
 //! synthesised (pool workers touch no RNG) and scored (batched GIN rows
-//! are bit-identical to single-graph forwards; mapping is pure), then
+//! are bit-identical to one-graph batches; mapping is pure), then
 //! Metropolis acceptance walks the ordered batch sequentially — the
 //! first accepted candidate advances the current state, later candidates
 //! only update the best-seen. Consequences, pinned in

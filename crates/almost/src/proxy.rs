@@ -180,12 +180,10 @@ impl ProxyModel {
         if graphs.is_empty() {
             return 0.0;
         }
-        // One reused tape across the probe batch (the SA inner loop calls
-        // this per candidate recipe — no per-graph allocation).
-        let mut tape = almost_ml::tape::Tape::new();
+        let refs: Vec<&Graph> = graphs.iter().collect();
+        let probs = self.classifier.predict_probs_batch(&refs);
         let mut total = 0.0f64;
-        for g in graphs {
-            let p = self.classifier.predict_with(&mut tape, g);
+        for (g, p) in graphs.iter().zip(probs) {
             // Reconstruct logit-space BCE from the probability (clamped).
             let p = p.clamp(1e-6, 1.0 - 1e-6);
             let z = (p / (1.0 - p)).ln();
@@ -199,9 +197,8 @@ impl ProxyModel {
 /// Algorithm 1's inner objective (Eq. 3): the *negated* mean proxy loss
 /// on a re-locked probe — the engine minimises, so the adversarial
 /// search maximises the loss. Candidates score independently and fan out
-/// on the worker pool; the per-graph loss path is kept bit-identical to
-/// the pre-engine closure so adversarial training trajectories are
-/// unchanged.
+/// on the worker pool; each one's localities go through one batched GIN
+/// forward in [`ProxyModel::mean_loss`].
 struct AdversarialLossObjective<'a> {
     snapshot: &'a ProxyModel,
     probe: &'a LockedCircuit,

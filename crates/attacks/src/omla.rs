@@ -11,7 +11,6 @@ use crate::report::{AttackOutcome, AttackTarget, OracleLessAttack};
 use crate::subgraph::{extract_all_localities, generate_samples, SubgraphConfig, NUM_FEATURES};
 use almost_aig::{Aig, Script};
 use almost_ml::gin::{GinClassifier, Graph};
-use almost_ml::tape::Tape;
 use almost_ml::train::{train, TrainConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -124,13 +123,7 @@ impl Omla {
             &dummy_labels,
             &self.config.subgraph,
         );
-        // One reused tape across the key bits: prediction allocates
-        // nothing after the first locality.
-        let mut tape = Tape::new();
-        graphs
-            .iter()
-            .map(|g| model.predict_with(&mut tape, g))
-            .collect()
+        model.predict_probs_batch(&graphs.iter().collect::<Vec<_>>())
     }
 }
 

@@ -150,45 +150,6 @@ impl GinClassifier {
         }
     }
 
-    /// Forward pass producing the logit node for one graph, aggregating
-    /// neighbourhoods with the sparse [`Tape::spmm`] kernel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph's feature width differs from
-    /// [`GinClassifier::input_dim`].
-    pub fn forward(&self, tape: &mut Tape, bound: &BoundModel, graph: &Graph) -> NodeId {
-        assert_eq!(graph.features.cols(), self.input_dim, "feature width");
-        let mut h = tape.leaf_copy(&graph.features);
-        for (b1, b2) in &bound.convs {
-            let agg = tape.spmm(&graph.adj_hat, h);
-            h = self.conv_tail(tape, *b1, *b2, agg);
-        }
-        self.readout_head(tape, bound, h)
-    }
-
-    /// Dense-aggregation reference forward pass: materialises `Â` and
-    /// multiplies with the O(n²·d) dense kernel. Kept as the baseline the
-    /// sparse path is validated against (the parity suite) and timed
-    /// against (the `training_perf` harness) — the two produce
-    /// bit-identical logits, because CSR rows add the same products in
-    /// the same order as a dense row scan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph's feature width differs from
-    /// [`GinClassifier::input_dim`].
-    pub fn forward_dense(&self, tape: &mut Tape, bound: &BoundModel, graph: &Graph) -> NodeId {
-        assert_eq!(graph.features.cols(), self.input_dim, "feature width");
-        let adj = tape.leaf(graph.adj_hat.to_dense());
-        let mut h = tape.leaf_copy(&graph.features);
-        for (b1, b2) in &bound.convs {
-            let agg = tape.matmul(adj, h);
-            h = self.conv_tail(tape, *b1, *b2, agg);
-        }
-        self.readout_head(tape, bound, h)
-    }
-
     /// Batched forward pass: the graphs are fused into one block-diagonal
     /// union (one spmm per GIN round for the whole minibatch, fatter MLP
     /// matmuls) and the result is a `graphs.len()` × 1 logit column.
@@ -196,7 +157,7 @@ impl GinClassifier {
     /// Because every op involved treats rows independently — spmm rows
     /// only reach within their own diagonal block, the MLPs are row-wise,
     /// and pooling is per segment — row `b` of the output is
-    /// bit-identical to [`GinClassifier::forward`] on graph `b` alone.
+    /// bit-identical to the output for a batch of graph `b` alone.
     ///
     /// # Panics
     ///
@@ -215,7 +176,9 @@ impl GinClassifier {
     /// Batched dense-aggregation reference: identical structure to
     /// [`GinClassifier::forward_batch`], but the union operator is
     /// materialised and multiplied with the dense O(n²·d) kernel — the
-    /// "before" of the sparse hot path, bit-identical in output.
+    /// "before" of the sparse hot path, bit-identical in output, because
+    /// CSR rows add the same products in the same order as a dense row
+    /// scan.
     ///
     /// # Panics
     ///
@@ -263,7 +226,7 @@ impl GinClassifier {
         Linear::forward(bound.head, tape, r)
     }
 
-    /// The two-layer MLP of one GIN round (shared by all forward paths).
+    /// The two-layer MLP of one GIN round.
     fn conv_tail(&self, tape: &mut Tape, b1: BoundLinear, b2: BoundLinear, agg: NodeId) -> NodeId {
         let z1 = Linear::forward(b1, tape, agg);
         let a1 = tape.relu(z1);
@@ -271,36 +234,19 @@ impl GinClassifier {
         tape.relu(z2)
     }
 
-    /// Mean-pool readout plus MLP head (single-graph forward paths).
-    fn readout_head(&self, tape: &mut Tape, bound: &BoundModel, h: NodeId) -> NodeId {
-        let pooled = tape.mean_rows(h);
-        let r = Linear::forward(bound.readout, tape, pooled);
-        let r = tape.relu(r);
-        Linear::forward(bound.head, tape, r)
-    }
-
-    /// Predicted probability that the key bit is 1, recorded on a caller
-    /// supplied tape (which is reset first) so evaluation loops reuse one
-    /// workspace instead of allocating per graph.
-    pub fn predict_with(&self, tape: &mut Tape, graph: &Graph) -> f32 {
-        tape.reset();
-        let bound = self.bind(tape);
-        let logit = self.forward(tape, &bound, graph);
-        sigmoid(tape.value(logit).get(0, 0))
-    }
-
     /// Predicted probability that the key bit is 1.
     pub fn predict(&self, graph: &Graph) -> f32 {
-        self.predict_with(&mut Tape::new(), graph)
+        self.predict_probs_batch(&[graph])[0]
     }
 
     /// Predicted probabilities for a whole batch through one
     /// block-diagonal [`GinClassifier::forward_batch`] call — one spmm
-    /// per GIN round for the entire batch instead of one per graph.
+    /// per GIN round for the entire batch instead of one per graph. Every
+    /// inference goes through here.
     ///
     /// Row `b` is bit-identical to [`GinClassifier::predict`] on
     /// `graphs[b]` (the batched forward's row-independence contract), so
-    /// accuracies computed from this path match the serial path exactly.
+    /// a graph's probability does not depend on the batch it is scored in.
     pub fn predict_probs_batch(&self, graphs: &[&Graph]) -> Vec<f32> {
         if graphs.is_empty() {
             return Vec::new();
@@ -319,10 +265,11 @@ impl GinClassifier {
         if graphs.is_empty() {
             return 0.0;
         }
-        let mut tape = Tape::new();
+        let refs: Vec<&Graph> = graphs.iter().collect();
         let correct = graphs
             .iter()
-            .filter(|g| (self.predict_with(&mut tape, g) >= 0.5) == g.label)
+            .zip(self.predict_probs_batch(&refs))
+            .filter(|(g, p)| (*p >= 0.5) == g.label)
             .count();
         correct as f64 / graphs.len() as f64
     }
@@ -343,21 +290,6 @@ mod tests {
         let model = GinClassifier::new(2, 8, 2, 42);
         let g = toy_graph(true, 0.5);
         assert_eq!(model.predict(&g), model.predict(&g));
-    }
-
-    #[test]
-    fn sparse_and_dense_forward_agree_bitwise() {
-        let model = GinClassifier::new(2, 8, 2, 23);
-        for bias in [-1.0, 0.0, 0.5, 2.0] {
-            let g = toy_graph(bias > 0.0, bias);
-            let mut ts = Tape::new();
-            let bs = model.bind(&mut ts);
-            let ls = model.forward(&mut ts, &bs, &g);
-            let mut td = Tape::new();
-            let bd = model.bind(&mut td);
-            let ld = model.forward_dense(&mut td, &bd, &g);
-            assert_eq!(ts.value(ls), td.value(ld));
-        }
     }
 
     #[test]
@@ -387,11 +319,11 @@ mod tests {
         for (b, g) in graphs.iter().enumerate() {
             let mut t = Tape::new();
             let bound = model.bind(&mut t);
-            let single = model.forward(&mut t, &bound, g);
+            let single = model.forward_batch(&mut t, &bound, &[g]);
             assert_eq!(
                 t.value(single).get(0, 0),
                 tb.value(logits).get(b, 0),
-                "row {b} of the batch must equal the single-graph forward bitwise"
+                "row {b} of the batch must equal the one-graph batch bitwise"
             );
         }
     }
@@ -409,7 +341,11 @@ mod tests {
         let probs = model.predict_probs_batch(&refs);
         assert_eq!(probs.len(), graphs.len());
         for (g, p) in graphs.iter().zip(&probs) {
-            assert_eq!(*p, model.predict(g), "batch row must equal serial predict");
+            assert_eq!(
+                *p,
+                model.predict(g),
+                "batch row must equal the one-graph predict"
+            );
         }
         assert!(model.predict_probs_batch(&[]).is_empty());
     }
@@ -419,23 +355,6 @@ mod tests {
         let g = toy_graph(true, 1.0);
         assert!(g.adj_hat.is_symmetric());
         assert_eq!(g.adj_hat.nnz(), 4); // two self-loops + one edge both ways
-    }
-
-    #[test]
-    fn predict_with_reuses_one_workspace() {
-        let model = GinClassifier::new(2, 8, 2, 42);
-        let g = toy_graph(true, 0.5);
-        let mut tape = Tape::new();
-        let first = model.predict_with(&mut tape, &g);
-        let allocs = tape.stats().fresh_buffers;
-        for _ in 0..5 {
-            assert_eq!(model.predict_with(&mut tape, &g), first);
-        }
-        assert_eq!(
-            tape.stats().fresh_buffers,
-            allocs,
-            "warm tape allocates nothing"
-        );
     }
 
     #[test]

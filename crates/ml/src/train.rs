@@ -121,7 +121,7 @@ pub fn train_with_callback(
 
 /// The dense serial baseline: identical loop structure, but neighbourhood
 /// aggregation goes through the O(n²·d) dense matmul
-/// ([`GinClassifier::forward_dense`]) and every sub-block runs on the
+/// ([`GinClassifier::forward_batch_dense`]) and every sub-block runs on the
 /// calling thread. Because the two aggregation kernels add the same
 /// products in the same order, this reproduces [`train`]'s `epoch_losses`
 /// **bit-for-bit** — it exists as the reference the parity suite asserts
