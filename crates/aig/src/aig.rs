@@ -18,6 +18,21 @@ use std::fmt;
 /// Index of a node in an [`Aig`].
 pub type Var = u32;
 
+/// Most nodes an [`Aig`] holds, the constant included. The largest
+/// variable, `MAX_NODES - 1`, still has both of its literals in a `u32`:
+/// `(MAX_NODES - 1) << 1 | 1` is `u32::MAX`.
+pub const MAX_NODES: usize = 1 << 31;
+
+/// The variable of the next node of a graph that holds `len` nodes.
+///
+/// # Panics
+///
+/// Panics if the graph already holds [`MAX_NODES`] nodes.
+fn next_var(len: usize) -> Var {
+    assert!(len < MAX_NODES, "an Aig holds at most {MAX_NODES} nodes");
+    len as Var
+}
+
 /// A literal: a node index together with a complement flag.
 ///
 /// The encoding is `var << 1 | complement`, matching the AIGER convention.
@@ -183,8 +198,12 @@ impl Aig {
     }
 
     /// Adds a primary input with the given name.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph already holds [`MAX_NODES`] nodes.
     pub fn add_named_input(&mut self, name: impl Into<String>) -> Lit {
-        let var = self.nodes.len() as Var;
+        let var = next_var(self.nodes.len());
         self.nodes.push(NodeKind::Input(self.inputs.len() as u32));
         self.inputs.push(var);
         self.input_names.push(name.into());
@@ -236,6 +255,10 @@ impl Aig {
     /// the node array, so a stale key is never returned; the new node just
     /// takes its slot. Every live AND node's key is in the table, because
     /// only this method creates AND nodes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph already holds [`MAX_NODES`] nodes.
     pub fn and(&mut self, a: Lit, b: Lit) -> Lit {
         // One-level simplification rules.
         if a == Lit::FALSE || b == Lit::FALSE || a == !b {
@@ -249,7 +272,7 @@ impl Aig {
         }
         let (a, b) = if a <= b { (a, b) } else { (b, a) };
         let node = NodeKind::And(a, b);
-        let var = self.nodes.len() as Var;
+        let var = next_var(self.nodes.len());
         match self.strash.entry((a, b)) {
             Entry::Occupied(mut slot) => {
                 let old = *slot.get();
@@ -679,6 +702,20 @@ mod tests {
         let l = Lit::new(5, true);
         assert_eq!(l.var(), 5);
         assert_eq!(Lit::from_index(l.index()), l);
+    }
+
+    #[test]
+    fn the_largest_variable_fits_a_u32_literal() {
+        assert_eq!((MAX_NODES - 1) << 1 | 1, u32::MAX as usize);
+        let top = Lit::new(next_var(MAX_NODES - 1), true);
+        assert_eq!(top.index(), u32::MAX);
+        assert_eq!(top.var() as usize, MAX_NODES - 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "an Aig holds at most 2147483648 nodes")]
+    fn the_node_cap_panics() {
+        next_var(MAX_NODES);
     }
 
     #[test]

@@ -22,11 +22,6 @@
 //! XOR with `(operand & 1).wrapping_neg()`.
 
 use crate::aig::{Aig, NodeKind, Var};
-use std::fmt;
-
-/// Registers addressable by the packed `u32` operand encoding
-/// (`register << 1 | complement` must fit in a `u32`).
-pub const MAX_REGISTERS: usize = (u32::MAX >> 1) as usize;
 
 /// What the compiler did, for telemetry and throughput reporting.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -36,45 +31,6 @@ pub struct CompileStats {
     /// Register-file size: constant + inputs + instructions.
     pub registers: usize,
 }
-
-/// Why a netlist could not be compiled.
-///
-/// The public [`Aig`] construction API cannot produce either case
-/// (outputs are bounds-checked on registration and node indices are
-/// `u32`), but the compiler is the front door for parsed and generated
-/// netlists, so it checks instead of indexing wild.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CompileError {
-    /// The register file would not fit the packed operand encoding.
-    TooManyNodes {
-        /// Registers the netlist would need.
-        needed: usize,
-    },
-    /// An output literal refers to a node outside the graph.
-    DanglingOutput {
-        /// Output position.
-        output: usize,
-        /// The nonexistent node the output names.
-        var: Var,
-    },
-}
-
-impl fmt::Display for CompileError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CompileError::TooManyNodes { needed } => write!(
-                f,
-                "netlist needs {needed} registers, more than the {MAX_REGISTERS} the \
-                 packed operand encoding addresses"
-            ),
-            CompileError::DanglingOutput { output, var } => {
-                write!(f, "output {output} refers to nonexistent node {var}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for CompileError {}
 
 /// An [`Aig`] compiled to a flat, topologically-sorted instruction
 /// buffer, evaluated 64 patterns per `u64` word.
@@ -90,7 +46,7 @@ impl std::error::Error for CompileError {}
 /// let b = aig.add_input();
 /// let f = aig.xor(a, b);
 /// aig.add_output(f);
-/// let code = CompiledAig::compile(&aig).expect("compiles");
+/// let code = CompiledAig::compile(&aig);
 /// assert_eq!(code.eval(&[true, false]), vec![true]);
 /// let words = code.eval_words(&[vec![0b1100], vec![0b1010]], 1);
 /// assert_eq!(words[0][0], 0b0110);
@@ -110,21 +66,12 @@ pub struct CompiledAig {
 
 impl CompiledAig {
     /// Compiles every AND of `aig`.
-    pub fn compile(aig: &Aig) -> Result<CompiledAig, CompileError> {
+    ///
+    /// Never fails: [`Aig`] keeps every output inside the graph and caps
+    /// it at [`crate::aig::MAX_NODES`] nodes, so the largest operand,
+    /// `(MAX_NODES - 1) << 1 | 1`, is `u32::MAX`.
+    pub fn compile(aig: &Aig) -> CompiledAig {
         let n = aig.num_nodes();
-        for (o, out) in aig.outputs().iter().enumerate() {
-            if out.var() as usize >= n {
-                return Err(CompileError::DanglingOutput {
-                    output: o,
-                    var: out.var(),
-                });
-            }
-        }
-        let registers = 1 + aig.num_inputs() + aig.num_ands();
-        if registers > MAX_REGISTERS {
-            return Err(CompileError::TooManyNodes { needed: registers });
-        }
-
         // Register 0 = constant, 1..=num_inputs = inputs in input order,
         // then one per instruction in topological order. Inputs get their
         // registers first, so an input created after some ANDs (a locked
@@ -150,16 +97,16 @@ impl CompiledAig {
             .iter()
             .map(|out| reg_of[out.var() as usize] << 1 | out.is_complement() as u32)
             .collect();
-        Ok(CompiledAig {
+        CompiledAig {
             num_inputs: aig.num_inputs(),
             instrs,
             out_taps,
             reg_of,
             stats: CompileStats {
                 instructions: aig.num_ands(),
-                registers,
+                registers: n,
             },
-        })
+        }
     }
 
     /// Number of primary inputs.
@@ -398,7 +345,7 @@ mod tests {
     fn compiled_matches_interpreter_on_random_graphs() {
         for seed in 0..8u64 {
             let aig = random_aig(seed, 6, 40, 4);
-            let code = CompiledAig::compile(&aig).expect("compiles");
+            let code = CompiledAig::compile(&aig);
             assert_eq!(code.num_inputs(), aig.num_inputs());
             assert_eq!(code.num_outputs(), aig.num_outputs());
             for bits in 0..64u32 {
@@ -416,7 +363,7 @@ mod tests {
     fn word_level_matches_sim_vectors() {
         for seed in 0..4u64 {
             let aig = random_aig(100 + seed, 9, 70, 5);
-            let code = CompiledAig::compile(&aig).expect("compiles");
+            let code = CompiledAig::compile(&aig);
             let num_words = 4;
             let mut rng = StdRng::seed_from_u64(seed);
             let input_words: Vec<Vec<u64>> = (0..aig.num_inputs())
@@ -434,7 +381,7 @@ mod tests {
     #[test]
     fn batch_roundtrip_matches_scalar_eval() {
         let aig = random_aig(7, 8, 50, 3);
-        let code = CompiledAig::compile(&aig).expect("compiles");
+        let code = CompiledAig::compile(&aig);
         let mut rng = StdRng::seed_from_u64(11);
         // 65 patterns straddles the word boundary.
         let patterns: Vec<Vec<bool>> = (0..65)
@@ -459,7 +406,7 @@ mod tests {
         let dead1 = aig.or(a, b);
         let dead2 = aig.xor(a, b);
         aig.add_output(keep);
-        let code = CompiledAig::compile(&aig).expect("compiles");
+        let code = CompiledAig::compile(&aig);
         assert_eq!(code.stats().instructions, aig.num_ands());
         assert_eq!(code.num_registers(), aig.num_nodes());
         assert_eq!(code.register_of(keep.var()), 3);
@@ -486,7 +433,7 @@ mod tests {
         let mut consts = Aig::new();
         consts.add_output(Lit::FALSE);
         consts.add_output(Lit::TRUE);
-        let code = CompiledAig::compile(&consts).expect("compiles");
+        let code = CompiledAig::compile(&consts);
         assert_eq!(code.eval(&[]), vec![false, true]);
         assert_eq!(code.stats().instructions, 0);
 
@@ -495,20 +442,20 @@ mod tests {
         let a = no_out.add_input();
         let b = no_out.add_input();
         let _ = no_out.and(a, b);
-        let code = CompiledAig::compile(&no_out).expect("compiles");
+        let code = CompiledAig::compile(&no_out);
         assert_eq!(code.eval(&[true, true]), Vec::<bool>::new());
         assert_eq!(code.stats().instructions, 1);
 
         // Empty AIG.
         let empty = Aig::new();
-        let code = CompiledAig::compile(&empty).expect("compiles");
+        let code = CompiledAig::compile(&empty);
         assert!(code.eval(&[]).is_empty());
 
         // Input wired straight to an output (no instructions at all).
         let mut wire = Aig::new();
         let x = wire.add_input();
         wire.add_output(!x);
-        let code = CompiledAig::compile(&wire).expect("compiles");
+        let code = CompiledAig::compile(&wire);
         assert_eq!(code.eval(&[true]), vec![false]);
         assert_eq!(code.eval(&[false]), vec![true]);
     }
@@ -516,21 +463,13 @@ mod tests {
     #[test]
     fn eval_into_reuses_the_scratch_buffer() {
         let aig = random_aig(3, 5, 20, 2);
-        let code = CompiledAig::compile(&aig).expect("compiles");
+        let code = CompiledAig::compile(&aig);
         let mut scratch = code.make_scratch();
         for bits in 0..32u32 {
             let ins: Vec<bool> = (0..5).map(|i| (bits >> i) & 1 != 0).collect();
             assert_eq!(code.eval_into(&ins, &mut scratch), aig.eval(&ins));
         }
         assert_eq!(scratch.len(), code.num_registers());
-    }
-
-    #[test]
-    fn compile_errors_render() {
-        let e = CompileError::TooManyNodes { needed: 1 << 33 };
-        assert!(e.to_string().contains("registers"));
-        let e = CompileError::DanglingOutput { output: 2, var: 99 };
-        assert!(e.to_string().contains("output 2"));
     }
 
     #[test]
@@ -541,7 +480,7 @@ mod tests {
         let b = aig.add_input();
         let f = aig.and(a, b);
         aig.add_output(f);
-        let code = CompiledAig::compile(&aig).expect("compiles");
+        let code = CompiledAig::compile(&aig);
         code.eval(&[true]);
     }
 }

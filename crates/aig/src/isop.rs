@@ -34,11 +34,6 @@ impl Cube {
     /// The universal cube (no literals).
     pub const UNIVERSE: Cube = Cube { pos: 0, neg: 0 };
 
-    /// Number of literals in the cube.
-    pub fn num_literals(self) -> u32 {
-        self.pos.count_ones() + self.neg.count_ones()
-    }
-
     /// Evaluates the cube on an input assignment given as a bit vector.
     pub fn eval(self, assignment: u32) -> bool {
         (assignment & self.pos) == self.pos && (assignment & self.neg) == 0
@@ -584,7 +579,9 @@ mod tests {
         let f = a.xor(&b);
         let cubes = isop(&f);
         assert_eq!(cubes.len(), 2);
-        assert!(cubes.iter().all(|c| c.num_literals() == 2));
+        assert!(cubes
+            .iter()
+            .all(|c| c.pos.count_ones() + c.neg.count_ones() == 2));
     }
 
     /// The 256-bit recursion all the way down, without the one-word path:

@@ -57,7 +57,7 @@ pub mod sim;
 pub mod truth;
 
 pub use crate::aig::{Aig, Lit, NodeKind, Var};
-pub use crate::compile::{CompileError, CompileStats, CompiledAig};
+pub use crate::compile::{CompileStats, CompiledAig};
 pub use crate::fraig::{fraig, fraig_with, FraigConfig, FraigStats};
 pub use crate::passes::{Pass, Script};
 pub use crate::truth::{Tt, Tt8};

@@ -53,10 +53,6 @@ pub struct SimVectors {
 impl SimVectors {
     /// Simulates `aig` on `num_words * 64` uniformly random input patterns
     /// drawn from a deterministic generator seeded with `seed`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `aig` does not compile (see [`CompiledAig::compile`]).
     pub fn random(aig: &Aig, num_words: usize, seed: u64) -> Self {
         Self::with_input_patterns(aig, &random_words(aig.num_inputs(), num_words, seed))
     }
@@ -67,15 +63,14 @@ impl SimVectors {
     /// # Panics
     ///
     /// Panics if the number of pattern vectors differs from the number of
-    /// inputs, the vectors have inconsistent lengths, or `aig` does not
-    /// compile.
+    /// inputs or the vectors have inconsistent lengths.
     pub fn with_input_patterns(aig: &Aig, input_patterns: &[Vec<u64>]) -> Self {
         assert_eq!(input_patterns.len(), aig.num_inputs());
         let num_words = input_patterns.first().map_or(1, Vec::len);
         for p in input_patterns {
             assert_eq!(p.len(), num_words, "inconsistent pattern lengths");
         }
-        let code = CompiledAig::compile(aig).unwrap_or_else(|e| panic!("{e}"));
+        let code = CompiledAig::compile(aig);
         let mut sim = SimVectors {
             slabs: Vec::with_capacity(num_words * code.num_registers()),
             code,
@@ -162,17 +157,12 @@ fn random_words(num_inputs: usize, num_words: usize, seed: u64) -> Vec<Vec<u64>>
 ///
 /// # Panics
 ///
-/// Panics if the two AIGs have different input or output counts, or
-/// either does not compile.
+/// Panics if the two AIGs have different input or output counts.
 pub fn probably_equivalent(a: &Aig, b: &Aig, num_words: usize, seed: u64) -> bool {
     assert_eq!(a.num_inputs(), b.num_inputs(), "input counts differ");
     assert_eq!(a.num_outputs(), b.num_outputs(), "output counts differ");
     let words = random_words(a.num_inputs(), num_words, seed);
-    let eval = |aig: &Aig| {
-        CompiledAig::compile(aig)
-            .unwrap_or_else(|e| panic!("{e}"))
-            .eval_words(&words, num_words)
-    };
+    let eval = |aig: &Aig| CompiledAig::compile(aig).eval_words(&words, num_words);
     eval(a) == eval(b)
 }
 
@@ -325,7 +315,7 @@ mod tests {
                 .map(|&v| (0..3).map(|w| sim.lit_word(Lit::positive(v), w)).collect())
                 .collect();
             assert_eq!(input_words.iter().map(|p| p[2]).collect::<Vec<_>>(), extra);
-            let code = CompiledAig::compile(&probe).expect("compiles");
+            let code = CompiledAig::compile(&probe);
             let words = code.eval_words(&input_words, 3);
             for p in 0..sim.num_patterns() {
                 let (w, bit) = (p / 64, p % 64);

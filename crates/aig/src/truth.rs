@@ -353,27 +353,6 @@ impl Tt {
         }
         out
     }
-
-    /// Extends the table to `nvars` variables (the new variables are
-    /// redundant).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nvars` is smaller than the current variable count.
-    pub fn extend_to(&self, nvars: usize) -> Tt {
-        assert!(nvars >= self.nvars);
-        if nvars == self.nvars {
-            return self.clone();
-        }
-        let mut out = Tt::zero(nvars);
-        let self_bits = self.num_bits();
-        for idx in 0..out.num_bits() {
-            if self.get_bit(idx % self_bits) {
-                out.set_bit(idx, true);
-            }
-        }
-        out
-    }
 }
 
 impl fmt::Debug for Tt {
@@ -657,18 +636,5 @@ mod tests {
         // A swap expressed as a permutation equals swap_vars.
         let swap = f.permute(&[1, 0, 2]);
         assert_eq!(swap, f.swap_vars(0, 1));
-    }
-
-    #[test]
-    fn extend_keeps_function() {
-        let a = Tt::var(0, 2);
-        let b = Tt::var(1, 2);
-        let f = a.xor(&b);
-        let g = f.extend_to(4);
-        for idx in 0..16 {
-            assert_eq!(g.get_bit(idx), f.get_bit(idx & 3));
-        }
-        assert!(!g.depends_on(2));
-        assert!(!g.depends_on(3));
     }
 }

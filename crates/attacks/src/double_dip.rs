@@ -171,8 +171,7 @@ impl DoubleDip {
 /// a single word-level sweep of the compiled locked netlist: each probe
 /// occupies one word column with its data bits broadcast, key inputs
 /// carry a random bit per lane, and a probe is key sensitive when some
-/// output word is neither all-zeros nor all-ones. Falls back to zero if
-/// the netlist cannot be compiled (the diagnostic is best-effort).
+/// output word is neither all-zeros nor all-ones.
 fn count_key_sensitive_probes(
     locked: &almost_aig::Aig,
     key_start: usize,
@@ -183,9 +182,7 @@ fn count_key_sensitive_probes(
     if probes.is_empty() {
         return 0;
     }
-    let Ok(code) = CompiledAig::compile(locked) else {
-        return 0;
-    };
+    let code = CompiledAig::compile(locked);
     // A distinct stream from the probe RNG: the probes themselves must
     // not move when this diagnostic changes its sampling.
     let mut rng = StdRng::seed_from_u64(seed ^ 0xA5A5_5A5A_D1D1_2D2D);

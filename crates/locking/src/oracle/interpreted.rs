@@ -1,4 +1,4 @@
-//! The node-walk reference backend.
+//! The node-walk reference oracle.
 
 use super::{BatchOracle, Oracle};
 use crate::scheme::LockedCircuit;
@@ -7,13 +7,12 @@ use almost_aig::Aig;
 use std::cell::Cell;
 
 /// An [`Oracle`] that interprets the [`Aig`] per pattern via
-/// [`Aig::eval`] — the differential reference the compiled backend is
-/// pinned against (`tests/oracle_parity.rs`), and the fallback
-/// [`super::CircuitOracle`] uses for netlists too large to compile.
+/// [`Aig::eval`]: the differential reference [`super::CircuitOracle`] is
+/// pinned against (`tests/oracle_parity.rs`).
 ///
 /// Its [`BatchOracle`] methods are the trait defaults: a batch is served
 /// one scalar query at a time, defining the counter and ordering
-/// semantics every other backend must reproduce.
+/// semantics [`super::CircuitOracle`] must reproduce.
 pub struct InterpretedOracle {
     design: Aig,
     queries: Cell<usize>,

@@ -291,22 +291,6 @@ impl Matrix {
         }
     }
 
-    /// Elementwise product.
-    pub fn hadamard(&self, other: &Matrix) -> Matrix {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| a * b)
-            .collect();
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        }
-    }
-
     /// Scalar multiple.
     pub fn scale(&self, s: f32) -> Matrix {
         Matrix {
@@ -355,17 +339,6 @@ impl Matrix {
         }
         for c in 0..self.cols {
             out.data[c] /= self.rows as f32;
-        }
-        out
-    }
-
-    /// Column-wise sum, producing a 1×cols row vector.
-    pub fn sum_rows(&self) -> Matrix {
-        let mut out = Matrix::zeros(1, self.cols);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c] += self.get(r, c);
-            }
         }
         out
     }
@@ -675,8 +648,6 @@ mod tests {
         assert_eq!(b.get(1, 1), 24.0);
         let m = a.mean_rows();
         assert_eq!(m, Matrix::from_rows(&[&[2.0, 3.0]]));
-        let s = a.sum_rows();
-        assert_eq!(s, Matrix::from_rows(&[&[4.0, 6.0]]));
     }
 
     #[test]
@@ -708,7 +679,6 @@ mod tests {
         let a = Matrix::from_rows(&[&[1.0, -2.0]]);
         let b = Matrix::from_rows(&[&[3.0, 4.0]]);
         assert_eq!(a.add(&b), Matrix::from_rows(&[&[4.0, 2.0]]));
-        assert_eq!(a.hadamard(&b), Matrix::from_rows(&[&[3.0, -8.0]]));
         assert_eq!(a.scale(2.0), Matrix::from_rows(&[&[2.0, -4.0]]));
         assert_eq!(a.map(f32::abs), Matrix::from_rows(&[&[1.0, 2.0]]));
         let mut c = a.clone();

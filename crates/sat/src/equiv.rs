@@ -287,14 +287,12 @@ mod tests {
             let patterns: Vec<Vec<bool>> = (0..1usize << num_inputs)
                 .map(|p| (0..num_inputs).map(|i| p >> i & 1 != 0).collect())
                 .collect();
-            let good = CompiledAig::compile(&aig).expect("compiles");
+            let good = CompiledAig::compile(&aig);
             let good_out = good.eval_batch(&patterns);
             for node in aig.iter_ands() {
                 for stuck in [false, true] {
                     let faulty = with_stuck_at(&aig, node, stuck);
-                    let faulty_out = CompiledAig::compile(&faulty)
-                        .expect("compiles")
-                        .eval_batch(&patterns);
+                    let faulty_out = CompiledAig::compile(&faulty).eval_batch(&patterns);
                     let detectable = good_out != faulty_out;
                     match test_stuck_at(&aig, node, stuck) {
                         Some(p) => {

@@ -40,7 +40,6 @@
 //! assert_eq!(s.value(b), Some(true));
 //! ```
 
-pub mod dimacs;
 pub mod equiv;
 pub mod miter;
 

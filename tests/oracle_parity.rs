@@ -1,14 +1,14 @@
-//! Differential correctness for the oracle backends: the compiled
-//! instruction-buffer evaluator must be bit-for-bit identical to the
-//! interpreted node walk on every locking scheme, every batch shape, and
-//! every degenerate netlist the compiler front door accepts — and both
-//! backends must account queries identically.
+//! Differential correctness for the oracle: the compiled
+//! instruction-buffer evaluator behind `CircuitOracle` must be bit-for-bit
+//! identical to the interpreted node walk on every locking scheme, every
+//! batch shape, and every degenerate netlist the compiler front door
+//! accepts — and both oracles must account queries identically.
 
 use almost_repro::aig::compile::pack_patterns;
 use almost_repro::aig::{Aig, CompiledAig, Lit};
 use almost_repro::locking::{
-    AntiSat, BatchOracle, CircuitOracle, CompiledOracle, InterpretedOracle, LockingScheme, MuxLock,
-    Oracle, Rll, SarLock, Stacked,
+    AntiSat, BatchOracle, CircuitOracle, InterpretedOracle, LockingScheme, MuxLock, Oracle, Rll,
+    SarLock, Stacked,
 };
 use almost_repro::netlist::bench_format::{parse_bench, write_bench};
 use proptest::prelude::*;
@@ -57,27 +57,19 @@ fn all_schemes() -> Vec<Box<dyn LockingScheme>> {
     ]
 }
 
-/// Asserts that all three oracle backends agree bit-for-bit on `patterns`
-/// and account the same number of queries.
+/// Asserts that both oracles agree bit-for-bit on `patterns` and account
+/// the same number of queries.
 fn assert_backend_parity(design: &Aig, patterns: &[Vec<bool>]) {
     let reference = InterpretedOracle::new(design.clone());
-    let compiled = CompiledOracle::new(design.clone()).expect("compilable");
     let circuit = CircuitOracle::new(design.clone());
-    assert!(
-        circuit.is_compiled(),
-        "CircuitOracle must pick the fast path"
-    );
 
     let want = reference.query_batch(patterns);
-    assert_eq!(compiled.query_batch(patterns), want, "compiled != walk");
     assert_eq!(circuit.query_batch(patterns), want, "circuit != walk");
     assert_eq!(reference.queries_served(), patterns.len());
-    assert_eq!(compiled.queries_served(), patterns.len());
     assert_eq!(circuit.queries_served(), patterns.len());
 
     // Scalar path agrees with the batch path, pattern by pattern.
     for (p, w) in patterns.iter().zip(&want) {
-        assert_eq!(&compiled.query(p), w);
         assert_eq!(&circuit.query(p), w);
     }
 
@@ -86,7 +78,7 @@ fn assert_backend_parity(design: &Aig, patterns: &[Vec<bool>]) {
         let words = pack_patterns(design.num_inputs(), patterns);
         let num_words = patterns.len().div_ceil(64);
         assert_eq!(
-            compiled.query_words(&words, num_words),
+            circuit.query_words(&words, num_words),
             reference.query_words(&words, num_words),
             "word-level compiled != walk"
         );
@@ -135,7 +127,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         assert_backend_parity(&aig, &random_patterns(aig.num_inputs(), 1, &mut rng));
         assert_backend_parity(&aig, &[]);
-        let oracle = CompiledOracle::new(aig).expect("compilable");
+        let oracle = CircuitOracle::new(aig);
         assert_eq!(oracle.query_batch(&[]), Vec::<Vec<bool>>::new());
         assert_eq!(oracle.queries_served(), 0, "empty batch must count nothing");
     }
@@ -145,10 +137,9 @@ proptest! {
         let aig = random_aig(6, 30, seed);
         let mut rng = StdRng::seed_from_u64(seed ^ 7);
         let patterns = random_patterns(aig.num_inputs(), n, &mut rng);
-        let compiled = CompiledOracle::new(aig.clone()).expect("compilable");
         let walk = InterpretedOracle::new(aig.clone());
         let circuit = CircuitOracle::new(aig);
-        for oracle in [&compiled as &dyn BatchOracle, &walk, &circuit] {
+        for oracle in [&walk as &dyn BatchOracle, &circuit] {
             oracle.query_batch(&patterns);
             prop_assert_eq!(oracle.queries_served(), n);
             for p in &patterns {
@@ -183,7 +174,7 @@ fn zero_input_and_constant_only_netlists_never_panic() {
     let mut aig = Aig::new();
     let a = aig.add_input();
     aig.add_output(a);
-    let code = CompiledAig::compile(&aig).expect("compilable");
+    let code = CompiledAig::compile(&aig);
     assert_eq!(code.stats().instructions, 0);
     assert_backend_parity(&aig, &[vec![false], vec![true]]);
 
@@ -197,8 +188,8 @@ fn zero_input_and_constant_only_netlists_never_panic() {
 #[should_panic(expected = "nonexistent node")]
 fn dangling_outputs_are_refused_at_the_builder() {
     // The append-only builder rejects dangling outputs before the compiler
-    // ever sees them, so `CompileError::DanglingOutput` stays a
-    // defence-in-depth check for hand-built graphs. Pin the refusal.
+    // ever sees them, which is one reason `CompiledAig::compile` cannot
+    // fail. Pin the refusal.
     let mut aig = Aig::new();
     let _ = aig.add_input();
     aig.add_output(Lit::positive(99));
@@ -215,7 +206,7 @@ fn bench_round_trip_artifacts_compile_to_the_same_function() {
         // Parsed artifact through the compiled backend equals the original
         // through the interpreted walk: parser and compiler compose.
         let original = InterpretedOracle::new(aig);
-        let reparsed = CompiledOracle::new(parsed).expect("parsed artifact compiles");
+        let reparsed = CircuitOracle::new(parsed);
         assert_eq!(
             reparsed.query_batch(&patterns),
             original.query_batch(&patterns)

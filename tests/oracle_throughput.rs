@@ -1,4 +1,4 @@
-//! Release-mode throughput envelope for the compiled oracle backend.
+//! Release-mode throughput envelope for the compiled oracle.
 //!
 //! The instruction-buffer evaluator exists for one reason: batched oracle
 //! queries (AppSAT settlement, signature sweeps, probe evaluation) must
@@ -22,7 +22,7 @@
 
 use almost_repro::aig::compile::pack_patterns;
 use almost_repro::circuits::IscasBenchmark;
-use almost_repro::locking::{BatchOracle, CompiledOracle, InterpretedOracle};
+use almost_repro::locking::{BatchOracle, CircuitOracle, InterpretedOracle};
 use almost_repro::testutil::release_mode;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -55,7 +55,7 @@ fn compiled_oracle_is_at_least_ten_times_faster_on_c1355() {
     let num_words = num_patterns / 64;
 
     let walk = InterpretedOracle::new(design.clone());
-    let compiled = CompiledOracle::new(design).expect("c1355 compiles");
+    let compiled = CircuitOracle::new(design);
 
     // Warm up both paths so first-touch allocation is off the clock.
     let warmup = &patterns[..64];
