@@ -91,13 +91,6 @@ impl Lit {
     pub fn index(self) -> u32 {
         self.0
     }
-
-    /// Reconstructs a literal from its raw encoding.
-    ///
-    /// Inverse of [`Lit::index`].
-    pub fn from_index(index: u32) -> Self {
-        Lit(index)
-    }
 }
 
 impl std::ops::Not for Lit {
@@ -701,7 +694,6 @@ mod tests {
         assert_eq!(!Lit::TRUE, Lit::FALSE);
         let l = Lit::new(5, true);
         assert_eq!(l.var(), 5);
-        assert_eq!(Lit::from_index(l.index()), l);
     }
 
     #[test]

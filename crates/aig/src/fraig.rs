@@ -174,7 +174,7 @@ pub struct FraigStats {
     /// Candidate pairs refuted by SAT (a counterexample was found).
     pub refuted: u64,
     /// Candidate pairs skipped on budget exhaustion (only with
-    /// [`FraigConfig::escalate`] off, or a cancelled portfolio query).
+    /// [`FraigConfig::escalate`] off).
     pub skipped: u64,
     /// Nodes merged into a representative (equals `proved`; kept separate
     /// because it is the number of fanout rewrites applied).
@@ -648,15 +648,14 @@ impl<'a> Sweeper<'a> {
         // Assert the difference directly — no assumptions, one-shot query.
         portfolio.add_clause(&[lx, ly]);
         portfolio.add_clause(&[!lx, !ly]);
-        match portfolio.try_solve(&[], None) {
-            Ok(SatResult::Unsat) => Outcome::Proved,
-            Ok(SatResult::Sat) => Outcome::Refuted(
+        match portfolio.solve(&[]) {
+            SatResult::Unsat => Outcome::Proved,
+            SatResult::Sat => Outcome::Refuted(
                 inputs
                     .iter()
                     .map(|&v| portfolio.value(v).unwrap_or(false))
                     .collect(),
             ),
-            Err(_) => Outcome::Skipped, // cancelled — treat as indeterminate
         }
     }
 

@@ -102,32 +102,17 @@ impl Scale {
     }
 
     /// Recipe-search SA configuration (Fig. 4: 100 iterations, T0 = 120,
-    /// acceptance = 1.8).
-    ///
-    /// `ALMOST_PROPOSALS` (default 1) sets how many mutations the search
-    /// engine proposes and batch-scores per temperature step; at 1 the
-    /// trajectory is bit-identical to the serial annealer. Only the
-    /// *outer* recipe searches read it — the adversarial inner SA of
-    /// Algorithm 1 keeps `proposals = 1` so proxy training is unaffected.
+    /// acceptance = 1.8), proposing one mutation per temperature step, so
+    /// the trajectory is bit-identical to the serial annealer.
     pub fn sa_config(self, seed: u64) -> SaConfig {
-        let proposals = std::env::var("ALMOST_PROPOSALS")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .filter(|&k| k >= 1)
-            .unwrap_or(1);
-        match self {
-            Scale::Quick => SaConfig {
-                iterations: 7,
-                proposals,
-                seed,
-                ..SaConfig::default()
-            },
-            Scale::Paper => SaConfig {
-                iterations: 100,
-                proposals,
-                seed,
-                ..SaConfig::default()
-            },
+        let iterations = match self {
+            Scale::Quick => 7,
+            Scale::Paper => 100,
+        };
+        SaConfig {
+            iterations,
+            seed,
+            ..SaConfig::default()
         }
     }
 

@@ -24,8 +24,8 @@ pub const RECIPE_LENGTH: usize = 10;
 /// Default node budget of a [`RecipeTrie`] (cached intermediates, root
 /// excluded). A paper-scale SA search at `proposals = 1` (100 steps,
 /// length-10 recipes) touches at most ~1k nodes, so the default never
-/// evicts there; wide proposal batches (`ALMOST_PROPOSALS` ≫ 1) at
-/// paper scale can exceed it, in which case the stalest leaves are
+/// evicts there; a caller that sets a wide `SaConfig::proposals` batch
+/// at paper scale can exceed it, in which case the stalest leaves are
 /// pruned — correctness is unaffected, recently-shared prefixes stay
 /// cached. Tiny budgets are for memory-capped callers (and the
 /// eviction tests).

@@ -21,7 +21,6 @@ use crate::report::{
     dip_log_consistent, score_oracle_run, AttackTarget, DipIteration, OracleAttackOutcome,
     OracleGuidedAttack,
 };
-use almost_aig::CompiledAig;
 use almost_locking::BatchOracle;
 use almost_sat::miter::{DipSearch, KeyMiter};
 use rand::rngs::StdRng;
@@ -145,13 +144,10 @@ impl DoubleDip {
         // proves nothing.
         let settled = miter.settle_key();
         let inconsistent_oracle = settled.is_none();
-        let key_sensitive_probes =
-            count_key_sensitive_probes(locked, key_start, key_len, &probes, self.config.seed);
         let run = DoubleDipRun {
             recovered: settled.unwrap_or_default(),
             two_dip_settled: two_dip_settled && !inconsistent_oracle,
             inconsistent_oracle,
-            key_sensitive_probes,
             iterations,
             oracle_queries: oracle.queries_served() - queries_at_start,
             runtime: started.elapsed(),
@@ -165,47 +161,6 @@ impl DoubleDip {
         debug_assert!(run.accounting_consistent(), "DIP log reconciliation");
         run
     }
-}
-
-/// Counts probes whose outputs vary across 64 random keys, evaluated in
-/// a single word-level sweep of the compiled locked netlist: each probe
-/// occupies one word column with its data bits broadcast, key inputs
-/// carry a random bit per lane, and a probe is key sensitive when some
-/// output word is neither all-zeros nor all-ones.
-fn count_key_sensitive_probes(
-    locked: &almost_aig::Aig,
-    key_start: usize,
-    key_len: usize,
-    probes: &[Vec<bool>],
-    seed: u64,
-) -> usize {
-    if probes.is_empty() {
-        return 0;
-    }
-    let code = CompiledAig::compile(locked);
-    // A distinct stream from the probe RNG: the probes themselves must
-    // not move when this diagnostic changes its sampling.
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xA5A5_5A5A_D1D1_2D2D);
-    let num_words = probes.len();
-    let mut words: Vec<Vec<u64>> = Vec::with_capacity(locked.num_inputs());
-    let mut data_pos = 0usize;
-    for pos in 0..locked.num_inputs() {
-        if pos >= key_start && pos < key_start + key_len {
-            words.push(vec![rng.random::<u64>(); num_words]);
-        } else {
-            words.push(
-                probes
-                    .iter()
-                    .map(|p| (p[data_pos] as u64).wrapping_neg())
-                    .collect(),
-            );
-            data_pos += 1;
-        }
-    }
-    let out = code.eval_words(&words, num_words);
-    (0..num_words)
-        .filter(|&w| out.iter().any(|o| o[w] != 0 && o[w] != u64::MAX))
-        .count()
 }
 
 /// Raw result of [`DoubleDip::run`] (unscored; no ground truth needed).
@@ -222,14 +177,6 @@ pub struct DoubleDipRun {
     /// True when no key agrees with every oracle answer: the oracle
     /// contradicted itself, so no key is reported and nothing is proved.
     pub inconsistent_oracle: bool,
-    /// How many of the structural pair-agreement probes are *key
-    /// sensitive* — their output actually varies across random keys (one
-    /// word-level sweep of the compiled locked netlist, no oracle
-    /// queries). On a pure point-function lock this is ~0 (each probe
-    /// upsets at most a measure-zero key slice); on RLL-style bases it
-    /// approaches the probe count — a cheap diagnostic for which regime
-    /// the attack is in.
-    pub key_sensitive_probes: usize,
     /// Per-iteration 2-DIP log (each entry consumed one oracle query).
     pub iterations: Vec<DipIteration>,
     /// Oracle queries consumed.
@@ -322,11 +269,6 @@ mod tests {
             run.oracle_queries
         );
         assert_eq!(run.recovered.len(), 8);
-        // RLL key gates sit on live signals: random probes see the key.
-        assert!(
-            run.key_sensitive_probes > 0,
-            "RLL probes must show key sensitivity"
-        );
     }
 
     #[test]
@@ -361,18 +303,9 @@ mod tests {
         assert_eq!(
             oracle.queries_served(),
             0,
-            "the probe diagnostic must not touch the oracle"
+            "the structural probes must not touch the oracle"
         );
         assert!(run.accounting_consistent());
-        // A pure point function flips only when a key lane matches the
-        // probe's 8-bit prefix: each of the 64 lanes hits with
-        // probability 2^-8, so ~22% of probes register — far below the
-        // near-total sensitivity RLL shows above.
-        assert!(
-            run.key_sensitive_probes <= 6,
-            "SARLock probes mostly key-insensitive (got {} of 12)",
-            run.key_sensitive_probes
-        );
     }
 
     #[test]

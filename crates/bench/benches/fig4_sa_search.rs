@@ -61,10 +61,11 @@ fn run() {
             .position(|a| (a - 0.5).abs() <= 0.02)
             .map(|p| p + 1)
             .unwrap_or(budget + 1);
-        // "candidate" not "iteration": at ALMOST_PROPOSALS = K > 1 the
-        // series carries K entries per temperature step, so the index is
-        // a proposal-order candidate number (at K = 1 the two coincide
-        // and match the paper's Fig. 4 x-axis).
+        // "candidate" not "iteration": the series carries
+        // `SaConfig::proposals` entries per temperature step, so the index
+        // is a proposal-order candidate number (at the harness's one
+        // proposal per step the two coincide and match the paper's Fig. 4
+        // x-axis).
         let line = format!(
             "  [{}] final acc {:.2}% recipe {} (reached ~50% at candidate {})",
             kind.label(),

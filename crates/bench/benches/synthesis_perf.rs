@@ -1,4 +1,4 @@
-//! Criterion performance benchmarks of the synthesis substrate itself:
+//! Performance benchmarks of the synthesis substrate itself:
 //! per-pass throughput, full `resyn2` and technology mapping on the
 //! paper's circuits. These are not a paper table — they document the cost
 //! model behind the SA search budgets.
@@ -22,18 +22,31 @@
 //! enumeration at the pass's and the extreme-opt mapper's caps, and a
 //! reconvergence cut plus window load for every AND, the per-node set-up
 //! of `refactor` and `resub`.
+//!
+//! Each benchmark runs once untimed, then `almost_bench::SAMPLES` timed
+//! times, and prints one `group/name [min mean max] (n samples)` row.
 
 use almost_aig::cut::{CutConfig, CutSet};
 use almost_aig::passes::Window;
 use almost_aig::{Aig, Pass, Script};
+use almost_bench::time_row;
 use almost_circuits::IscasBenchmark;
 use almost_locking::{LockingScheme, Rll};
 use almost_netlist::{map_aig, CellLibrary, MapConfig};
-use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
 use std::thread;
+
+/// Prints a group heading; the group's rows follow it.
+fn group(name: &str) {
+    println!("\n## {name}");
+}
+
+/// Times `f` and prints its `group/name` row.
+fn bench<O>(group: &str, name: &str, f: impl FnMut() -> O) {
+    println!("{}", time_row(&format!("{group}/{name}"), f));
+}
 
 /// `bench` with 128 RLL key gates, locked at a fixed seed.
 fn rll128(bench: IscasBenchmark, seed: u64) -> Aig {
@@ -56,7 +69,7 @@ fn inputs() -> [(&'static str, Aig); 2] {
     ]
 }
 
-fn bench_passes(c: &mut Criterion) {
+fn bench_passes() {
     let restructured = Script::from_mnemonics("wWfFsSb")
         .expect("valid recipe")
         .apply(&rll128(IscasBenchmark::C7552, 7552));
@@ -64,85 +77,76 @@ fn bench_passes(c: &mut Criterion) {
         .into_iter()
         .chain([("c7552_rll128_wWfFsSb", restructured)]);
     for (name, aig) in inputs {
-        let mut group = c.benchmark_group(format!("passes_{name}"));
-        group.sample_size(10);
+        let g = format!("passes_{name}");
+        group(&g);
         for pass in Pass::ALL {
             let name = pass.command().replace(' ', "_");
-            group.bench_function(&name, |b| b.iter(|| black_box(pass.apply(black_box(&aig)))));
+            bench(&g, &name, || pass.apply(black_box(&aig)));
             if matches!(
                 pass,
                 Pass::Rewrite | Pass::RewriteZ | Pass::Refactor | Pass::RefactorZ
             ) {
-                group.bench_function(format!("{name}_cold"), |b| {
-                    b.iter(|| black_box(cold(|| pass.apply(black_box(&aig)))))
+                bench(&g, &format!("{name}_cold"), || {
+                    cold(|| pass.apply(black_box(&aig)))
                 });
             }
         }
-        group.finish();
     }
 }
 
-fn bench_resyn2(c: &mut Criterion) {
-    let mut group = c.benchmark_group("resyn2");
-    group.sample_size(10);
-    for bench in [IscasBenchmark::C432, IscasBenchmark::C1355] {
-        let aig = bench.build();
-        group.bench_function(bench.name(), |b| {
-            b.iter(|| black_box(Script::resyn2().apply(black_box(&aig))))
-        });
-        group.bench_function(format!("{}_cold", bench.name()), |b| {
-            b.iter(|| black_box(cold(|| Script::resyn2().apply(black_box(&aig)))))
+fn bench_resyn2() {
+    let g = "resyn2";
+    group(g);
+    for benchmark in [IscasBenchmark::C432, IscasBenchmark::C1355] {
+        let aig = benchmark.build();
+        let name = benchmark.name();
+        bench(g, name, || Script::resyn2().apply(black_box(&aig)));
+        bench(g, &format!("{name}_cold"), || {
+            cold(|| Script::resyn2().apply(black_box(&aig)))
         });
     }
-    group.finish();
 }
 
-fn bench_map(c: &mut Criterion) {
+fn bench_map() {
     let library = CellLibrary::nangate45();
-    let mut group = c.benchmark_group("map_aig");
-    group.sample_size(10);
+    let g = "map_aig";
+    group(g);
     for (name, aig) in inputs() {
         for (setting, config) in [
             ("no_opt", MapConfig::no_opt()),
             ("extreme_opt", MapConfig::extreme_opt()),
         ] {
-            group.bench_function(format!("{name}_{setting}"), |b| {
-                b.iter(|| black_box(map_aig(black_box(&aig), &library, &config)))
+            bench(g, &format!("{name}_{setting}"), || {
+                map_aig(black_box(&aig), &library, &config)
             });
         }
     }
-    group.finish();
 }
 
-fn bench_cut_layer(c: &mut Criterion) {
+fn bench_cut_layer() {
     let aig = rll128(IscasBenchmark::C5315, 5315);
-    let mut group = c.benchmark_group("cut_layer_c5315_rll128");
-    group.sample_size(10);
+    let g = "cut_layer_c5315_rll128";
+    group(g);
     for max_cuts in [8, 12] {
-        group.bench_function(format!("cutset_compute_{max_cuts}"), |b| {
-            b.iter(|| black_box(CutSet::compute(black_box(&aig), CutConfig { max_cuts })))
+        bench(g, &format!("cutset_compute_{max_cuts}"), || {
+            CutSet::compute(black_box(&aig), CutConfig { max_cuts })
         });
     }
-    group.bench_function("reconvergence_cut_window_load", |b| {
-        let mut window = Window::new(aig.num_nodes());
-        b.iter(|| {
-            let mut volume = 0;
-            for v in aig.iter_ands() {
-                let leaves = window.reconvergence_cut(&aig, &[v], 8);
-                window.load(&aig, &[v], &leaves);
-                volume += window.volume().len();
-            }
-            black_box(volume)
-        })
+    let mut window = Window::new(aig.num_nodes());
+    bench(g, "reconvergence_cut_window_load", || {
+        let mut volume = 0;
+        for v in aig.iter_ands() {
+            let leaves = window.reconvergence_cut(&aig, &[v], 8);
+            window.load(&aig, &[v], &leaves);
+            volume += window.volume().len();
+        }
+        volume
     });
-    group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_passes,
-    bench_resyn2,
-    bench_map,
-    bench_cut_layer
-);
-criterion_main!(benches);
+fn main() {
+    bench_passes();
+    bench_resyn2();
+    bench_map();
+    bench_cut_layer();
+}

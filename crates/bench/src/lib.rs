@@ -27,6 +27,7 @@ use rand::SeedableRng;
 use std::fs;
 use std::io::Write as _;
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 /// The benchmark set for a given experiment at the current scale.
 pub fn experiment_benchmarks(scale: Scale, figure: bool) -> Vec<IscasBenchmark> {
@@ -120,20 +121,53 @@ pub fn banner(title: &str, scale: Scale) {
     println!("=== {title} (scale: {}) ===", scale.label());
 }
 
-/// Standard harness telemetry setup: stderr progress + end-of-run summary
-/// (with `BENCH_<name>.json` next to the CSVs), plus JSONL and Chrome
-/// trace sinks when `ALMOST_TRACE=<path>` is set. Pair with [`observed`]
-/// or call [`telemetry::finish`] before exit.
-pub fn observe(name: &str) {
-    telemetry::init_harness(name, Some(&out_dir()));
-}
-
-/// Runs a harness body under [`observe`]/[`telemetry::finish`], so every
-/// exit path flushes the sinks and renders the summary table.
+/// Runs a harness body under the standard telemetry setup: stderr
+/// progress + end-of-run summary (with `BENCH_<name>.json` next to the
+/// CSVs), plus JSONL and Chrome trace sinks when `ALMOST_TRACE=<path>` is
+/// set. [`telemetry::finish`] runs after the body, so every exit path
+/// flushes the sinks and renders the summary table.
 pub fn observed(name: &str, body: impl FnOnce()) {
-    observe(name);
+    telemetry::init_harness(name, Some(&out_dir()));
     body();
     telemetry::finish();
+}
+
+/// Timed runs behind each [`time_row`], after one untimed warm-up run.
+pub const SAMPLES: u32 = 10;
+
+/// Runs `f` once untimed, then [`SAMPLES`] timed times, and returns the
+/// micro-benchmark row `name [min mean max] (n samples)`.
+pub fn time_row<O>(name: &str, mut f: impl FnMut() -> O) -> String {
+    std::hint::black_box(f());
+    let times: Vec<Duration> = (0..SAMPLES)
+        .map(|_| {
+            let start = Instant::now();
+            std::hint::black_box(f());
+            start.elapsed()
+        })
+        .collect();
+    let min = times.iter().min().expect("one sample");
+    let max = times.iter().max().expect("one sample");
+    let mean = times.iter().sum::<Duration>() / SAMPLES;
+    format!(
+        "{name:<40} [{} {} {}] ({SAMPLES} samples)",
+        fmt_duration(*min),
+        fmt_duration(mean),
+        fmt_duration(*max),
+    )
+}
+
+fn fmt_duration(d: Duration) -> String {
+    let nanos = d.as_nanos();
+    if nanos < 1_000 {
+        format!("{nanos} ns")
+    } else if nanos < 1_000_000 {
+        format!("{:.2} µs", nanos as f64 / 1e3)
+    } else if nanos < 1_000_000_000 {
+        format!("{:.2} ms", nanos as f64 / 1e6)
+    } else {
+        format!("{:.2} s", nanos as f64 / 1e9)
+    }
 }
 
 #[cfg(test)]
@@ -166,6 +200,24 @@ mod tests {
                 assert!(!experiment_benchmarks(scale, figure).is_empty());
             }
         }
+    }
+
+    #[test]
+    fn bench_function_collects_samples() {
+        let mut runs = 0;
+        let row = time_row("g/count", || runs += 1);
+        // 1 warm-up + 10 samples.
+        assert_eq!(runs, 11);
+        assert!(row.starts_with("g/count "), "{row}");
+        assert!(row.ends_with("] (10 samples)"), "{row}");
+    }
+
+    #[test]
+    fn duration_formatting_scales() {
+        assert!(fmt_duration(Duration::from_nanos(12)).ends_with("ns"));
+        assert!(fmt_duration(Duration::from_micros(12)).ends_with("µs"));
+        assert!(fmt_duration(Duration::from_millis(12)).ends_with("ms"));
+        assert!(fmt_duration(Duration::from_secs(2)).ends_with(" s"));
     }
 
     #[test]

@@ -27,7 +27,7 @@ use crate::solver::{ClauseExchange, Interrupt, SatLit, SatResult, SatVar, Solver
 use almost_telemetry as telemetry;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Hard cap on the default portfolio width (the env override may exceed
 /// it): racing more than this wastes cores that the harness pool puts to
@@ -179,10 +179,6 @@ pub struct PortfolioSolver {
     engine: &'static str,
     last_winner: usize,
     stats: PortfolioStats,
-    /// Optional external cancellation point (raised by the caller, not by
-    /// a race): checked before every query, and polled during the solve
-    /// in the width-1 configuration.
-    stop: Option<Arc<AtomicBool>>,
 }
 
 impl PortfolioSolver {
@@ -226,16 +222,7 @@ impl PortfolioSolver {
                 wins: vec![0; width],
                 ..PortfolioStats::default()
             },
-            stop: None,
         }
-    }
-
-    /// Installs an external cancellation flag. A raised flag makes every
-    /// subsequent query return the indeterminate result (surfaced by the
-    /// miters as a `cause: "cancelled"` telemetry event — distinct from a
-    /// budget exhaustion).
-    pub fn set_stop_flag(&mut self, flag: Arc<AtomicBool>) {
-        self.stop = Some(flag);
     }
 
     /// Portfolio width.
@@ -265,57 +252,30 @@ impl PortfolioSolver {
 
     /// Solves under assumptions, racing the portfolio. See
     /// [`Solver::solve`] for the verdict semantics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an external stop flag is installed and raised (an
-    /// unlimited query has no indeterminate result to return); use
-    /// [`PortfolioSolver::try_solve`] when cancellation is in play.
     pub fn solve(&mut self, assumptions: &[SatLit]) -> SatResult {
         match self.try_solve(assumptions, None) {
             Ok(r) => r,
-            Err(i) => panic!("unlimited uncancelled solve cannot be interrupted, got {i:?}"),
+            Err(i) => panic!("an unlimited solve cannot be interrupted, got {i:?}"),
         }
     }
 
-    /// Budgeted solve: `None` when the conflict budget ran out (or an
-    /// external stop flag cancelled the query) — the indeterminate
-    /// result, matching [`Solver::solve_limited`].
-    pub fn solve_limited(
-        &mut self,
-        assumptions: &[SatLit],
-        max_conflicts: u64,
-    ) -> Option<SatResult> {
-        self.try_solve(assumptions, Some(max_conflicts)).ok()
-    }
-
-    /// The full-fidelity query: `Ok` verdicts, or the [`Interrupt`] cause
-    /// of an early return (budget vs cancelled), which the miters record
-    /// in telemetry.
+    /// The budgeted query: `Ok` verdicts, or `Err(Interrupt::Budget)`
+    /// when the conflict budget ran out — the indeterminate result, which
+    /// the miters record in telemetry. With `max_conflicts = None` the
+    /// query always reaches a verdict.
     pub fn try_solve(
         &mut self,
         assumptions: &[SatLit],
         max_conflicts: Option<u64>,
     ) -> Result<SatResult, Interrupt> {
         let budget = max_conflicts.unwrap_or(u64::MAX);
-        if let Some(flag) = &self.stop {
-            if flag.load(Ordering::Acquire) {
-                return Err(Interrupt::Cancelled);
-            }
-        }
         if self.workers.len() == 1 {
-            // Pinned serial reference: no threads, no exchange. Without
-            // an external stop flag this is byte-for-byte the plain
-            // solver (same code path, same stats).
+            // Pinned serial reference: no threads, no exchange,
+            // byte-for-byte the plain solver (same code path, same stats).
             self.last_winner = 0;
-            let worker = &mut self.workers[0];
-            return match self.stop.clone() {
-                Some(flag) => worker.solve_raced(assumptions, budget, &flag, None),
-                None => match worker.solve_limited(assumptions, budget) {
-                    Some(r) => Ok(r),
-                    None => Err(Interrupt::Budget),
-                },
-            };
+            return self.workers[0]
+                .solve_limited(assumptions, budget)
+                .ok_or(Interrupt::Budget);
         }
         self.race(assumptions, budget)
     }
@@ -571,19 +531,6 @@ mod tests {
         );
         assert_eq!(port.portfolio_stats().budget_races, 1);
         // The portfolio stays usable: an unlimited retry concludes.
-        assert_eq!(port.solve(&[]), SatResult::Unsat);
-    }
-
-    #[test]
-    fn tripped_external_stop_flag_is_cancelled_not_a_verdict() {
-        let mut port = PortfolioSolver::with_width("test", 2);
-        pigeonhole(&mut port, 4);
-        let flag = Arc::new(AtomicBool::new(true));
-        port.set_stop_flag(flag.clone());
-        assert_eq!(port.try_solve(&[], None), Err(Interrupt::Cancelled));
-        assert_eq!(port.solve_limited(&[], 1_000_000), None);
-        // Lowering the flag restores normal service.
-        flag.store(false, Ordering::Release);
         assert_eq!(port.solve(&[]), SatResult::Unsat);
     }
 

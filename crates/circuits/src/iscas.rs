@@ -119,11 +119,6 @@ impl IscasBenchmark {
         }
     }
 
-    /// Parses a benchmark name.
-    pub fn from_name(name: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|b| b.name() == name)
-    }
-
     /// Generates the benchmark circuit.
     pub fn build(self) -> Aig {
         match self {
@@ -555,10 +550,14 @@ mod tests {
 
     #[test]
     fn name_roundtrip() {
+        // Each name picks out exactly one benchmark.
         for b in IscasBenchmark::ALL {
-            assert_eq!(IscasBenchmark::from_name(b.name()), Some(b));
+            let named: Vec<IscasBenchmark> = IscasBenchmark::ALL
+                .into_iter()
+                .filter(|c| c.name() == b.name())
+                .collect();
+            assert_eq!(named, vec![b]);
         }
-        assert_eq!(IscasBenchmark::from_name("c17"), None);
     }
 
     #[test]

@@ -22,8 +22,9 @@
 //! - [`optim::Adam`], [`train::train`] — minibatch training that fans
 //!   fixed-size gradient sub-blocks across the `almost_pool` workers
 //!   (`ALMOST_JOBS` sets the width, results are bit-identical at any
-//!   width), with an epoch hook (used by Algorithm 1's every-R-epochs
-//!   adversarial augmentation).
+//!   width). Algorithm 1's every-R-epochs adversarial augmentation calls
+//!   [`train::train`] once per R-epoch round; the per-epoch hook of
+//!   [`train::train_with_callback`] serves epoch wall-time measurements.
 //!
 //! # Example
 //!
@@ -37,7 +38,6 @@
 //! assert!((0.0..=1.0).contains(&p));
 //! ```
 
-pub mod data;
 pub mod gin;
 pub mod nn;
 pub mod optim;

@@ -50,11 +50,6 @@ impl Linear {
     pub fn input_dim(&self) -> usize {
         self.w.rows()
     }
-
-    /// Output dimension.
-    pub fn output_dim(&self) -> usize {
-        self.w.cols()
-    }
 }
 
 #[cfg(test)]
@@ -77,7 +72,6 @@ mod tests {
     fn dimensions() {
         let layer = Linear::new(5, 3, 2);
         assert_eq!(layer.input_dim(), 5);
-        assert_eq!(layer.output_dim(), 3);
         assert_eq!(layer.b.cols(), 3);
     }
 }

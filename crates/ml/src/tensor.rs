@@ -358,16 +358,6 @@ impl Matrix {
     pub fn fill(&mut self, v: f32) {
         self.data.fill(v);
     }
-
-    /// Copies `other`'s entries into `self` without reallocating.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn copy_from(&mut self, other: &Matrix) {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        self.data.copy_from_slice(&other.data);
-    }
 }
 
 impl fmt::Debug for Matrix {

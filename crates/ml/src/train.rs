@@ -14,19 +14,20 @@
 //!   computes on its own persistent [`Tape`] (forward + backward over the
 //!   block's summed loss, self-contained and scheduling-independent);
 //! - block gradients are folded into the shared accumulator **in block
-//!   order** on the calling thread after the pool joins.
+//!   order** on the calling thread after the pool joins, read straight
+//!   from each block's tape.
 //!
-//! The per-block tapes and gradient buffers persist across batches and
-//! epochs, so after the first epoch the **tape workspace** — where all
-//! matrix buffers live — allocates nothing (the [`TrainStats`] counters
-//! expose this; the release-mode `training_perf` envelope test pins it).
+//! The per-block tapes persist across batches and epochs, so after the
+//! first epoch the **tape workspace** — where all matrix buffers live —
+//! allocates nothing (the [`TrainStats`] counters expose this; the
+//! release-mode `training_perf` envelope test pins it).
 //! A handful of small per-batch `Vec`s remain outside that accounting
 //! (the block's union CSR, segment lengths, targets) — O(block) index
 //! vectors, not O(n·d) matrix traffic.
 
 use crate::gin::{GinClassifier, Graph};
 use crate::optim::Adam;
-use crate::tape::Tape;
+use crate::tape::{NodeId, Tape};
 use crate::tensor::Matrix;
 use almost_pool as pool;
 use almost_telemetry as telemetry;
@@ -92,11 +93,12 @@ impl TrainStats {
     }
 }
 
-/// One sub-block's persistent workspace: a recording tape plus the buffer
-/// its parameter gradients are copied into for the ordered reduction.
+/// One sub-block's persistent workspace: a recording tape plus the node
+/// ids its parameters were bound to in the latest batch, which key the
+/// ordered reduction's reads of the tape's gradients.
 struct BlockState {
     tape: Tape,
-    grads: Vec<Matrix>,
+    params: Vec<NodeId>,
 }
 
 /// Trains `model` on `graphs` with minibatch Adam; returns per-epoch
@@ -108,8 +110,9 @@ pub fn train(model: &mut GinClassifier, graphs: &[Graph], config: &TrainConfig) 
 }
 
 /// Like [`train`], but invokes `on_epoch(epoch_index, mean_loss)` after
-/// every epoch — the hook Algorithm 1 uses to trigger adversarial
-/// augmentation every R epochs.
+/// every epoch (the `training_perf` suite times epochs with it).
+/// Algorithm 1 does not use the hook: it trains in R-epoch rounds, one
+/// [`train`] call per round.
 pub fn train_with_callback(
     model: &mut GinClassifier,
     graphs: &[Graph],
@@ -157,7 +160,7 @@ fn train_impl(
         .map(|_| {
             Mutex::new(BlockState {
                 tape: Tape::new(),
-                grads: Vec::new(),
+                params: Vec::new(),
             })
         })
         .collect();
@@ -206,21 +209,9 @@ fn train_impl(
                 let targets: Vec<f32> = block_graphs.iter().map(|g| g.label as u8 as f32).collect();
                 let total = tape.bce_with_logits_batch(logits, &targets);
                 tape.backward(total);
-                // Copy the block's parameter gradients out so the tape is
-                // free for the next batch; the buffers persist.
-                if state.grads.is_empty() {
-                    state.grads = model_ref
-                        .parameters()
-                        .iter()
-                        .map(|p| Matrix::zeros(p.rows(), p.cols()))
-                        .collect();
-                }
-                for (slot, &node) in state.grads.iter_mut().zip(&bound.param_nodes()) {
-                    match tape.grad(node) {
-                        Some(g) => slot.copy_from(g),
-                        None => slot.fill(0.0),
-                    }
-                }
+                // The gradients stay on the tape until the next batch
+                // resets it; the reduction below reads them there.
+                state.params = bound.param_nodes();
                 tape.value(total).get(0, 0)
             };
 
@@ -243,8 +234,12 @@ fn train_impl(
             }
             for state in blocks.iter().take(used_blocks) {
                 let state = state.lock().expect("block lock");
-                for (acc, g) in grad_acc.iter_mut().zip(&state.grads) {
-                    acc.add_scaled(g, inv);
+                for (acc, &node) in grad_acc.iter_mut().zip(&state.params) {
+                    // A parameter the loss never reached has no gradient:
+                    // it adds zero.
+                    if let Some(g) = state.tape.grad(node) {
+                        acc.add_scaled(g, inv);
+                    }
                 }
             }
             epoch_loss += block_losses.iter().sum::<f32>() * inv;

@@ -31,7 +31,6 @@ pub mod cell;
 pub mod map;
 pub mod netlist;
 pub mod ppa;
-pub mod verilog;
 
 pub use cell::{Cell, CellLibrary};
 pub use map::{map_aig, MapConfig};

@@ -119,20 +119,6 @@ impl MappedNetlist {
         fo
     }
 
-    /// Counts instances per cell, for report-style summaries.
-    pub fn cell_histogram(&self, library: &CellLibrary) -> Vec<(String, usize)> {
-        let mut counts = vec![0usize; library.cells().len()];
-        for g in &self.gates {
-            counts[g.cell] += 1;
-        }
-        counts
-            .into_iter()
-            .enumerate()
-            .filter(|&(_, c)| c > 0)
-            .map(|(i, c)| (library.cell(i).name().to_string(), c))
-            .collect()
-    }
-
     /// Evaluates the netlist on one input assignment (for cross-checking
     /// against the source AIG).
     ///
@@ -208,21 +194,5 @@ mod tests {
         nl.add_output_net(n0);
         nl.add_output_net(n1);
         assert_eq!(nl.eval(&lib, &[]), vec![false, true]);
-    }
-
-    #[test]
-    fn histogram_counts_cells() {
-        let lib = CellLibrary::nangate45();
-        let inv = lib.inverter();
-        let mut nl = MappedNetlist::new();
-        let a = nl.add_net(None);
-        nl.add_input_net(a);
-        let b = nl.add_net(None);
-        let c = nl.add_net(None);
-        nl.add_gate(inv, vec![a], b);
-        nl.add_gate(inv, vec![b], c);
-        nl.add_output_net(c);
-        let hist = nl.cell_histogram(&lib);
-        assert_eq!(hist, vec![("INV".to_string(), 2)]);
     }
 }

@@ -440,8 +440,9 @@ kinds! {
         /// The solver's cumulative conflicts at the early return.
         conflicts: u64,
         /// Why the query stopped: `"budget"` when the conflict budget ran
-        /// out, `"cancelled"` when a portfolio stop flag interrupted it —
-        /// so traces don't misreport races as effort blowups.
+        /// out. `"cancelled"` stays in the schema but nothing emits it:
+        /// a race's internal stop flag never ends a query without a
+        /// verdict, and a portfolio has no external stop flag.
         cause: &'static str,
     }
     /// One portfolio race over a miter query (emitted by the winner's

@@ -68,8 +68,7 @@ fn main() {
 
     // Drive the batched search engine over the recipe space, minimising
     // mapped area — no proxy model needed, the PPA objective stands on
-    // its own. Proposal batches share synthesis through the recipe trie;
-    // `ALMOST_PROPOSALS` widens the per-step batch.
+    // its own. Candidates share synthesis through the recipe trie.
     println!("\nSA area search on the batched engine:");
     let baseline_aig = Recipe::resyn2().apply(&aig);
     let baseline_nl = map_aig(&baseline_aig, &lib, &MapConfig::no_opt());
