@@ -38,11 +38,6 @@ use rand::SeedableRng;
 use std::hint::black_box;
 use std::thread;
 
-/// Prints a group heading; the group's rows follow it.
-fn group(name: &str) {
-    println!("\n## {name}");
-}
-
 /// Times `f` and prints its `group/name` row.
 fn bench<O>(group: &str, name: &str, f: impl FnMut() -> O) {
     println!("{}", time_row(&format!("{group}/{name}"), f));
@@ -78,7 +73,7 @@ fn bench_passes() {
         .chain([("c7552_rll128_wWfFsSb", restructured)]);
     for (name, aig) in inputs {
         let g = format!("passes_{name}");
-        group(&g);
+        println!("\n## {g}");
         for pass in Pass::ALL {
             let name = pass.command().replace(' ', "_");
             bench(&g, &name, || pass.apply(black_box(&aig)));
@@ -96,7 +91,7 @@ fn bench_passes() {
 
 fn bench_resyn2() {
     let g = "resyn2";
-    group(g);
+    println!("\n## {g}");
     for benchmark in [IscasBenchmark::C432, IscasBenchmark::C1355] {
         let aig = benchmark.build();
         let name = benchmark.name();
@@ -110,7 +105,7 @@ fn bench_resyn2() {
 fn bench_map() {
     let library = CellLibrary::nangate45();
     let g = "map_aig";
-    group(g);
+    println!("\n## {g}");
     for (name, aig) in inputs() {
         for (setting, config) in [
             ("no_opt", MapConfig::no_opt()),
@@ -126,7 +121,7 @@ fn bench_map() {
 fn bench_cut_layer() {
     let aig = rll128(IscasBenchmark::C5315, 5315);
     let g = "cut_layer_c5315_rll128";
-    group(g);
+    println!("\n## {g}");
     for max_cuts in [8, 12] {
         bench(g, &format!("cutset_compute_{max_cuts}"), || {
             CutSet::compute(black_box(&aig), CutConfig { max_cuts })

@@ -253,10 +253,8 @@ impl PortfolioSolver {
     /// Solves under assumptions, racing the portfolio. See
     /// [`Solver::solve`] for the verdict semantics.
     pub fn solve(&mut self, assumptions: &[SatLit]) -> SatResult {
-        match self.try_solve(assumptions, None) {
-            Ok(r) => r,
-            Err(i) => panic!("an unlimited solve cannot be interrupted, got {i:?}"),
-        }
+        self.try_solve(assumptions, None)
+            .expect("an unlimited solve reaches a verdict")
     }
 
     /// The budgeted query: `Ok` verdicts, or `Err(Interrupt::Budget)`
