@@ -2,17 +2,19 @@
 //! self-referencing like OMLA, but with a plain MLP over a *flattened*
 //! locality encoding instead of a GNN. Included as the "classic
 //! tensor-based model" point of comparison the paper discusses in §II.
+//!
+//! The MLP is a zero-round [`GinClassifier`] (`Linear → ReLU → Linear`
+//! over the mean of the node features) applied to a one-node graph whose
+//! features are the flattened locality, so it trains through the same
+//! [`train`] loop as OMLA and the proxies.
 
 use crate::report::{AttackOutcome, AttackTarget, OracleLessAttack};
 use crate::subgraph::{extract_all_localities, generate_samples, SubgraphConfig};
 use almost_aig::{Aig, Script};
-use almost_ml::gin::Graph;
-use almost_ml::nn::Linear;
-use almost_ml::optim::Adam;
-use almost_ml::tape::{sigmoid, Tape};
+use almost_ml::gin::{GinClassifier, Graph};
 use almost_ml::tensor::Matrix;
+use almost_ml::train::{train, TrainConfig};
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 /// SnapShot configuration.
@@ -55,48 +57,35 @@ pub struct Snapshot {
     pub config: SnapshotConfig,
 }
 
-/// Flattens a locality graph into a fixed-length vector: per-distance-ring
-/// sums of the node features (rings 0..hops), giving `(hops+1) * d`
-/// entries. Distance is recovered from feature column 8 (see
-/// `subgraph::extract_all_localities`).
-fn flatten(graph: &Graph, hops: usize) -> Matrix {
+/// Flattens a locality graph into a one-node graph with a fixed-length
+/// feature row: per-distance-ring sums of the node features (rings
+/// 0..hops), giving `(hops+1) * d` entries. Distance is recovered from
+/// feature column 8 (see `subgraph::extract_all_localities`).
+fn flatten(graph: &Graph, hops: usize) -> Graph {
     let d = graph.features.cols();
-    let mut out = Matrix::zeros(1, (hops + 1) * d);
+    let mut row = Matrix::zeros(1, (hops + 1) * d);
     for r in 0..graph.features.rows() {
         let dist_norm = graph.features.get(r, 8);
         let ring = ((dist_norm * hops as f32).round() as usize).min(hops);
         for c in 0..d {
-            let cur = out.get(0, ring * d + c);
-            out.set(0, ring * d + c, cur + graph.features.get(r, c));
+            let cur = row.get(0, ring * d + c);
+            row.set(0, ring * d + c, cur + graph.features.get(r, c));
         }
     }
-    out
+    Graph::from_edges(1, &[], row, graph.label)
 }
 
-/// A trained SnapShot model: a 2-layer MLP.
+/// A trained SnapShot model: a 2-layer MLP over flattened localities.
 #[derive(Clone, Debug)]
 pub struct SnapshotModel {
-    l1: Linear,
-    l2: Linear,
+    mlp: GinClassifier,
     hops: usize,
 }
 
 impl SnapshotModel {
-    fn logit(&self, tape: &mut Tape, x: &Matrix) -> almost_ml::tape::NodeId {
-        let b1 = self.l1.bind(tape);
-        let b2 = self.l2.bind(tape);
-        let xn = tape.leaf(x.clone());
-        let h = Linear::forward(b1, tape, xn);
-        let h = tape.relu(h);
-        Linear::forward(b2, tape, h)
-    }
-
     /// Predicted probability the key bit is 1.
     pub fn predict(&self, graph: &Graph) -> f32 {
-        let x = flatten(graph, self.hops);
-        let mut tape = Tape::new();
-        let l = self.logit(&mut tape, &x);
-        sigmoid(tape.value(l).get(0, 0))
+        self.mlp.predict(&flatten(graph, self.hops))
     }
 }
 
@@ -120,65 +109,19 @@ impl Snapshot {
 
         let hops = self.config.subgraph.hops;
         let input_dim = (hops + 1) * crate::subgraph::NUM_FEATURES;
-        let mut model = SnapshotModel {
-            l1: Linear::new(input_dim, self.config.hidden, self.config.seed + 1),
-            l2: Linear::new(self.config.hidden, 1, self.config.seed + 2),
-            hops,
-        };
-        let flat: Vec<(Matrix, f32)> = data
-            .iter()
-            .map(|g| (flatten(g, hops), g.label as u8 as f32))
-            .collect();
-
-        let mut adam = Adam::new(self.config.learning_rate);
-        let mut order: Vec<usize> = (0..flat.len()).collect();
-        for _epoch in 0..self.config.epochs {
-            order.shuffle(&mut rng);
-            for chunk in order.chunks(32) {
-                let mut tape = Tape::new();
-                let b1 = model.l1.bind(&mut tape);
-                let b2 = model.l2.bind(&mut tape);
-                let mut losses = Vec::new();
-                for &i in chunk {
-                    let (x, y) = &flat[i];
-                    let xn = tape.leaf(x.clone());
-                    let h = Linear::forward(b1, &mut tape, xn);
-                    let h = tape.relu(h);
-                    let logit = Linear::forward(b2, &mut tape, h);
-                    losses.push(tape.bce_with_logits(logit, *y));
-                }
-                if losses.is_empty() {
-                    continue;
-                }
-                let mut total = losses[0];
-                for &l in &losses[1..] {
-                    total = tape.add(total, l);
-                }
-                let mean = tape.scale(total, 1.0 / chunk.len() as f32);
-                tape.backward(mean);
-                let nodes = [b1.w, b1.b, b2.w, b2.b];
-                let grads: Vec<Matrix> = nodes
-                    .iter()
-                    .map(|&n| {
-                        tape.grad(n).cloned().unwrap_or_else(|| {
-                            let v = tape.value(n);
-                            Matrix::zeros(v.rows(), v.cols())
-                        })
-                    })
-                    .collect();
-                let grad_refs: Vec<&Matrix> = grads.iter().collect();
-                adam.step(
-                    &mut [
-                        &mut model.l1.w,
-                        &mut model.l1.b,
-                        &mut model.l2.w,
-                        &mut model.l2.b,
-                    ],
-                    &grad_refs,
-                );
-            }
-        }
-        model
+        let mut mlp = GinClassifier::new(input_dim, self.config.hidden, 0, self.config.seed);
+        let flat: Vec<Graph> = data.iter().map(|g| flatten(g, hops)).collect();
+        train(
+            &mut mlp,
+            &flat,
+            &TrainConfig {
+                epochs: self.config.epochs,
+                batch_size: 32,
+                learning_rate: self.config.learning_rate,
+                seed: self.config.seed ^ 0x5eed,
+            },
+        );
+        SnapshotModel { mlp, hops }
     }
 }
 
@@ -191,11 +134,16 @@ impl OracleLessAttack for Snapshot {
         let model = self.train_model(&target.deployed, &target.recipe);
         let positions = target.key_positions();
         let dummy = vec![false; positions.len()];
-        let graphs =
-            extract_all_localities(&target.deployed, &positions, &dummy, &self.config.subgraph);
-        let predicted: Vec<Option<bool>> = graphs
-            .iter()
-            .map(|g| Some(model.predict(g) >= 0.5))
+        let flat: Vec<Graph> =
+            extract_all_localities(&target.deployed, &positions, &dummy, &self.config.subgraph)
+                .iter()
+                .map(|g| flatten(g, model.hops))
+                .collect();
+        let predicted: Vec<Option<bool>> = model
+            .mlp
+            .predict_probs_batch(&flat.iter().collect::<Vec<_>>())
+            .into_iter()
+            .map(|p| Some(p >= 0.5))
             .collect();
         AttackOutcome::score("SnapShot", predicted, target.locked.key.bits())
     }
@@ -212,7 +160,8 @@ mod tests {
         let f = Matrix::zeros(3, crate::subgraph::NUM_FEATURES);
         let g = Graph::from_edges(3, &[(0, 1)], f, true);
         let x = flatten(&g, 3);
-        assert_eq!(x.cols(), 4 * crate::subgraph::NUM_FEATURES);
+        assert_eq!(x.num_nodes(), 1);
+        assert_eq!(x.features.cols(), 4 * crate::subgraph::NUM_FEATURES);
     }
 
     #[test]

@@ -6,6 +6,10 @@
 //! key bit. The model here follows that recipe: K rounds of GIN message
 //! passing (`H' = MLP(Â H)`, `Â = A + I`), mean-pool readout, and a small
 //! MLP head producing a single logit.
+//!
+//! With K = 0 the model is a plain MLP (`Linear → ReLU → Linear`) over
+//! the mean of the node features; SnapShot's flattened-locality MLP is
+//! that model applied to one-node graphs.
 
 use crate::nn::{BoundLinear, Linear};
 use crate::tape::{sigmoid, NodeId, Tape};
@@ -87,7 +91,8 @@ impl BoundModel {
 
 impl GinClassifier {
     /// A classifier with `num_layers` GIN rounds of width `hidden` over
-    /// `input_dim`-dimensional node features.
+    /// `input_dim`-dimensional node features. With `num_layers == 0` the
+    /// readout reads the pooled input features directly.
     pub fn new(input_dim: usize, hidden: usize, num_layers: usize, seed: u64) -> Self {
         let mut convs = Vec::with_capacity(num_layers);
         for k in 0..num_layers {
@@ -97,9 +102,10 @@ impl GinClassifier {
                 Linear::new(hidden, hidden, seed.wrapping_add(2 * k as u64 + 2)),
             ));
         }
+        let readout_in = if num_layers == 0 { input_dim } else { hidden };
         GinClassifier {
             convs,
-            readout: Linear::new(hidden, hidden, seed.wrapping_add(101)),
+            readout: Linear::new(readout_in, hidden, seed.wrapping_add(101)),
             head: Linear::new(hidden, 1, seed.wrapping_add(102)),
             input_dim,
         }
@@ -366,6 +372,23 @@ mod tests {
         assert_eq!(m.parameters_mut().len(), n);
         let mut tape = Tape::new();
         assert_eq!(model.bind(&mut tape).param_nodes().len(), n);
+    }
+
+    #[test]
+    fn zero_round_model_is_an_mlp_over_the_feature_mean() {
+        let model = GinClassifier::new(2, 8, 0, 5);
+        assert_eq!(model.parameters().len(), 4);
+        let rows: [&[f32]; 3] = [&[0.3, -1.1], &[2.0, 0.7], &[-0.4, 0.25]];
+        // Rows summed ascending, then divided: the readout's own order.
+        let mean: Vec<f32> = (0..2)
+            .map(|c| rows.iter().fold(0.0, |s, r| s + r[c]) / 3.0)
+            .collect();
+        let graph = Graph::from_edges(3, &[(0, 1), (1, 2)], Matrix::from_rows(&rows), true);
+        let pooled = Graph::from_edges(1, &[], Matrix::from_vec(1, 2, mean), true);
+        assert_eq!(
+            model.predict(&graph).to_bits(),
+            model.predict(&pooled).to_bits()
+        );
     }
 
     #[test]

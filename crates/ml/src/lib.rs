@@ -18,13 +18,15 @@
 //!   gradient is finite-difference checked in tests.
 //! - [`gin::GinClassifier`] — GIN message passing + mean-pool readout +
 //!   MLP head, the OMLA model shape; minibatches fuse into one
-//!   block-diagonal union per gradient sub-block.
+//!   block-diagonal union per gradient sub-block. With zero rounds it is
+//!   a plain MLP over the mean of the node features, which is how
+//!   SnapShot's flattened-locality MLP is built.
 //! - [`optim::Adam`], [`train::train`] — minibatch training that fans
 //!   fixed-size gradient sub-blocks across the `almost_pool` workers
 //!   (`ALMOST_JOBS` sets the width, results are bit-identical at any
-//!   width). Algorithm 1's every-R-epochs adversarial augmentation calls
-//!   [`train::train`] once per R-epoch round; the per-epoch hook of
-//!   [`train::train_with_callback`] serves epoch wall-time measurements.
+//!   width). It is the one training loop: OMLA, SnapShot and the three
+//!   proxies all train through it, and Algorithm 1's every-R-epochs
+//!   adversarial augmentation calls it once per R-epoch round.
 //!
 //! # Example
 //!
@@ -49,4 +51,4 @@ pub use gin::{GinClassifier, Graph};
 pub use optim::Adam;
 pub use tape::Tape;
 pub use tensor::{Matrix, SparseMatrix};
-pub use train::{train, train_dense_reference, train_with_callback, TrainConfig, TrainStats};
+pub use train::{train, train_dense_reference, TrainConfig, TrainStats};

@@ -50,7 +50,6 @@ enum Op {
     /// input rows in segment `b` (consecutive; lengths stored). The
     /// pooled readout of a minibatch of concatenated graphs.
     SegmentMeanRows(NodeId, Vec<u32>),
-    Scale(NodeId, f32),
     /// Binary cross-entropy with logits against a constant target;
     /// produces a 1×1 loss.
     BceWithLogits(NodeId, f32),
@@ -81,10 +80,10 @@ pub struct TapeStats {
 ///
 /// let mut t = Tape::new();
 /// let x = t.leaf(Matrix::from_rows(&[&[2.0]]));
-/// let y = t.scale(x, 3.0);
+/// let y = t.add(x, x);
 /// let loss = t.bce_with_logits(y, 1.0);
 /// t.backward(loss);
-/// // d/dx [softplus(3x) - 3x] = 3 (sigmoid(3x) - 1)
+/// // d/dx [softplus(2x) - 2x] = 2 (sigmoid(2x) - 1)
 /// let g = t.grad(x).expect("gradient exists");
 /// assert!(g.get(0, 0) < 0.0);
 /// ```
@@ -352,15 +351,6 @@ impl Tape {
         self.push(out, Op::SegmentMeanRows(a, seg_lens.to_vec()))
     }
 
-    /// Scalar multiple.
-    pub fn scale(&mut self, a: NodeId, s: f32) -> NodeId {
-        let mut buf = self.take_buf();
-        let va = &self.values[a];
-        buf.extend(va.data().iter().map(|&x| x * s));
-        let out = Matrix::from_vec(va.rows(), va.cols(), buf);
-        self.push(out, Op::Scale(a, s))
-    }
-
     /// Binary cross-entropy with logits: `softplus(z) − target·z`, where
     /// `z` is the single entry of a 1×1 node. Numerically stable.
     ///
@@ -534,11 +524,6 @@ impl Tape {
                             }
                         }
                     }
-                }
-                Op::Scale(a, s) => {
-                    let va = &values[*a];
-                    let ga = grad_slot(&mut lower[*a], spare, stats, va.rows(), va.cols());
-                    ga.add_scaled(g, *s);
                 }
                 Op::BceWithLogits(a, target) => {
                     let z = values[*a].get(0, 0);
@@ -774,11 +759,12 @@ mod tests {
     }
 
     #[test]
-    fn add_and_scale_gradient() {
+    fn add_gradient() {
         grad_check(
             |t, x| {
-                let y = t.scale(x, 2.5);
-                let z = t.add(x, y); // 3.5 x
+                let c = t.leaf(Matrix::from_rows(&[&[-0.4]]));
+                let y = t.add(x, c);
+                let z = t.add(y, x); // 2x - 0.4
                 t.bce_with_logits(z, 1.0)
             },
             Matrix::from_rows(&[&[0.7]]),
@@ -867,7 +853,7 @@ mod tests {
     fn repeated_backward_on_one_recording_is_stable() {
         let mut t = Tape::new();
         let x = t.leaf(Matrix::from_rows(&[&[0.9]]));
-        let y = t.scale(x, 2.0);
+        let y = t.add(x, x);
         let l = t.bce_with_logits(y, 1.0);
         t.backward(l);
         let g1 = t.grad(x).expect("grad").clone();

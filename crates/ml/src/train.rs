@@ -106,20 +106,7 @@ struct BlockState {
 ///
 /// An empty dataset is a no-op (returns zeroed stats).
 pub fn train(model: &mut GinClassifier, graphs: &[Graph], config: &TrainConfig) -> TrainStats {
-    train_with_callback(model, graphs, config, |_, _| {})
-}
-
-/// Like [`train`], but invokes `on_epoch(epoch_index, mean_loss)` after
-/// every epoch (the `training_perf` suite times epochs with it).
-/// Algorithm 1 does not use the hook: it trains in R-epoch rounds, one
-/// [`train`] call per round.
-pub fn train_with_callback(
-    model: &mut GinClassifier,
-    graphs: &[Graph],
-    config: &TrainConfig,
-    on_epoch: impl FnMut(usize, f32),
-) -> TrainStats {
-    train_impl(model, graphs, config, on_epoch, false)
+    train_impl(model, graphs, config, false)
 }
 
 /// The dense serial baseline: identical loop structure, but neighbourhood
@@ -134,14 +121,13 @@ pub fn train_dense_reference(
     graphs: &[Graph],
     config: &TrainConfig,
 ) -> TrainStats {
-    train_impl(model, graphs, config, |_, _| {}, true)
+    train_impl(model, graphs, config, true)
 }
 
 fn train_impl(
     model: &mut GinClassifier,
     graphs: &[Graph],
     config: &TrainConfig,
-    mut on_epoch: impl FnMut(usize, f32),
     dense_serial: bool,
 ) -> TrainStats {
     if graphs.is_empty() {
@@ -266,7 +252,6 @@ fn train_impl(
             });
             last_tape = (ops, allocs);
         }
-        on_epoch(epoch, mean_loss);
     }
 
     let final_accuracy = model.accuracy(graphs);
@@ -420,24 +405,5 @@ mod tests {
         let stats = train(&mut model, &[], &TrainConfig::default());
         assert!(stats.epoch_losses.is_empty());
         assert_eq!(stats.tape_ops, 0);
-    }
-
-    #[test]
-    fn callback_fires_every_epoch() {
-        let data = separable_dataset(20, 8);
-        let mut model = GinClassifier::new(2, 4, 1, 3);
-        let mut calls = Vec::new();
-        train_with_callback(
-            &mut model,
-            &data,
-            &TrainConfig {
-                epochs: 5,
-                batch_size: 8,
-                learning_rate: 1e-2,
-                seed: 3,
-            },
-            |e, _| calls.push(e),
-        );
-        assert_eq!(calls, vec![0, 1, 2, 3, 4]);
     }
 }
