@@ -63,7 +63,7 @@ fn self_referenced_datasets_match_pinned_digests() {
     const PINNED: [(&str, u64); 9] = [
         ("omla_training_data", 0xcf754e279c80d6d0),
         ("omla_predictions", 0x70399fa281100a55),
-        ("snapshot_predictions", 0xc850be0e4773ff1d),
+        ("snapshot_predictions", 0x7d9089dadc031c87),
         ("proxy_resyn2_samples", 0x9de5a39e646d59d9),
         ("proxy_random_samples", 0x93269c177faa7ec5),
         ("proxy_augmentation", 0xf2817d08b10bf9b3),
