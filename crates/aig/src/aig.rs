@@ -293,11 +293,6 @@ impl Aig {
         !self.and(a, b)
     }
 
-    /// Builds the NOR of two literals.
-    pub fn nor(&mut self, a: Lit, b: Lit) -> Lit {
-        self.and(!a, !b)
-    }
-
     /// Builds the XOR of two literals (three AND nodes in the worst case).
     pub fn xor(&mut self, a: Lit, b: Lit) -> Lit {
         let n1 = self.and(a, !b);

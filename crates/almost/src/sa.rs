@@ -63,18 +63,6 @@ pub struct SaTrace {
     pub iterations: Vec<SaIteration>,
 }
 
-impl SaTrace {
-    /// The per-iteration objective series.
-    pub fn objectives(&self) -> Vec<f64> {
-        self.iterations.iter().map(|i| i.objective).collect()
-    }
-
-    /// The per-iteration best-so-far series.
-    pub fn best_series(&self) -> Vec<f64> {
-        self.iterations.iter().map(|i| i.best_objective).collect()
-    }
-}
-
 /// Minimises `objective` over recipes by simulated annealing, starting
 /// from `initial`.
 ///
@@ -192,9 +180,8 @@ mod tests {
                 ..SaConfig::default()
             },
         );
-        let best = trace.best_series();
-        for w in best.windows(2) {
-            assert!(w[1] <= w[0]);
+        for w in trace.iterations.windows(2) {
+            assert!(w[1].best_objective <= w[0].best_objective);
         }
     }
 
