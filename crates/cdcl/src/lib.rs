@@ -22,10 +22,6 @@
 //!   shared formula (`ALMOST_SOLVERS`), glue-clause exchange included.
 //! - [`ClauseSink`] — the one clause-accepting surface both solvers
 //!   implement, so an encoder writes into either.
-//!
-//! `almost_sat` re-exports these modules under their historical paths
-//! (`almost_sat::solver`, `almost_sat::heap`, `almost_sat::portfolio`),
-//! so existing callers are unaffected by the split.
 
 pub mod heap;
 pub mod portfolio;

@@ -8,10 +8,9 @@
 //! not merge reach that query; ATPG poses it directly on the good and
 //! the faulty copy.
 
-use crate::portfolio::PortfolioSolver;
-use crate::solver::{SatLit, SatResult, SatVar, Solver};
 use almost_aig::cnf::{cone_memo, constant_false, encode_cone, encode_xor};
 use almost_aig::{fraig_with, Aig, FraigConfig, Lit, Var};
+use almost_cdcl::{PortfolioSolver, SatLit, SatResult, SatVar, Solver};
 use std::collections::HashMap;
 
 /// Outcome of a combinational equivalence check.

@@ -6,14 +6,16 @@
 //! SAT-based CEC, and the redundancy attack (`almost-attacks`) uses
 //! [`equiv::test_stuck_at`] as its ATPG oracle.
 //!
-//! The solver ([`solver::Solver`]) implements the standard modern recipe:
+//! The CDCL solver itself lives in [`almost_cdcl`], so that `almost_aig`'s
+//! fraig engine can use it without a dependency cycle; its main types are
+//! re-exported here. [`Solver`] implements the standard modern recipe:
 //! two-watched-literal propagation, first-UIP conflict analysis with
-//! clause learning, a heap-indexed VSIDS decision order ([`heap`]), phase
-//! saving, Luby restarts, learnt-clause database reduction (activity/LBD
-//! ranked), and incremental solving under assumptions — plus
-//! conflict-budgeted queries ([`solver::Solver::solve_limited`]) for
-//! approximate attacks. Effort counters are surfaced as
-//! [`solver::SolverStats`] on every attack row.
+//! clause learning, a heap-indexed VSIDS decision order
+//! ([`almost_cdcl::heap`]), phase saving, Luby restarts, learnt-clause
+//! database reduction (activity/LBD ranked), and incremental solving under
+//! assumptions — plus conflict-budgeted queries ([`Solver::solve_limited`])
+//! for approximate attacks. Effort counters are surfaced as
+//! [`SolverStats`] on every attack row.
 //!
 //! [`miter`] builds *key-conditioned* miters over locked circuits, the
 //! substrate of the oracle-guided SAT attack implemented in
@@ -29,7 +31,7 @@
 //! # Example
 //!
 //! ```
-//! use almost_sat::solver::{Solver, SatLit, SatResult};
+//! use almost_sat::{Solver, SatLit, SatResult};
 //!
 //! let mut s = Solver::new();
 //! let a = s.new_var();
@@ -43,15 +45,9 @@
 pub mod equiv;
 pub mod miter;
 
-// The CDCL core lives in `almost_cdcl` (so `almost_aig`'s fraig engine
-// can use it without a dependency cycle); the historical module paths
-// are preserved here.
-pub use almost_cdcl::heap;
-pub use almost_cdcl::portfolio;
-pub use almost_cdcl::solver;
-
+pub use almost_cdcl::{
+    ClauseExchange, Interrupt, PortfolioSolver, PortfolioStats, SatLit, SatResult, SatVar, Solver,
+    SolverStats,
+};
 pub use equiv::{check_equivalence, test_stuck_at, Equivalence};
-pub use heap::ActivityHeap;
 pub use miter::{DipSearch, KeyMiter};
-pub use portfolio::{PortfolioSolver, PortfolioStats};
-pub use solver::{ClauseExchange, Interrupt, SatLit, SatResult, SatVar, Solver, SolverStats};

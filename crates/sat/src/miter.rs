@@ -64,10 +64,9 @@
 //! they never query the oracle. Like the I/O constraints, each probe binds
 //! `x` to constant literals, so only its key-dependent residue is encoded.
 
-use crate::portfolio::{PortfolioSolver, PortfolioStats};
-use crate::solver::{SatLit, SatResult, SatVar};
 use almost_aig::cnf::{encode_xor, StrashEncoder};
 use almost_aig::Aig;
+use almost_cdcl::{PortfolioSolver, PortfolioStats, SatLit, SatResult, SatVar};
 
 /// Outcome of one DIP (or 2-DIP) query.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -325,7 +324,7 @@ impl KeyMiter {
     }
 
     /// Cumulative solver-effort statistics.
-    pub fn solver_stats(&self) -> crate::solver::SolverStats {
+    pub fn solver_stats(&self) -> almost_cdcl::SolverStats {
         self.solver.stats()
     }
 

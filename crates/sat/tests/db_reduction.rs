@@ -18,7 +18,7 @@
 //! flags toggled at random between solves: flags may shrink what a SAT
 //! answer assigns, but never the soundness of a verdict.
 
-use almost_sat::solver::{SatLit, SatResult, SatVar, Solver};
+use almost_cdcl::solver::{SatLit, SatResult, SatVar, Solver};
 use proptest::prelude::*;
 
 /// Deterministic xorshift stream.

@@ -14,8 +14,8 @@
 //!    decision variables (flagged and unassigned), at which `decide()`
 //!    stops, stays exact through decision-flag flips.
 
-use almost_sat::heap::ActivityHeap;
-use almost_sat::solver::{SatLit, SatResult, SatVar, Solver};
+use almost_cdcl::heap::ActivityHeap;
+use almost_cdcl::solver::{SatLit, SatResult, SatVar, Solver};
 use proptest::prelude::*;
 
 /// Deterministic xorshift stream for generating activities and clauses.

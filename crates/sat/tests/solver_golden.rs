@@ -21,12 +21,12 @@
 //! so a deliberate change of behaviour can re-pin the table in one edit.
 
 use almost_attacks::{DoubleDip, SatAttack};
+use almost_cdcl::solver::{SatLit, SatResult, SatVar, Solver};
 use almost_circuits::IscasBenchmark;
 use almost_locking::{
     apply_key, BatchOracle, CircuitOracle, LockedCircuit, LockingScheme, Oracle, Rll, SarLock,
     Stacked,
 };
-use almost_sat::solver::{SatLit, SatResult, SatVar, Solver};
 use almost_sat::{check_equivalence, Equivalence, SolverStats};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
